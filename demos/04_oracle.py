@@ -1,10 +1,12 @@
-"""Numerical ground truth: orthogonality-preserving operators on one cut.
+"""Ground truth: orthogonality-preserving operators on one cut.
 
-For the kept party k, every pair of states contributes two real-linear
-constraints on a Hermitian operator acting on the other parties.  The
-solution space always contains the identity; nonlocality is strongest when
-it contains nothing else, on every cut.  A nullspace dimension above 1
-comes with a concrete traceless witness operator.
+For the kept party k, every pair of states constrains a Hermitian operator
+acting on the other parties.  The solution space always contains the
+identity; nonlocality is strongest when it contains nothing else, on every
+cut.  The oracle decides this exactly by counting the classes of operator
+entries the constraints leave free; a dimension above 1 comes with a
+concrete traceless witness operator.  The dense SVD route solves the same
+constraints numerically and serves as the cross-check.
 """
 
 import itertools
@@ -19,8 +21,12 @@ states = q.family_states(fam.family)
 print("flagship family, all three cuts:")
 for rep in q.oracle_verify(states):
     print(f"  cut {rep.k}: D={rep.D}, rows={rep.rows}, "
-          f"nullspace dim={rep.nullspace_dim}, sv gap={rep.sv_gap:.3f} "
-          f"-> {rep.verdict}")
+          f"nullspace dim={rep.nullspace_dim} -> {rep.verdict}")
+
+print("\ndense cross-check of cut 0 (batched SVD over the same constraints):")
+dense = q.hermitian_nullspace(q.assemble_constraints(states, 0))
+print(f"  nullspace dim={dense.dim}, sv gap={dense.sv_gap:.3f} "
+      f"-> {q.triviality_verdict(dense).status}")
 
 print("\nnegative control: product basis (distinguishable by one party)")
 radix = (2, 2)
@@ -36,8 +42,8 @@ sub = fam.family.drop(1)
 for rep in q.oracle_verify(q.family_states(sub), cuts=[0]):
     print(f"  cut {rep.k}: nullspace dim={rep.nullspace_dim} -> {rep.verdict}")
 
-print("\nagreement: the combinatorial checker never calls a cut trivial "
-      "that the oracle rejects")
+print("\nagreement: wherever the combinatorial checker decides, the oracle "
+      "gives the same verdict")
 for name, family in [("flagship", fam.family), ("ablated", sub), ("product", prod)]:
     comb = q.overall_verdict(q.verify_strongest_nonlocality(family))
     orc = q.oracle_overall(q.oracle_verify(q.family_states(family)))

@@ -4,8 +4,9 @@ The lattice layer builds recursive circulant set families over Z_d**N and the
 modified families obtained by rehoming two constant tuples.  The states layer
 attaches phase states to each set.  Triviality of orthogonality-preserving
 measurements on every all-but-one cut is decided twice: combinatorially
-(verifier) and by an exact linear-algebra oracle (oracle).  Party and cut
-indices are 0-based throughout.
+(verifier) and by an exact oracle (oracle) that counts the classes of
+operator entries left free, with a dense SVD route kept as its cross-check.
+Party and cut indices are 0-based throughout.
 """
 
 from .errors import (FamilyFormatError, InadmissibleXiError,
@@ -18,8 +19,9 @@ from .lattice import (EXTRA_LABEL, CirculantMatrix, ModifiedFamily, ReferenceSiz
                       verify_partition, verify_permutation_invariance,
                       verify_shift_relation)
 from .oracle import (ConstraintSystem, NullspaceResult, OracleReport,
-                     TrivialityVerdict, assemble_constraints, hermitian_nullspace,
-                     oracle_overall, oracle_verify, triviality_verdict)
+                     TrivialityVerdict, assemble_constraints, exact_nullspace,
+                     hermitian_nullspace, oracle_overall, oracle_verify,
+                     triviality_verdict)
 from .serialize import (cut_report_to_json, dumps_canonical, family_from_json,
                         family_to_json, load_family, oracle_report_to_json,
                         save_family, states_to_json)

@@ -1,7 +1,7 @@
 """Resource caps.
 
 Enumeration cap bounds how many tuples a family materializes; operator cap
-bounds the Hermitian unknown count D**2 in the numerical oracle.  Both can be
+bounds the Hermitian unknown count D**2 in the oracle.  Both can be
 overridden with the QNONLOC_CAP environment variable: a single integer sets
 the enumeration cap, a pair "enum,op" sets both.
 """

@@ -2,7 +2,7 @@
 
 Subcommands: construct, verify, tables, export, import.  Party and cut
 indices are 0-based everywhere.  The verify exit code is keyed to the
-numerical oracle: 0 when every selected cut is trivial, 1 otherwise; with
+exact oracle: 0 when every selected cut is trivial, 1 otherwise; with
 --combinatorial-only a completed run exits 0 regardless of verdicts, since
 the combinatorial conditions are sufficient but not exhaustive.
 """
@@ -76,9 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a family on all-but-one cuts")
     p.add_argument("family", help="family JSON path")
     p.add_argument("--cut", default="all", help='cut index or "all" (default)')
-    p.add_argument("--tol", type=float, default=1e-9, help="rank / identity tolerance")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="accepted and unused: the exact oracle has no tolerance")
     p.add_argument("--combinatorial-only", action="store_true",
-                   help="skip the numerical oracle")
+                   help="skip the exact oracle")
     p.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
     p.add_argument("--out", help="write the full JSON report here")
 
@@ -167,10 +168,11 @@ def cmd_verify(cfg: RunConfig) -> int:
         oracle_reports = oracle_verify(state_sets, cuts=cuts, tol=cfg.tol,
                                        operator_cap=cfg.op_cap)
         doc["oracle"] = [oracle_report_to_json(r) for r in oracle_reports]
+        # both decide when the checker is not inconclusive: they must agree
         for comb, orc in zip(reports, oracle_reports):
-            if comb.overall == "trivial" and orc.verdict != "trivial":
+            if comb.overall in ("trivial", "nontrivial") and orc.verdict != comb.overall:
                 disagreements.append(
-                    f"cut {comb.k}: combinatorial trivial but oracle {orc.verdict}")
+                    f"cut {comb.k}: combinatorial {comb.overall} but oracle {orc.verdict}")
         doc["agreement"] = disagreements or "consistent"
 
     if cfg.out:
@@ -187,9 +189,8 @@ def cmd_verify(cfg: RunConfig) -> int:
               f"(symmetric={doc['symmetric']})")
         if oracle_reports is not None:
             for r in oracle_reports:
-                warn = " [sv gap warning]" if r.gap_warning else ""
                 print(f"cut {r.k}: oracle D={r.D} rows={r.rows} "
-                      f"dim={r.nullspace_dim} -> {r.verdict}{warn}")
+                      f"dim={r.nullspace_dim} -> {r.verdict}")
             for msg in disagreements:
                 print(f"DISAGREEMENT: {msg}")
 

@@ -1,18 +1,37 @@
-"""Numerical ground truth: solve for all orthogonality-preserving operators.
+"""Ground truth: which Hermitian operators preserve orthogonality on one cut.
 
 For a kept party k, an operator E = I_k (x) Pi acting on the remaining
 parties preserves the orthogonality of states a != b iff
-sum_{x,y} M[x,y] Pi[x,y] = 0 with M = A_a^H A_b, where A_a is state a
-reshaped to d_k rows.  Pi is expanded over the orthonormal Hermitian basis
-{E_xx} u {(e_xy + e_yx)/sqrt2} u {i(e_yx - e_xy)/sqrt2}, turning each state
-pair into two real-linear rows over D**2 real parameters.  The solution
-space always contains the identity; the measurement is trivial exactly when
-it contains nothing else.
+<psi_a|E|psi_b> = 0.  The solution space always contains the identity; the
+measurement is trivial exactly when it contains nothing else.
 
-Rows are processed in batches and only their row space is carried between
-batches (an SVD-compressed matrix has the same Gram matrix, hence the same
-right singular vectors), so memory stays at O(D**4) regardless of how many
-state pairs there are.
+Two routes answer this question.
+
+The exact route (`exact_nullspace`) decides every cut in `oracle_verify`.
+Phase states are DFTs over disjoint supports, and the DFT on a support is
+invertible, so the constraints reduce to equalities between entries of Pi:
+
+* across sets S != T, <s|E|t> = 0 for every s in S, t in T, so
+  Pi[r(s), r(t)] = 0 whenever s and t share their digit at k;
+* within a set, the block B[i, j] = <s_i|E|s_j> must be circulant in the
+  bijection order, so entries with the same shift (f_i - f_j) mod s are
+  equal, and a shift meeting a pair with different digits at k is 0.
+
+Connected components of that equality graph are the entry classes; the
+complex solution space has one dimension per class not forced to 0, and
+since it is closed under adjoints this is also the real dimension of its
+Hermitian part.  Everything is integer bookkeeping: there is no tolerance.
+
+The dense route (`assemble_constraints` -> `hermitian_nullspace` ->
+`triviality_verdict`) is an independent cross-check for tests and demos and
+is on no decision path.  It expands Pi over the orthonormal Hermitian basis
+{E_xx} u {(e_xy + e_yx)/sqrt2} u {i(e_yx - e_xy)/sqrt2}, turning each state
+pair into two real-linear rows over D**2 real parameters, with
+sum_{x,y} M[x,y] Pi[x,y] = 0 and M = A_a^H A_b, where A_a is state a
+reshaped to d_k rows.  Rows are processed in batches and only their row
+space is carried between batches (an SVD-compressed matrix has the same Gram
+matrix, hence the same right singular vectors), so memory stays at O(D**4)
+regardless of how many state pairs there are.
 """
 
 from __future__ import annotations
@@ -74,15 +93,16 @@ class ConstraintSystem:
         unit identity parameter vector, and must vanish for orthogonal input.
         """
         D = self.D
-        pairs = [(a, b) for a in range(self.n_states) for b in range(self.n_states)
-                 if a != b]
         iu0, iu1 = np.triu_indices(D, 1)
         diag_idx = np.arange(D)
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        for start in range(0, len(pairs), batch_pairs):
-            chunk = pairs[start:start + batch_pairs]
-            ia = np.fromiter((p[0] for p in chunk), dtype=np.int64, count=len(chunk))
-            ib = np.fromiter((p[1] for p in chunk), dtype=np.int64, count=len(chunk))
+        # ordered pair p = (a, b), a != b, in row-major order: a = p // (n-1)
+        # and b skips a, so no batch needs the list of all pairs
+        others = self.n_states - 1
+        for start in range(0, self.pair_count, batch_pairs):
+            p = np.arange(start, min(start + batch_pairs, self.pair_count), dtype=np.int64)
+            ia, j = np.divmod(p, others)
+            ib = j + (j >= ia)
             M = np.einsum("pki,pkj->pij", self.A[ia].conj(), self.A[ib], optimize=True)
             diag = M[:, diag_idx, diag_idx]
             mxy = M[:, iu0, iu1]
@@ -90,7 +110,7 @@ class ConstraintSystem:
             c_u = (mxy + myx) * inv_sqrt2
             c_w = 1j * (myx - mxy) * inv_sqrt2
             c = np.concatenate([diag, c_u, c_w], axis=1)
-            rows = np.empty((2 * len(chunk), self.n_params), dtype=np.float64)
+            rows = np.empty((2 * len(p), self.n_params), dtype=np.float64)
             rows[0::2] = c.real
             rows[1::2] = c.imag
             # identity component: diag entries sum to tr(M) = <psi_a|psi_b>
@@ -104,10 +124,9 @@ class ConstraintSystem:
             yield rows[keep] / norms[keep, None], resid
 
 
-def assemble_constraints(state_sets: Sequence[PhaseStateSet], k: int,
-                         operator_cap: int | None = None) -> ConstraintSystem:
-    """Reshape every state with party k in front and record pair provenance."""
-    state_sets = list(state_sets)
+def _cut_shape(state_sets: Sequence[PhaseStateSet], k: int,
+               operator_cap: int | None) -> tuple[tuple[int, ...], int, int]:
+    """(radix, d_k, D) of cut k, after the input and operator-cap checks."""
     if not state_sets:
         raise ValueError("need at least one state set")
     radix = state_sets[0].radix
@@ -124,6 +143,117 @@ def assemble_constraints(state_sets: Sequence[PhaseStateSet], k: int,
     if D * D > limit:
         raise ResourceLimitError(
             f"operator space of {D * D} unknowns exceeds operator cap {limit}")
+    return radix, d_k, D
+
+
+def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smallest node of each node's connected component under edges (a, b).
+
+    Hook and compress: every root adopts the smallest root across its
+    edges, then pointer jumping flattens the forest to stars.  Pointers only
+    ever decrease, so no cycle forms; every root with an edge to another
+    root merges each round, so such roots at least halve per round.
+    """
+    lab = np.arange(n_nodes, dtype=np.int64)
+    while True:
+        la, lb = lab[a], lab[b]
+        if np.array_equal(la, lb):
+            return lab
+        low = np.minimum(la, lb)
+        np.minimum.at(lab, la, low)
+        np.minimum.at(lab, lb, low)
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+
+
+def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int,
+                    operator_cap: int | None = None) -> TrivialityVerdict:
+    """Decide cut k exactly from the entry classes of Pi (module docstring).
+
+    Nodes are the D**2 entries of Pi, one zero node, and one class node per
+    shift of each set.  Only pairs of tuples sharing their digit at k meet a
+    nonzero entry; such a pair joins its entry to zero across sets and to its
+    shift's class node within a set.  A shift whose s pairs are not all
+    same-digit joins zero.  The dimension is the number of components that
+    hold an entry and not the zero node.
+
+    Overlapping supports, a bijection that is no permutation, or a single
+    free class other than the diagonal mean the states are not mutually
+    orthogonal, and raise InternalConsistencyError.
+    """
+    state_sets = list(state_sets)
+    radix, d_k, D = _cut_shape(state_sets, k, operator_cap)
+    low = math.prod(radix[k + 1:])
+    ranks = np.concatenate([ss.support.ranks for ss in state_sets])
+    if len(np.unique(ranks)) != len(ranks):
+        raise InternalConsistencyError(
+            "supports overlap, so states of different sets are not orthogonal")
+    for ss in state_sets:
+        if not np.array_equal(np.sort(ss.bijection), np.arange(ss.s)):
+            raise InternalConsistencyError(
+                f"bijection of set {ss.label!r} is not a permutation of 0..s-1")
+    sizes = np.array([ss.s for ss in state_sets], dtype=np.int64)
+    size = np.repeat(sizes, sizes)                      # s of each member's set
+    set_id = np.repeat(np.arange(len(sizes)), sizes)
+    f = np.concatenate([ss.bijection for ss in state_sets])
+    # the digit at k and the rank of the rest, the row or column of Pi
+    digit = ranks // low % d_k
+    resid = ranks // (low * d_k) * low + ranks % low
+
+    # every ordered pair of members with the same digit at k
+    owner = np.full((d_k, D), -1, dtype=np.int64)
+    owner[digit, resid] = np.arange(len(ranks))
+    u = np.broadcast_to(owner[:, :, None], (d_k, D, D))
+    v = np.broadcast_to(owner[:, None, :], (d_k, D, D))
+    both = (u >= 0) & (v >= 0)
+    u, v = u[both], v[both]
+    entry = resid[u] * D + resid[v]
+    within = set_id[u] == set_id[v]
+    first_class = np.cumsum(sizes) - sizes
+    cls = first_class[set_id[u]] + (f[u] - f[v]) % size[u]
+
+    # a class meets s pairs in all; fewer same-digit ones means a zero pair
+    hits = np.bincount(cls[within], minlength=len(size))
+    zero = D * D
+    a = np.concatenate([zero + 1 + cls[within], entry[~within],
+                        zero + 1 + np.flatnonzero(hits < size)])
+    b = np.concatenate([entry[within], np.full(len(a) - int(within.sum()), zero)])
+    n_nodes = zero + 1 + len(size)
+    lab = _components(n_nodes, a, b)
+
+    comp = lab[:zero]
+    free = comp != lab[zero]
+    classes = np.unique(comp[free])
+    if len(classes) < 2:
+        if not (len(classes) == 1 and np.array_equal(np.flatnonzero(free),
+                                                     np.arange(D) * (D + 1))):
+            raise InternalConsistencyError(
+                f"{len(classes)}-dimensional solution space is not the identity line; "
+                "input states cannot have been orthogonal")
+        return TrivialityVerdict(status="trivial", dim=1, identity_distance=0.0)
+
+    # X + X^T of a free class indicator X solves (the space is closed under
+    # adjoints), and so does its traceless part (the identity solves).  Only
+    # a class holding the whole diagonal and nothing else has a zero
+    # traceless part, so one of the first two classes gives the witness.
+    for c in classes[:2]:
+        X = (comp == c).reshape(D, D).astype(np.float64)
+        H = X + X.T
+        W = H - (np.trace(H) / D) * np.eye(D)
+        if W.any():
+            break
+    return TrivialityVerdict(status="nontrivial", dim=len(classes),
+                             witness=(W / np.linalg.norm(W)).astype(np.complex128))
+
+
+def assemble_constraints(state_sets: Sequence[PhaseStateSet], k: int,
+                         operator_cap: int | None = None) -> ConstraintSystem:
+    """Reshape every state with party k in front and record pair provenance."""
+    state_sets = list(state_sets)
+    radix, d_k, D = _cut_shape(state_sets, k, operator_cap)
 
     blocks = []
     provenance: list[tuple[Label, int]] = []
@@ -287,10 +417,10 @@ def triviality_verdict(ns: NullspaceResult, tol: float = DEFAULT_RANK_TOL) -> Tr
 class OracleReport:
     k: int
     D: int
-    rows: int
+    rows: int                          # 2 N (N - 1) real constraints for N states
     nullspace_dim: int
     verdict: str
-    sv_gap: float
+    sv_gap: float | None               # None: the exact route has no spectrum
     gap_warning: bool
     identity_residual: float
     identity_distance: float | None = None
@@ -301,24 +431,27 @@ class OracleReport:
 
 def oracle_verify(state_sets: Sequence[PhaseStateSet], cuts: list[int] | None = None,
                   tol: float = DEFAULT_RANK_TOL, operator_cap: int | None = None,
-                  batch_pairs: int = 2000) -> list[OracleReport]:
-    """Numerically decide triviality of every requested cut."""
+                  ) -> list[OracleReport]:
+    """Decide triviality of every requested cut by the exact route.
+
+    tol is kept for callers of the former dense decision and is not used:
+    the exact route compares integers.
+    """
     state_sets = list(state_sets)
     if not state_sets:
         raise ValueError("need at least one state set")
-    n = len(state_sets[0].radix)
+    radix = state_sets[0].radix
     if cuts is None:
-        cuts = list(range(n))
+        cuts = list(range(len(radix)))
+    n_states = sum(ss.s for ss in state_sets)
     reports = []
     for k in cuts:
         t0 = time.perf_counter()
-        system = assemble_constraints(state_sets, k, operator_cap=operator_cap)
-        ns = hermitian_nullspace(system, tol=tol, batch_pairs=batch_pairs)
-        verdict = triviality_verdict(ns, tol=tol)
+        verdict = exact_nullspace(state_sets, k, operator_cap=operator_cap)
         reports.append(OracleReport(
-            k=k, D=system.D, rows=system.row_count, nullspace_dim=ns.dim,
-            verdict=verdict.status, sv_gap=ns.sv_gap, gap_warning=ns.gap_warning,
-            identity_residual=ns.identity_residual,
+            k=k, D=math.prod(radix) // radix[k], rows=2 * n_states * (n_states - 1),
+            nullspace_dim=verdict.dim, verdict=verdict.status, sv_gap=None,
+            gap_warning=False, identity_residual=0.0,
             identity_distance=verdict.identity_distance,
             witness=verdict.witness, elapsed=time.perf_counter() - t0))
     return reports

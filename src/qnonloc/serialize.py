@@ -130,8 +130,7 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily | ModifiedFamily:
     return family
 
 
-def states_to_json(state_sets: list[PhaseStateSet], cuts_hint: int | None = None,
-                   ) -> list[dict[str, Any]]:
+def states_to_json(state_sets: list[PhaseStateSet]) -> list[dict[str, Any]]:
     out = []
     for ss in state_sets:
         support = [list(t) for t in ss.support]

@@ -52,6 +52,27 @@ def test_full_verify_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_flags_oracle_trivial_on_combinatorial_nontrivial(
+        tmp_path, capsys, monkeypatch):
+    # the checker calls every cut of a product basis nontrivial; an oracle
+    # that called them trivial must be reported and fail the run
+    radix = (2, 2)
+    sets = {i: q.TupleSet.from_tuples(radix, [divmod(i, 2)]) for i in range(4)}
+    path = tmp_path / "prod.json"
+    q.save_family(q.SetFamily(radix, sets), path)
+
+    def all_trivial(state_sets, cuts, **kwargs):
+        return [q.OracleReport(k=k, D=2, rows=24, nullspace_dim=1, verdict="trivial",
+                               sv_gap=None, gap_warning=False, identity_residual=0.0)
+                for k in cuts]
+
+    monkeypatch.setattr("qnonloc.cli.oracle_verify", all_trivial)
+    assert main(["verify", str(path), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["agreement"] == [f"cut {k}: combinatorial nontrivial but oracle trivial"
+                                for k in (0, 1)]
+
+
 def test_verify_single_cut_json(tmp_path, capsys):
     fam_path = tmp_path / "fam.json"
     main(["construct", "--d", "4", "--n", "3", "--out", str(fam_path)])

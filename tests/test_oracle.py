@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qnonloc as q
 from qnonloc.errors import InternalConsistencyError, ResourceLimitError
@@ -52,6 +56,8 @@ def test_operator_cap_enforced():
     # environment dimension 7^3 = 343 -> 343^2 parameters > default cap
     with pytest.raises(ResourceLimitError):
         q.assemble_constraints(states, 0, operator_cap=4096)
+    with pytest.raises(ResourceLimitError):
+        q.oracle_verify(states, cuts=[0], operator_cap=4096)
 
 
 def test_bell_cut_is_trivial(bell_family):
@@ -117,6 +123,11 @@ def test_batch_size_independence(d3_minimal_family):
     small = q.hermitian_nullspace(sys, batch_pairs=7)
     assert full.dim == small.dim == 1
     assert np.isclose(full.sv_gap, small.sv_gap, rtol=1e-6)
+    # the batches cut one sequence of rows at different places
+    batches = list(sys.iter_row_batches(batch_pairs=7))
+    (whole,) = sys.iter_row_batches(batch_pairs=2000)
+    assert np.array_equal(np.vstack([rows for rows, _ in batches]), whole[0])
+    assert max(resid for _, resid in batches) == whole[1]
 
 
 def test_oracle_verify_example(ex1_family):
@@ -126,8 +137,12 @@ def test_oracle_verify_example(ex1_family):
     assert rep.k == 0 and rep.D == 16
     assert rep.nullspace_dim == 1 and rep.verdict == "trivial"
     assert rep.rows == 4512
-    assert rep.sv_gap > 0.1
+    assert rep.sv_gap is None and not rep.gap_warning
     assert q.oracle_overall(reports) == "trivial"
+    # the dense cross-check of the same cut decides it with a clear margin
+    dense = q.hermitian_nullspace(q.assemble_constraints(states, 0))
+    assert dense.dim == 1 and dense.rows_total == rep.rows
+    assert dense.sv_gap > 0.1
 
 
 def test_bijection_invariance_of_verdict(d3_minimal_family):
@@ -142,3 +157,108 @@ def test_bijection_invariance_of_verdict(d3_minimal_family):
         sys = q.assemble_constraints(states, k)
         res = q.hermitian_nullspace(sys)
         assert q.triviality_verdict(res).status == "trivial"
+
+
+# ---- exact route against the dense cross-check ----------------------------
+
+def _mixed_radix_family(radix, modulus):
+    """Sets of a mixed-radix cube grouped by digit sum mod `modulus`."""
+    cube = list(itertools.product(*(range(r) for r in radix)))
+    return q.SetFamily(radix, {
+        i: q.TupleSet.from_tuples(radix, [t for t in cube if sum(t) % modulus == i])
+        for i in range(modulus)})
+
+
+def _single_state_family():
+    return q.SetFamily((2, 2), {0: q.TupleSet.from_tuples((2, 2), [(0, 0)])})
+
+
+def _product_basis(radix=(2, 2)):
+    cube = itertools.product(*(range(r) for r in radix))
+    return q.SetFamily(radix, {i: q.TupleSet.from_tuples(radix, [t])
+                               for i, t in enumerate(cube)})
+
+
+def _ablations(d, n):
+    fam = q.build_modified_family(d, n).family
+    return [(f"modified({d},{n})-{label}", lambda label=label: fam.drop(label))
+            for label in fam.labels]
+
+
+BATTERY = (
+    [(f"modified({d},3)", lambda d=d: q.build_modified_family(d, 3).family)
+     for d in (2, 3, 4)]
+    + [(f"index({d},3)", lambda d=d: q.build_index_family(d, 3)) for d in (2, 3, 4)]
+    + [("modified(2,4)", lambda: q.build_modified_family(2, 4).family),
+       ("index(2,4)", lambda: q.build_index_family(2, 4))]
+    + _ablations(4, 3)
+    + [("bell", lambda: q.build_index_family(2, 2)),
+       ("product(2,2)", _product_basis),
+       ("single-state", _single_state_family),
+       ("mixed(2,3,2)%3", lambda: _mixed_radix_family((2, 3, 2), 3)),
+       ("mixed(3,2,2)%2", lambda: _mixed_radix_family((3, 2, 2), 2))]
+)
+
+
+def _assert_witness(W, states, k, tol=1e-9):
+    """Hermitian, traceless, unit norm, and <a|I_k (x) W|b> = 0 for a != b."""
+    D = W.shape[0]
+    assert W.shape == (D, D)
+    assert np.abs(W - W.conj().T).max() <= tol
+    assert abs(np.trace(W)) <= tol
+    assert abs(np.linalg.norm(W) - 1.0) <= tol
+    system = q.assemble_constraints(states, k)
+    A = system.A
+    G = np.einsum("agx,xy,bgy->ab", A.conj(), W, A, optimize=True)
+    G /= np.outer(system.scales, system.scales)
+    np.fill_diagonal(G, 0.0)
+    assert np.abs(G).max(initial=0.0) <= tol
+
+
+def _assert_exact_matches_dense(states):
+    for k in range(len(states[0].radix)):
+        exact = q.exact_nullspace(states, k)
+        dense = q.hermitian_nullspace(q.assemble_constraints(states, k))
+        assert exact.dim == dense.dim, f"cut {k}"
+        assert exact.status == ("trivial" if dense.dim == 1 else "nontrivial")
+        if exact.dim == 1:
+            assert exact.witness is None and exact.identity_distance == 0.0
+        else:
+            _assert_witness(exact.witness, states, k)
+
+
+@pytest.mark.parametrize("build", [b for _, b in BATTERY], ids=[n for n, _ in BATTERY])
+def test_exact_route_matches_dense(build):
+    _assert_exact_matches_dense(q.family_states(build()))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["index", "modified"]), st.randoms(use_true_random=False))
+def test_exact_route_random_bijections(kind, rng):
+    fam = (q.build_index_family(3, 3) if kind == "index"
+           else q.build_modified_family(3, 3).family)
+    states = []
+    for label in fam.labels:
+        perm = list(range(len(fam[label])))
+        rng.shuffle(perm)
+        states.append(q.build_state_set(fam[label], label, bijection=perm))
+    _assert_exact_matches_dense(states)
+
+
+def test_index_3_3_dims_pinned():
+    """Lexicographic phase order breaks the party symmetry of the supports."""
+    states = q.family_states(q.build_index_family(3, 3))
+    assert [rep.nullspace_dim for rep in q.oracle_verify(states)] == [1, 3, 1]
+
+
+def test_exact_route_rejects_non_orthogonal_input():
+    ts = q.TupleSet.from_tuples((2, 2), [(0, 0), (0, 1)])
+    with pytest.raises(InternalConsistencyError):
+        q.oracle_verify([q.build_state_set(ts, 0), q.build_state_set(ts, 1)])
+    other = q.TupleSet.from_tuples((2, 2), [(0, 1), (1, 1)])
+    with pytest.raises(InternalConsistencyError):
+        q.oracle_verify([q.build_state_set(ts, 0), q.build_state_set(other, 1)])
+    ss = q.build_state_set(ts, 0)
+    ss.bijection = np.array([0, 0])
+    with pytest.raises(InternalConsistencyError):
+        q.oracle_verify([ss])

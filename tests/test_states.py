@@ -59,6 +59,21 @@ def test_symbolic_orthogonality_shuffled_bijection(s, rng):
     assert rep.ok
 
 
+def test_symbolic_orthogonality_large_set():
+    fam = q.build_modified_family(4, 7).family
+    ss = q.build_state_set(fam[1], 1)
+    assert ss.s == 4096
+    assert q.symbolic_orthogonality(ss)
+
+
+def test_symbolic_orthogonality_rejects_non_permutation():
+    ss = q.build_state_set(q.TupleSet.from_tuples((4,), [(i,) for i in range(4)]))
+    ss.bijection = np.array([0, 1, 1, 3])
+    assert not q.symbolic_orthogonality(ss)
+    ss.bijection = np.array([0, 1, 2])
+    assert not q.symbolic_orthogonality(ss)
+
+
 def test_gram_dense_and_symbolic_agree(ex1_family):
     rep = q.gram_check(q.family_states(ex1_family.family))
     assert rep.ok and rep.symbolic_ok and not rep.structural_overlap
