@@ -11,13 +11,12 @@ Party and cut indices are 0-based throughout.
 
 from .errors import (FamilyFormatError, InadmissibleXiError,
                      InternalConsistencyError, QnonlocError, ResourceLimitError)
-from .lattice import (EXTRA_LABEL, CirculantMatrix, ModifiedFamily, ReferenceSizes,
-                      RowSelection, SetFamily, TupleSet, build_index_family,
+from .lattice import (EXTRA_LABEL, ModifiedFamily, ReferenceSizes, RowSelection,
+                      SetFamily, TupleSet, build_index_family,
                       build_modified_family, choose_xi, construction_size,
-                      cyclic_distance, diagonal_home, element_order,
-                      reference_sizes, residue_class, select_rows,
-                      verify_partition, verify_permutation_invariance,
-                      verify_shift_relation)
+                      cyclic_distance, diagonal_home, reference_sizes,
+                      select_rows, verify_partition,
+                      verify_permutation_invariance, verify_shift_relation)
 from .oracle import (ConstraintSystem, NullspaceResult, OracleReport,
                      TrivialityVerdict, assemble_constraints, exact_nullspace,
                      hermitian_nullspace, oracle_overall, oracle_verify,

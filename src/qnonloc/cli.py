@@ -4,7 +4,10 @@ Subcommands: construct, verify, tables, export, import.  Party and cut
 indices are 0-based everywhere.  The verify exit code is keyed to the
 exact oracle: 0 when every selected cut is trivial, 1 otherwise; with
 --combinatorial-only a completed run exits 0 regardless of verdicts, since
-the combinatorial conditions are sufficient but not exhaustive.
+the combinatorial conditions are sufficient but not exhaustive.  The oracle
+compares integers, so verify takes no tolerance.  The caps are read from
+QNONLOC_CAP once per run; a malformed value is reported as an error and the
+run exits 2, like any other invalid input.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import caps
@@ -27,24 +29,6 @@ from .tables import (DEFAULT_TABLE_D, all_comparison_tables, comparison_to_json,
                      render_comparison_csv, render_comparison_text,
                      render_diagonal_csv, render_diagonal_text)
 from .verifier import overall_verdict, verify_strongest_nonlocality
-
-
-@dataclass
-class RunConfig:
-    command: str
-    d: int | None = None
-    n: int | None = None
-    xi: int | str | None = None
-    family_path: str | None = None
-    cut: str = "all"
-    tol: float = 1e-9
-    combinatorial_only: bool = False
-    fmt: str = "text"
-    out: str | None = None
-    states_out: str | None = None
-    diagonal: int | None = None
-    enum_cap: int | None = None
-    op_cap: int | None = None
 
 
 def _parse_xi(raw: str) -> int | str:
@@ -73,11 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states-out", dest="states_out", help="state export JSON path")
     p.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("verify", help="check a family on all-but-one cuts")
+    p = sub.add_parser(
+        "verify", help="check a family on all-but-one cuts",
+        description="Run the combinatorial checks and the exact oracle on each "
+                    "all-but-one cut.  The oracle decides every cut by integer "
+                    "bookkeeping, with no tolerance.")
     p.add_argument("family", help="family JSON path")
     p.add_argument("--cut", default="all", help='cut index or "all" (default)')
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="accepted and unused: the exact oracle has no tolerance")
     p.add_argument("--combinatorial-only", action="store_true",
                    help="skip the exact oracle")
     p.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
@@ -100,62 +86,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("d", "n", "xi", "cut", "tol", "fmt", "out", "states_out", "diagonal"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "family"):
-        cfg.family_path = args.family
-    if getattr(args, "combinatorial_only", False):
-        cfg.combinatorial_only = True
-    cfg.enum_cap, cfg.op_cap = caps.resolve_caps()
-    return cfg
-
-
-def cmd_construct(cfg: RunConfig) -> int:
+def cmd_construct(args: argparse.Namespace) -> int:
     from .lattice import build_modified_family
 
-    fam = build_modified_family(cfg.d, cfg.n, xi=cfg.xi, cap=cfg.enum_cap)
+    fam = build_modified_family(args.d, args.n, xi=args.xi, cap=args.enum_cap)
     doc = family_to_json(fam)
-    if cfg.out:
-        Path(cfg.out).write_text(dumps_canonical(doc))
-    if cfg.states_out:
-        Path(cfg.states_out).write_text(
+    if args.out:
+        Path(args.out).write_text(dumps_canonical(doc))
+    if args.states_out:
+        Path(args.states_out).write_text(
             dumps_canonical(states_to_json(family_states(fam.family))))
     summary = {
         "d": fam.d, "n": fam.n, "xi_prime": fam.xi, "case": fam.case,
         "labels": [str(l) for l in fam.labels], "size": fam.total_size(),
         "beyond_guarantee": fam.beyond_guarantee,
     }
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(dumps_canonical(summary), end="")
     else:
         flag = "  [beyond the d >= 4 guarantee]" if fam.beyond_guarantee else ""
         print(f"built d={fam.d} n={fam.n} family: {fam.total_size()} tuples in "
               f"{len(fam.labels)} sets, case {fam.case}, xi'={fam.xi}{flag}")
-        if not cfg.out:
+        if not args.out:
             print(dumps_canonical(doc), end="")
     return 0
 
 
-def _selected_cuts(cfg: RunConfig, n: int) -> list[int]:
-    if cfg.cut == "all":
+def _selected_cuts(cut: str, n: int) -> list[int]:
+    if cut == "all":
         return list(range(n))
-    k = int(cfg.cut)
+    k = int(cut)
     if not 0 <= k < n:
         raise QnonlocError(f"cut {k} out of range for arity {n}")
     return [k]
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    fam = load_family(cfg.family_path)
+def cmd_verify(args: argparse.Namespace) -> int:
+    fam = load_family(args.family)
     base = fam.family if isinstance(fam, ModifiedFamily) else fam
-    cuts = _selected_cuts(cfg, len(base.radix))
+    cuts = _selected_cuts(args.cut, len(base.radix))
 
-    reports = verify_strongest_nonlocality(base, cuts=cuts, cap=cfg.enum_cap)
+    reports = verify_strongest_nonlocality(base, cuts=cuts, cap=args.enum_cap)
     doc: dict = {
-        "family": cfg.family_path,
+        "family": args.family,
         "cuts": [cut_report_to_json(r) for r in reports],
         "symmetric": reports[0].symmetric if reports else None,
         "combinatorial_overall": overall_verdict(reports),
@@ -163,10 +136,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     oracle_reports = None
     disagreements: list[str] = []
-    if not cfg.combinatorial_only:
+    if not args.combinatorial_only:
         state_sets = family_states(base)
-        oracle_reports = oracle_verify(state_sets, cuts=cuts, tol=cfg.tol,
-                                       operator_cap=cfg.op_cap)
+        oracle_reports = oracle_verify(state_sets, cuts=cuts, operator_cap=args.op_cap)
         doc["oracle"] = [oracle_report_to_json(r) for r in oracle_reports]
         # both decide when the checker is not inconclusive: they must agree
         for comb, orc in zip(reports, oracle_reports):
@@ -175,9 +147,9 @@ def cmd_verify(cfg: RunConfig) -> int:
                     f"cut {comb.k}: combinatorial {comb.overall} but oracle {orc.verdict}")
         doc["agreement"] = disagreements or "consistent"
 
-    if cfg.out:
-        Path(cfg.out).write_text(dumps_canonical(doc))
-    if cfg.fmt == "json":
+    if args.out:
+        Path(args.out).write_text(dumps_canonical(doc))
+    if args.fmt == "json":
         print(dumps_canonical(doc), end="")
     else:
         for r in reports:
@@ -196,23 +168,23 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     if disagreements:
         return 1
-    if cfg.combinatorial_only:
+    if args.combinatorial_only:
         return 0
     return 0 if all(r.verdict == "trivial" for r in oracle_reports) else 1
 
 
-def cmd_tables(cfg: RunConfig) -> int:
+def cmd_tables(args: argparse.Namespace) -> int:
     tables = all_comparison_tables()
-    out_dir = Path(cfg.out) if cfg.out else None
+    out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {"comparison": [comparison_to_json(t) for t in tables]}
-        if cfg.diagonal is not None:
+        if args.diagonal is not None:
             from .tables import diagonal_table
-            doc["diagonal"] = {"d": cfg.diagonal,
-                               "grid": diagonal_table(cfg.diagonal).tolist()}
+            doc["diagonal"] = {"d": args.diagonal,
+                               "grid": diagonal_table(args.diagonal).tolist()}
         text = dumps_canonical(doc)
         if out_dir:
             (out_dir / "tables.json").write_text(text)
@@ -220,36 +192,36 @@ def cmd_tables(cfg: RunConfig) -> int:
             print(text, end="")
         return 0
 
-    render = render_comparison_csv if cfg.fmt == "csv" else render_comparison_text
-    ext = "csv" if cfg.fmt == "csv" else "txt"
+    render = render_comparison_csv if args.fmt == "csv" else render_comparison_text
+    ext = "csv" if args.fmt == "csv" else "txt"
     for t in tables:
         text = render(t)
         if out_dir:
             (out_dir / f"comparison_d{t.d}.{ext}").write_text(text)
         else:
             print(text)
-    if cfg.diagonal is not None:
-        text = (render_diagonal_csv if cfg.fmt == "csv"
-                else render_diagonal_text)(cfg.diagonal)
+    if args.diagonal is not None:
+        text = (render_diagonal_csv if args.fmt == "csv"
+                else render_diagonal_text)(args.diagonal)
         if out_dir:
-            (out_dir / f"diagonal_d{cfg.diagonal}.{ext}").write_text(text)
+            (out_dir / f"diagonal_d{args.diagonal}.{ext}").write_text(text)
         else:
             print(text)
     return 0
 
 
-def cmd_export(cfg: RunConfig) -> int:
-    fam = load_family(cfg.family_path)
+def cmd_export(args: argparse.Namespace) -> int:
+    fam = load_family(args.family)
     text = dumps_canonical(family_to_json(fam))
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         print(text, end="")
     return 0
 
 
-def cmd_import(cfg: RunConfig) -> int:
-    fam = load_family(cfg.family_path)
+def cmd_import(args: argparse.Namespace) -> int:
+    fam = load_family(args.family)
     base = fam.family if isinstance(fam, ModifiedFamily) else fam
     kind = "modified" if isinstance(fam, ModifiedFamily) else "plain"
     print(f"valid {kind} family: radix={base.radix} "
@@ -267,14 +239,13 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[cfg.command](cfg)
+        args.enum_cap, args.op_cap = caps.resolve_caps()
+        return _DISPATCH[args.command](args)
     except QnonlocError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1 if cfg.command == "import" else 2
+        return 1 if args.command == "import" else 2
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

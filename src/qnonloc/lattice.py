@@ -59,6 +59,24 @@ def _encode(digits: np.ndarray, radix: Sequence[int]) -> np.ndarray:
     return digits.astype(np.int64) @ _weights(radix)
 
 
+def residual_radix(radix: Sequence[int], k: int) -> tuple[int, ...]:
+    """Radix with position k deleted; (1,) when no position is left."""
+    reduced = tuple(radix[:k]) + tuple(radix[k + 1:])
+    return reduced if reduced else (1,)
+
+
+def split_at(ranks: np.ndarray, radix: Sequence[int], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split each rank at position k into (digit at k, rank of the other digits).
+
+    The second rank is over residual_radix(radix, k) and keeps the order of
+    the remaining positions, so a TupleSet's canonical order survives inside
+    every digit class.
+    """
+    low = math.prod(radix[k + 1:])
+    high, rest = np.divmod(np.asarray(ranks, dtype=np.int64), low)
+    return high % radix[k], high // radix[k] * low + rest
+
+
 class TupleSet:
     """Immutable set of same-radix digit tuples in canonical (lexicographic) order."""
 
@@ -169,16 +187,10 @@ class TupleSet:
         n = len(self.radix)
         if not 0 <= k < n:
             raise ValueError(f"position {k} out of range for arity {n}")
-        if n == 1:
-            if len(self.ranks) > 1:
-                raise ValueError("projection would collapse distinct tuples")
-            return TupleSet((1,), np.zeros(len(self.ranks), dtype=np.int64))
-        digits = np.delete(self.members(), k, axis=1)
-        reduced = self.radix[:k] + self.radix[k + 1:]
-        ranks = _encode(digits, reduced)
+        _, ranks = split_at(self.ranks, self.radix, k)
         if len(np.unique(ranks)) != len(ranks):
             raise ValueError("projection would collapse distinct tuples")
-        return TupleSet(reduced, ranks)
+        return TupleSet(residual_radix(self.radix, k), ranks)
 
 
 class SetFamily:
@@ -228,9 +240,6 @@ class SetFamily:
     def total_size(self) -> int:
         return sum(len(ts) for ts in self._sets.values())
 
-    def union_ranks(self) -> np.ndarray:
-        return np.unique(np.concatenate([ts.ranks for ts in self._sets.values()]))
-
     def drop(self, label: Label) -> "SetFamily":
         """Family with one labeled set removed."""
         if label not in self._sets:
@@ -245,35 +254,6 @@ class SetFamily:
 
     def __repr__(self) -> str:
         return f"SetFamily(radix={self.radix}, labels={self.labels})"
-
-
-@dataclass(frozen=True)
-class CirculantMatrix:
-    """d x d matrix with entry (i, j) = (i - j) mod d; first row [0, d-1, ..., 1]."""
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be positive")
-
-    def entry(self, i: int, j: int) -> int:
-        d = self.order
-        if not (0 <= i < d and 0 <= j < d):
-            raise ValueError("index out of range")
-        return (i - j) % d
-
-    def row(self, i: int) -> list[int]:
-        return [(i - j) % self.order for j in range(self.order)]
-
-    @property
-    def first_row(self) -> list[int]:
-        return self.row(0)
-
-    def as_array(self) -> np.ndarray:
-        d = self.order
-        i, j = np.indices((d, d))
-        return (i - j) % d
 
 
 # ====================================================================
@@ -412,19 +392,6 @@ def select_rows(d: int) -> RowSelection:
                         beyond_guarantee=d < 4)
 
 
-def residue_class(n: int, d: int) -> int:
-    if n < 1 or d < 2:
-        raise ValueError("need n >= 1 and d >= 2")
-    return n % d
-
-
-def element_order(a: int, d: int) -> int:
-    """Additive order of a in Z_d."""
-    if d < 1 or not 0 <= a < d:
-        raise ValueError("need 0 <= a < d")
-    return d // math.gcd(a, d)
-
-
 def diagonal_home(xi: int, n: int, d: int) -> int:
     """Label of the set containing the constant tuple (xi, ..., xi) of arity n."""
     if d < 2 or not 0 <= xi < d:
@@ -432,20 +399,6 @@ def diagonal_home(xi: int, n: int, d: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return (xi * (n % d)) % d
-
-
-def _mod_inverse(a: int, d: int) -> int:
-    g, x, _ = _egcd(a % d, d)
-    if g != 1:
-        raise ValueError(f"{a} has no inverse mod {d}")
-    return x % d
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if a == 0:
-        return b, 0, 1
-    g, x, y = _egcd(b % a, a)
-    return g, y - (b // a) * x, x
 
 
 def choose_xi(d: int, n: int, strategy: int | str = "smallest") -> int:
@@ -485,7 +438,7 @@ def choose_xi(d: int, n: int, strategy: int | str = "smallest") -> int:
         if a == 0:
             x = 1  # every nonzero digit has home 0
         elif math.gcd(a, d) == 1:
-            x = ((d // 2) * _mod_inverse(a, d)) % d
+            x = ((d // 2) * pow(a, -1, d)) % d
         else:
             x = d // math.gcd(a, d)
         if not admissible(x):

@@ -12,7 +12,8 @@ Phase states are DFTs over disjoint supports, and the DFT on a support is
 invertible, so the constraints reduce to equalities between entries of Pi:
 
 * across sets S != T, <s|E|t> = 0 for every s in S, t in T, so
-  Pi[r(s), r(t)] = 0 whenever s and t share their digit at k;
+  Pi[r(s), r(t)] = 0 whenever s and t share their digit at k, where r(s)
+  is the rank of s with position k deleted (`lattice.split_at` gives both);
 * within a set, the block B[i, j] = <s_i|E|s_j> must be circulant in the
   bijection order, so entries with the same shift (f_i - f_j) mod s are
   equal, and a shift meeting a pair with different digits at k is 0.
@@ -38,14 +39,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import caps
 from .errors import InternalConsistencyError, ResourceLimitError
-from .lattice import Label
+from .lattice import split_at
 from .states import PhaseStateSet
 
 DEFAULT_RANK_TOL = 1e-9
@@ -62,7 +63,6 @@ class ConstraintSystem:
     D: int
     radix: tuple[int, ...]
     A: np.ndarray                      # (n_states, d_k, D)
-    provenance: list[tuple[Label, int]]
     scales: np.ndarray                 # Frobenius norm of each A_a
 
     @property
@@ -186,7 +186,6 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int,
     """
     state_sets = list(state_sets)
     radix, d_k, D = _cut_shape(state_sets, k, operator_cap)
-    low = math.prod(radix[k + 1:])
     ranks = np.concatenate([ss.support.ranks for ss in state_sets])
     if len(np.unique(ranks)) != len(ranks):
         raise InternalConsistencyError(
@@ -200,8 +199,7 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int,
     set_id = np.repeat(np.arange(len(sizes)), sizes)
     f = np.concatenate([ss.bijection for ss in state_sets])
     # the digit at k and the rank of the rest, the row or column of Pi
-    digit = ranks // low % d_k
-    resid = ranks // (low * d_k) * low + ranks % low
+    digit, resid = split_at(ranks, radix, k)
 
     # every ordered pair of members with the same digit at k
     owner = np.full((d_k, D), -1, dtype=np.int64)
@@ -251,20 +249,17 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int,
 
 def assemble_constraints(state_sets: Sequence[PhaseStateSet], k: int,
                          operator_cap: int | None = None) -> ConstraintSystem:
-    """Reshape every state with party k in front and record pair provenance."""
+    """Reshape every state with party k in front."""
     state_sets = list(state_sets)
     radix, d_k, D = _cut_shape(state_sets, k, operator_cap)
 
     blocks = []
-    provenance: list[tuple[Label, int]] = []
     for ss in state_sets:
         V = ss.dense_all().reshape((ss.s,) + radix)
         blocks.append(np.moveaxis(V, k + 1, 1).reshape(ss.s, d_k, D))
-        provenance.extend((ss.label, j) for j in range(ss.s))
     A = np.concatenate(blocks, axis=0)
     scales = np.linalg.norm(A.reshape(A.shape[0], -1), axis=1)
-    return ConstraintSystem(k=k, d_k=d_k, D=D, radix=radix, A=A,
-                            provenance=provenance, scales=scales)
+    return ConstraintSystem(k=k, d_k=d_k, D=D, radix=radix, A=A, scales=scales)
 
 
 @dataclass
@@ -421,22 +416,13 @@ class OracleReport:
     nullspace_dim: int
     verdict: str
     sv_gap: float | None               # None: the exact route has no spectrum
-    gap_warning: bool
-    identity_residual: float
-    identity_distance: float | None = None
     witness: np.ndarray | None = None
     elapsed: float = 0.0
-    notes: list[str] = field(default_factory=list)
 
 
 def oracle_verify(state_sets: Sequence[PhaseStateSet], cuts: list[int] | None = None,
-                  tol: float = DEFAULT_RANK_TOL, operator_cap: int | None = None,
-                  ) -> list[OracleReport]:
-    """Decide triviality of every requested cut by the exact route.
-
-    tol is kept for callers of the former dense decision and is not used:
-    the exact route compares integers.
-    """
+                  operator_cap: int | None = None) -> list[OracleReport]:
+    """Decide triviality of every requested cut by the exact route."""
     state_sets = list(state_sets)
     if not state_sets:
         raise ValueError("need at least one state set")
@@ -451,8 +437,6 @@ def oracle_verify(state_sets: Sequence[PhaseStateSet], cuts: list[int] | None = 
         reports.append(OracleReport(
             k=k, D=math.prod(radix) // radix[k], rows=2 * n_states * (n_states - 1),
             nullspace_dim=verdict.dim, verdict=verdict.status, sv_gap=None,
-            gap_warning=False, identity_residual=0.0,
-            identity_distance=verdict.identity_distance,
             witness=verdict.witness, elapsed=time.perf_counter() - t0))
     return reports
 

@@ -18,17 +18,16 @@ a connected overlap graph.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import caps
 from .errors import ResourceLimitError
-from .lattice import (Label, ModifiedFamily, SetFamily, TupleSet, _decode, _encode,
-                      verify_permutation_invariance)
+from .lattice import (Label, ModifiedFamily, SetFamily, TupleSet, residual_radix,
+                      split_at, verify_permutation_invariance)
 
 
 @dataclass(frozen=True)
@@ -44,25 +43,10 @@ def block_decompose(tset: TupleSet, k: int, label: Label | None = None) -> Block
     n = len(tset.radix)
     if not 0 <= k < n:
         raise ValueError(f"cut {k} out of range for arity {n}")
-    digits = tset.members()
-    reduced = _residual_radix(tset.radix, k)
-    classes: dict[int, TupleSet] = {}
-    col = digits[:, k]
-    for g in sorted(np.unique(col).tolist()):
-        rows = digits[col == g]
-        if n == 1:
-            residual = TupleSet(reduced, np.zeros(len(rows), dtype=np.int64))
-        else:
-            residual = TupleSet(reduced, _encode(np.delete(rows, k, axis=1), reduced))
-        if len(residual) != len(rows):
-            raise ValueError("residuals collapsed; set had duplicate tuples")
-        classes[g] = residual
+    digit, resid = split_at(tset.ranks, tset.radix, k)
+    reduced = residual_radix(tset.radix, k)
+    classes = {g: TupleSet(reduced, resid[digit == g]) for g in np.unique(digit).tolist()}
     return BlockDecomposition(label=label, k=k, classes=classes)
-
-
-def _residual_radix(radix: tuple[int, ...], k: int) -> tuple[int, ...]:
-    reduced = radix[:k] + radix[k + 1:]
-    return reduced if reduced else (1,)
 
 
 @dataclass(frozen=True)
@@ -205,55 +189,34 @@ def classify_block_triviality(family: SetFamily, k: int) -> dict[Label, LabelVer
 
 
 def check_pair_covering(family: SetFamily, k: int, cap: int | None = None) -> bool:
-    """Every two distinct residual tuples must share an extension digit whose
-    insertions at k both land inside the family union."""
+    """Every two residual tuples must share an extension digit whose
+    insertions at k both land inside the family union.
+
+    The table of extension digits holds one bit for each tuple of the cube,
+    so the cube is held to the enumeration cap.  Residual tuples with the
+    same digit set are one row after deduplication.
+    """
     radix = family.radix
-    n = len(radix)
-    if n < 2:
-        return True
-    reduced = _residual_radix(radix, k)
-    m_total = math.prod(reduced)
+    total = math.prod(radix)
     limit = caps.enum_cap(cap)
-    if m_total > limit:
-        raise ResourceLimitError(
-            f"residual cube of {m_total} tuples exceeds enumeration cap {limit}")
-    if m_total < 2:
-        return True
-
-    union = family.union_ranks()
-    digits = _decode(union, radix)
-    res_ranks = _encode(np.delete(digits, k, axis=1), reduced)
-    col = digits[:, k]
-    d_k = radix[k]
-
-    if d_k <= 63:
-        masks = np.zeros(m_total, dtype=np.uint64)
-        np.bitwise_or.at(masks, res_ranks, np.uint64(1) << col.astype(np.uint64))
-        if (masks == 0).any():
-            return False
-        uniq = np.unique(masks)
-        return bool(((uniq[:, None] & uniq[None, :]) != 0).all())
-
-    mask_map: dict[int, int] = {}
-    for r, c in zip(res_ranks.tolist(), col.tolist()):
-        mask_map[r] = mask_map.get(r, 0) | (1 << c)
-    if len(mask_map) < m_total:
+    if total > limit:
+        raise ResourceLimitError(f"cube of {total} tuples exceeds enumeration cap {limit}")
+    ranks = np.concatenate([ts.ranks for ts in family.sets()])
+    digit, resid = split_at(ranks, radix, k)
+    has = np.zeros((total // radix[k], radix[k]), dtype=bool)
+    has[resid, digit] = True
+    if not has.any(axis=1).all():
         return False
-    uniq_masks = set(mask_map.values())
-    return all(a & b for a, b in itertools.combinations_with_replacement(uniq_masks, 2))
+    packed = np.packbits(has, axis=1)
+    rows = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
+    ext = np.unpackbits(rows.view(np.uint8).reshape(len(rows), -1), axis=1).astype(np.float32)
+    return bool((ext @ ext.T > 0).all())
 
 
 def check_connectivity(family: SetFamily, k: int) -> bool:
     """Labels form one component under "residual footprints intersect"."""
-    radix = family.radix
-    reduced = _residual_radix(radix, k)
-    footprints: dict[Label, np.ndarray] = {}
-    for l in family.labels:
-        digits = _decode(family[l].ranks, radix)
-        if len(radix) == 1:
-            footprints[l] = np.zeros(min(len(digits), 1), dtype=np.int64)
-        else:
-            footprints[l] = np.unique(_encode(np.delete(digits, k, axis=1), reduced))
+    footprints = {l: np.unique(split_at(ts.ranks, family.radix, k)[1])
+                  for l, ts in family.items()}
     labels = family.labels
     seen = {labels[0]}
     frontier = [labels[0]]
@@ -278,7 +241,6 @@ class CutReport:
     connectivity: bool
     overall: str
     symmetric: bool | None = None
-    notes: list[str] = field(default_factory=list)
 
     @property
     def all_resolved(self) -> bool:

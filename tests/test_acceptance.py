@@ -67,12 +67,12 @@ def test_acceptance_3_oracle_trivial_on_flagship():
     ok = True
     fam = q.build_modified_family(4, 3)
     states = q.family_states(fam.family)
-    reports = q.oracle_verify(states, tol=1e-9)
+    reports = q.oracle_verify(states)
     ok &= len(reports) == 3
     for rep in reports:
         ok &= rep.nullspace_dim == 1 and rep.verdict == "trivial"
     bell = q.family_states(q.build_index_family(2, 2))
-    for rep in q.oracle_verify(bell, tol=1e-9):
+    for rep in q.oracle_verify(bell):
         ok &= rep.nullspace_dim == 1 and rep.verdict == "trivial"
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 120.0

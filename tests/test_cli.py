@@ -63,7 +63,7 @@ def test_verify_flags_oracle_trivial_on_combinatorial_nontrivial(
 
     def all_trivial(state_sets, cuts, **kwargs):
         return [q.OracleReport(k=k, D=2, rows=24, nullspace_dim=1, verdict="trivial",
-                               sv_gap=None, gap_warning=False, identity_residual=0.0)
+                               sv_gap=None)
                 for k in cuts]
 
     monkeypatch.setattr("qnonloc.cli.oracle_verify", all_trivial)
@@ -171,6 +171,19 @@ def test_env_cap_respected(tmp_path, monkeypatch, capsys):
     # combinatorial path does not touch the operator cap
     assert main(["verify", str(fam_path), "--combinatorial-only"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("raw", ["abc", "5,6,7"])
+def test_malformed_env_cap_is_an_error(tmp_path, monkeypatch, capsys, raw):
+    fam_path = tmp_path / "fam.json"
+    main(["construct", "--d", "3", "--n", "3", "--out", str(fam_path)])
+    capsys.readouterr()
+    monkeypatch.setenv(caps.ENV_VAR, raw)
+    for argv in (["verify", str(fam_path)], ["tables"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and caps.ENV_VAR in captured.err
+        assert captured.out == ""
 
 
 def test_parser_rejects_bad_xi():

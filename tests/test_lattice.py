@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import qnonloc as q
 from qnonloc.errors import (InadmissibleXiError, InternalConsistencyError,
                             ResourceLimitError)
+from qnonloc.lattice import _decode, _encode, residual_radix, split_at
 
 
 def digit_sum_class(d, n, i):
@@ -50,6 +51,22 @@ def test_drop_position_collapse_rejected():
     assert ts.drop_position(1).tuples() == [(0,), (1,)]
     with pytest.raises(ValueError):
         ts.drop_position(0)  # both tuples project onto (0,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=5), st.data())
+def test_split_at_matches_digit_deletion(radix, data):
+    total = math.prod(radix)
+    ranks = np.array(sorted(data.draw(st.sets(st.integers(0, total - 1), max_size=40))),
+                     dtype=np.int64)
+    digits = _decode(ranks, radix)
+    for k in range(len(radix)):
+        digit, resid = split_at(ranks, radix, k)
+        reduced = tuple(radix[:k] + radix[k + 1:])
+        assert np.array_equal(digit, digits[:, k])
+        assert np.array_equal(resid, _encode(np.delete(digits, k, axis=1), reduced))
+        assert residual_radix(radix, k) == (reduced or (1,))
+        assert (resid < math.prod(residual_radix(radix, k))).all()
 
 
 def test_full_cube_respects_cap():
@@ -135,14 +152,6 @@ def test_select_rows_distance_cover(d):
     dists = {q.cyclic_distance(a, b, d) for a in kept for b in kept if a != b}
     assert dists == set(range(1, d // 2 + 1))
     assert sel.beyond_guarantee == (d < 4)
-
-
-def test_residue_and_order():
-    assert q.residue_class(7, 4) == 3
-    assert q.element_order(0, 6) == 1
-    assert q.element_order(4, 6) == 3
-    assert q.element_order(3, 6) == 2
-    assert q.element_order(1, 6) == 6
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -272,13 +281,3 @@ def test_reference_sizes_frozen_rows():
     assert ref.d3_case1 == 19 and ref.d3_minimum == 18 and ref.d3_applicable
     assert not q.reference_sizes(4, 3).d3_applicable
     assert q.reference_sizes(5, 4).lower_bound == 5**3 + 1
-
-
-def test_circulant_matrix():
-    m = q.CirculantMatrix(4)
-    assert m.first_row == [0, 3, 2, 1]
-    assert m.entry(2, 3) == 3
-    arr = m.as_array()
-    for i in range(4):
-        for j in range(4):
-            assert arr[i, j] == (i - j) % 4

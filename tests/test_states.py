@@ -155,5 +155,23 @@ def test_genuine_entanglement_small():
     assert not q.genuine_entanglement_check(singles)
 
 
+def test_genuine_entanglement_matches_per_state_ranks():
+    # the batched check against one schmidt_rank per state and bipartition
+    flagship = q.build_modified_family(4, 3).family
+    families = [q.build_index_family(2, 2), q.build_index_family(3, 3), flagship]
+    families += [flagship.drop(l) for l in flagship.labels]
+    radix = (2, 3, 2)
+    families.append(q.SetFamily(radix, {
+        0: q.TupleSet.from_tuples(radix, [(0, 0, 0), (1, 1, 1), (1, 2, 0)]),
+        1: q.TupleSet.from_tuples(radix, [(0, 1, 0), (0, 1, 1)]),
+    }))
+    for fam in families:
+        states = q.family_states(fam)
+        cuts = q.iter_bipartitions(len(fam.radix))
+        expected = all(q.schmidt_rank(ss.dense(j), cut) >= 2
+                       for ss in states for j in range(ss.s) for cut in cuts)
+        assert q.genuine_entanglement_check(states) == expected
+
+
 def test_genuine_entanglement_d3_minimal(d3_minimal_family):
     assert q.genuine_entanglement_check(q.family_states(d3_minimal_family.family))

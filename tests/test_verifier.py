@@ -135,6 +135,17 @@ def test_pair_covering_fails_after_ablation(ex1_family):
         assert not q.check_pair_covering(sub, k)
 
 
+def test_pair_covering_wide_digit_range():
+    # more than 64 digits at the cut: one extension bit per digit still decides
+    assert q.check_pair_covering(q.build_index_family(64, 2), 0)
+    radix = (70, 2)
+    fam = q.SetFamily(radix, {
+        0: q.TupleSet.from_tuples(radix, [(0, 0)]),
+        1: q.TupleSet.from_tuples(radix, [(1, 1)]),
+    })
+    assert not q.check_pair_covering(fam, 0)
+
+
 def test_connectivity(ex1_family, product_family):
     for k in range(3):
         assert q.check_connectivity(ex1_family.family, k)
