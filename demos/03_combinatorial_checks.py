@@ -1,10 +1,12 @@
 """The combinatorial route to strongest nonlocality.
 
-For each kept party k we decompose every set into digit blocks, then try to
-resolve each set: a singleton block, a tightly covered block, or a cover
-built from already-resolved sets.  Pair covering and a connectivity walk
-finish the argument.  The verdict is conservative: "trivial" is a proof,
-"inconclusive" only means these sufficient conditions did not fire.
+For each kept party k every tuple splits into its digit at k and the rank of
+its other digits, and a table records which set holds each (digit, rank).
+From that table each set is resolved if it can be: a singleton class, a
+tightly covered class, or a cover built from already-resolved sets.  Pair
+covering and connectivity of the sets' footprints finish the argument.  The
+verdict is conservative: "trivial" is a proof, "inconclusive" only means
+these sufficient conditions did not fire.
 """
 
 import qnonloc as q
@@ -13,15 +15,16 @@ from qnonloc.verifier import Condition
 fam = q.build_modified_family(4, 3)
 base = fam.family
 
-print("block decomposition of set 0 at cut k=0:")
-dec = q.block_decompose(base[0], 0)
-for digit, cls in sorted(dec.classes.items()):
-    print(f"  digit {digit}: residuals {cls.tuples()}")
-
-print("\na tight cover for (set 1, digit 1) at k=0:")
-cover = q.find_block_cover(base, (1, 1), 0)
-print(f"  common digit {cover.common_digit}, contributors {cover.contributor_labels}, "
-      f"tight via {cover.tight_label!r}")
+print("how each set is resolved at cut k=0:")
+for label, verdict in q.classify_block_triviality(base, 0).items():
+    line = f"  set {label!r}: {verdict.condition.value}"
+    if verdict.condition is not Condition.UNRESOLVED:
+        line += f" via its digit-{verdict.target_digit} class"
+    cover = verdict.cover
+    if cover is not None:
+        line += (f", covered at common digit {cover.common_digit} by "
+                 f"{cover.contributor_labels}, tight via {cover.tight_label!r}")
+    print(line)
 
 print("\nfull verdicts per cut:")
 for rep in q.verify_strongest_nonlocality(fam):

@@ -29,10 +29,9 @@ from .states import (Bipartition, DenseState, GramReport, PhaseStateSet,
                      gram_check, iter_bipartitions, schmidt_rank,
                      symbolic_orthogonality)
 from .tables import SizeTable, all_comparison_tables, comparison_table, diagonal_table
-from .verifier import (BlockCover, BlockDecomposition, Condition, CutReport,
-                       LabelVerdict, block_decompose, check_connectivity,
-                       check_pair_covering, classify_block_triviality,
-                       find_block_cover, overall_verdict,
+from .verifier import (BlockCover, Condition, CutReport, LabelVerdict,
+                       check_connectivity, check_pair_covering,
+                       classify_block_triviality, overall_verdict,
                        verify_strongest_nonlocality)
 
 __version__ = "0.1.0"

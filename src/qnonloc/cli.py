@@ -5,9 +5,9 @@ indices are 0-based everywhere.  The verify exit code is keyed to the
 exact oracle: 0 when every selected cut is trivial, 1 otherwise; with
 --combinatorial-only a completed run exits 0 regardless of verdicts, since
 the combinatorial conditions are sufficient but not exhaustive.  The oracle
-compares integers, so verify takes no tolerance.  The caps are read from
-QNONLOC_CAP once per run; a malformed value is reported as an error and the
-run exits 2, like any other invalid input.
+compares integers, so verify takes no tolerance.  QNONLOC_CAP is checked
+at the start of every run; a malformed value is reported as an error and
+the run exits 2, like any other invalid input.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_construct(args: argparse.Namespace) -> int:
     from .lattice import build_modified_family
 
-    fam = build_modified_family(args.d, args.n, xi=args.xi, cap=args.enum_cap)
+    fam = build_modified_family(args.d, args.n, xi=args.xi)
     doc = family_to_json(fam)
     if args.out:
         Path(args.out).write_text(dumps_canonical(doc))
@@ -126,7 +126,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     base = fam.family if isinstance(fam, ModifiedFamily) else fam
     cuts = _selected_cuts(args.cut, len(base.radix))
 
-    reports = verify_strongest_nonlocality(base, cuts=cuts, cap=args.enum_cap)
+    reports = verify_strongest_nonlocality(base, cuts=cuts)
     doc: dict = {
         "family": args.family,
         "cuts": [cut_report_to_json(r) for r in reports],
@@ -138,7 +138,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     disagreements: list[str] = []
     if not args.combinatorial_only:
         state_sets = family_states(base)
-        oracle_reports = oracle_verify(state_sets, cuts=cuts, operator_cap=args.op_cap)
+        oracle_reports = oracle_verify(state_sets, cuts=cuts)
         doc["oracle"] = [oracle_report_to_json(r) for r in oracle_reports]
         # both decide when the checker is not inconclusive: they must agree
         for comb, orc in zip(reports, oracle_reports):
@@ -241,7 +241,7 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.enum_cap, args.op_cap = caps.resolve_caps()
+        caps.resolve_caps()  # reject a malformed QNONLOC_CAP before any work
         return _DISPATCH[args.command](args)
     except QnonlocError as e:
         print(f"error: {e}", file=sys.stderr)

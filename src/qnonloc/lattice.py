@@ -59,18 +59,12 @@ def _encode(digits: np.ndarray, radix: Sequence[int]) -> np.ndarray:
     return digits.astype(np.int64) @ _weights(radix)
 
 
-def residual_radix(radix: Sequence[int], k: int) -> tuple[int, ...]:
-    """Radix with position k deleted; (1,) when no position is left."""
-    reduced = tuple(radix[:k]) + tuple(radix[k + 1:])
-    return reduced if reduced else (1,)
-
-
 def split_at(ranks: np.ndarray, radix: Sequence[int], k: int) -> tuple[np.ndarray, np.ndarray]:
     """Split each rank at position k into (digit at k, rank of the other digits).
 
-    The second rank is over residual_radix(radix, k) and keeps the order of
-    the remaining positions, so a TupleSet's canonical order survives inside
-    every digit class.
+    The second rank is over the radix with position k deleted and keeps the
+    order of the remaining positions, so a TupleSet's canonical order
+    survives inside every digit class.
     """
     low = math.prod(radix[k + 1:])
     high, rest = np.divmod(np.asarray(ranks, dtype=np.int64), low)
@@ -109,15 +103,6 @@ class TupleSet:
             if (mat[:, p] < 0).any() or (mat[:, p] >= d).any():
                 raise ValueError(f"digit out of range at position {p} (radix {d})")
         return cls(radix, _encode(mat, radix))
-
-    @classmethod
-    def full_cube(cls, radix: Sequence[int], cap: int | None = None) -> "TupleSet":
-        radix = _check_radix(radix)
-        total = math.prod(radix)
-        limit = caps.enum_cap(cap)
-        if total > limit:
-            raise ResourceLimitError(f"cube of {total} tuples exceeds enumeration cap {limit}")
-        return cls(radix, np.arange(total, dtype=np.int64))
 
     # ---- basic protocol -----------------------------------------------
 
@@ -181,16 +166,6 @@ class TupleSet:
     def isdisjoint(self, other: "TupleSet") -> bool:
         self._same_radix(other)
         return len(np.intersect1d(self.ranks, other.ranks, assume_unique=True)) == 0
-
-    def drop_position(self, k: int) -> "TupleSet":
-        """Project out position k.  Distinct tuples must stay distinct."""
-        n = len(self.radix)
-        if not 0 <= k < n:
-            raise ValueError(f"position {k} out of range for arity {n}")
-        _, ranks = split_at(self.ranks, self.radix, k)
-        if len(np.unique(ranks)) != len(ranks):
-            raise ValueError("projection would collapse distinct tuples")
-        return TupleSet(residual_radix(self.radix, k), ranks)
 
 
 class SetFamily:

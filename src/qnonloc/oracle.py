@@ -120,7 +120,7 @@ class ConstraintSystem:
             keep = norms > row_drop_tol * np.maximum(pair_scale, 1e-300)
             if not keep.any():
                 continue
-            resid = float((iota_dot[keep] / norms[keep]).max()) if keep.any() else 0.0
+            resid = float((iota_dot[keep] / norms[keep]).max())
             yield rows[keep] / norms[keep, None], resid
 
 
@@ -274,9 +274,6 @@ class NullspaceResult:
     identity_residual: float
     rows_total: int
     rows_kept: int
-
-    def basis_operators(self) -> list[np.ndarray]:
-        return [params_to_operator(v, self.D) for v in self.basis_params]
 
 
 def params_to_operator(theta: np.ndarray, D: int) -> np.ndarray:

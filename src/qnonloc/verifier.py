@@ -1,17 +1,21 @@
 """Combinatorial triviality checks for orthogonality-preserving measurements.
 
 Everything here works on one "cut": a single kept party k, with the
-measurement acting jointly on all remaining parties.  Tuples of a family are
-grouped into blocks by their digit at k; the residual tuples (position k
-deleted, order preserved) index the operator space the measurement sees.
+measurement acting jointly on all remaining parties.  Each tuple splits at k
+into its digit there and the rank of its other digits (its residual), and
+the residuals index the operator space the measurement sees.  The three
+checks read one label table of the cut: entry [g, r] names the label whose
+set holds the tuple with digit g at k and residual r, or -1 where no set
+does.  The class of label l at digit g is the set of columns where row g
+holds l.
 
 A label is "resolved" when one of three sufficient conditions forces any
 orthogonality-preserving operator to be proportional to the identity on that
-label's blocks: a singleton residual class, a tight cover of one of its
-classes by same-digit classes of other labels, or a cover contributed
-entirely by already-resolved labels (iterated to a fixed point).  With every
-label resolved, triviality of the whole measurement reduces to two global
-conditions: every pair of residual tuples must admit a common extension digit
+label's classes: a singleton class, a tight cover of one of its classes by
+same-digit classes of other labels, or a cover contributed entirely by
+already-resolved labels (iterated to a fixed point).  With every label
+resolved, triviality of the whole measurement reduces to two global
+conditions: every pair of residuals must admit a common extension digit
 inside the family union, and the residual footprints of the labels must form
 a connected overlap graph.
 """
@@ -26,27 +30,29 @@ import numpy as np
 
 from . import caps
 from .errors import ResourceLimitError
-from .lattice import (Label, ModifiedFamily, SetFamily, TupleSet, residual_radix,
-                      split_at, verify_permutation_invariance)
+from .lattice import Label, ModifiedFamily, SetFamily, split_at, verify_permutation_invariance
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Classes of one labeled set at cut k, keyed by the digit at position k."""
+def _label_table(family: SetFamily, k: int) -> np.ndarray:
+    """(d_k, D) int32 table: [g, r] is the index of the label holding the
+    tuple with digit g at k and residual r, or -1 where no label does.
 
-    label: Label | None
-    k: int
-    classes: dict[int, TupleSet]
-
-
-def block_decompose(tset: TupleSet, k: int, label: Label | None = None) -> BlockDecomposition:
-    n = len(tset.radix)
+    The table has one entry for each tuple of the cube, so the cube is held
+    to the enumeration cap.
+    """
+    radix = family.radix
+    n = len(radix)
     if not 0 <= k < n:
         raise ValueError(f"cut {k} out of range for arity {n}")
-    digit, resid = split_at(tset.ranks, tset.radix, k)
-    reduced = residual_radix(tset.radix, k)
-    classes = {g: TupleSet(reduced, resid[digit == g]) for g in np.unique(digit).tolist()}
-    return BlockDecomposition(label=label, k=k, classes=classes)
+    total = math.prod(radix)
+    limit = caps.enum_cap()
+    if total > limit:
+        raise ResourceLimitError(f"cube of {total} tuples exceeds enumeration cap {limit}")
+    table = np.full((radix[k], total // radix[k]), -1, dtype=np.int32)
+    for i, ts in enumerate(family.sets()):
+        digit, resid = split_at(ts.ranks, radix, k)
+        table[digit, resid] = i
+    return table
 
 
 @dataclass(frozen=True)
@@ -61,61 +67,27 @@ class BlockCover:
     tight_label: Label | None = None
 
 
-def _decompose_family(family: SetFamily, k: int) -> dict[Label, BlockDecomposition]:
-    return {l: block_decompose(family[l], k, label=l) for l in family.labels}
+def _find_cover(table: np.ndarray, present: np.ndarray, labels: list[Label], i: int,
+                tau: int, admit: np.ndarray, require_tight: bool) -> BlockCover | None:
+    """First cover of class (i, tau) in ascending common digit, or None.
 
-
-def _find_cover(decomps: dict[Label, BlockDecomposition], order: list[Label],
-                target_label: Label, target_digit: int, d_k: int,
-                allowed: set[Label] | None, require_tight: bool) -> BlockCover | None:
-    target_res = decomps[target_label].classes[target_digit]
-    for g in range(d_k):
-        if g == target_digit:
+    admit[v] says whether label v may contribute; its last entry is False,
+    so the -1 of an empty entry never counts as covered.  The cover at digit
+    g holds when every column of the class holds an admitted label in row g;
+    it is tight when some contributor fills exactly one of those entries.
+    """
+    cols = np.flatnonzero(table[tau] == i)
+    covered = admit[table[:, cols]].all(axis=1)  # False at tau, where l itself sits
+    for g in np.flatnonzero(covered).tolist():
+        once = np.flatnonzero(np.bincount(table[g, cols], minlength=len(labels)) == 1)
+        if require_tight and len(once) == 0:
             continue
-        contributors = []
-        for v in order:
-            if v == target_label:
-                continue
-            if allowed is not None and v not in allowed:
-                continue
-            cls = decomps[v].classes.get(g)
-            if cls is not None:
-                contributors.append((v, cls))
-        if not contributors:
-            continue
-        union = np.unique(np.concatenate([c.ranks for _, c in contributors]))
-        if len(np.setdiff1d(target_res.ranks, union, assume_unique=True)) != 0:
-            continue
-        tight_label = None
-        for v, cls in contributors:
-            if len(np.intersect1d(cls.ranks, target_res.ranks, assume_unique=True)) == 1:
-                tight_label = v
-                break
-        if require_tight and tight_label is None:
-            continue
-        return BlockCover(target_label=target_label, target_digit=target_digit,
-                          common_digit=g,
-                          contributor_labels=tuple(v for v, _ in contributors),
+        tight_label = labels[once[0]] if len(once) else None
+        contributors = np.flatnonzero(admit[:-1] & present[g])
+        return BlockCover(target_label=labels[i], target_digit=tau, common_digit=g,
+                          contributor_labels=tuple(labels[v] for v in contributors),
                           tight=tight_label is not None, tight_label=tight_label)
     return None
-
-
-def find_block_cover(family: SetFamily, target: tuple[Label, int], k: int,
-                     allowed_labels: set[Label] | None = None,
-                     require_tight: bool = False) -> BlockCover | None:
-    """Search the covers of one target class; None when no digit works.
-
-    Common digits are scanned in ascending order and the first admissible
-    cover is returned, so results are deterministic.
-    """
-    target_label, target_digit = target
-    decomps = _decompose_family(family, k)
-    if target_label not in decomps:
-        raise KeyError(target_label)
-    if target_digit not in decomps[target_label].classes:
-        raise KeyError(f"label {target_label!r} has no class with digit {target_digit}")
-    return _find_cover(decomps, family.labels, target_label, target_digit,
-                       family.radix[k], allowed_labels, require_tight)
 
 
 class Condition(str, Enum):
@@ -140,73 +112,58 @@ def classify_block_triviality(family: SetFamily, k: int) -> dict[Label, LabelVer
 
     Singleton classes are claimed first, then tight covers with unrestricted
     contributors, then covers drawn solely from resolved labels, iterated
-    until nothing changes.  The final resolved set does not depend on label
-    order: each pass only grows it monotonically.
+    until nothing changes.  Each label tries its classes in ascending digit
+    and each class its common digits in ascending order; a cover lists as
+    contributors every admitted label other than the target that has a
+    class at the common digit.  The final resolved set does not depend on
+    label order: each pass only grows it monotonically.
     """
-    decomps = _decompose_family(family, k)
-    order = family.labels
-    d_k = family.radix[k]
+    table = _label_table(family, k)
+    labels = family.labels
+    L = len(labels)
+    rows, resid = np.nonzero(table >= 0)
+    sizes = np.bincount(rows * L + table[rows, resid],
+                        minlength=table.shape[0] * L).reshape(-1, L)
+    present = sizes > 0
     verdicts: dict[Label, LabelVerdict] = {}
-    resolved: set[Label] = set()
+    resolved = np.zeros(L + 1, dtype=bool)
 
-    for l in order:
-        for g, res in decomps[l].classes.items():
-            if len(res) == 1:
-                verdicts[l] = LabelVerdict(Condition.SINGLETON, target_digit=g)
-                resolved.add(l)
-                break
+    for i, l in enumerate(labels):
+        single = np.flatnonzero(sizes[:, i] == 1)
+        if len(single):
+            verdicts[l] = LabelVerdict(Condition.SINGLETON, target_digit=int(single[0]))
+            resolved[i] = True
 
-    for l in order:
-        if l in resolved:
-            continue
-        for tau in sorted(decomps[l].classes):
-            cover = _find_cover(decomps, order, l, tau, d_k, None, require_tight=True)
-            if cover is not None:
-                verdicts[l] = LabelVerdict(Condition.TIGHT_COVER, target_digit=tau,
-                                           cover=cover)
-                resolved.add(l)
-                break
-
-    changed = True
-    while changed:
-        changed = False
-        for l in order:
-            if l in resolved:
+    def resolve(condition: Condition) -> bool:
+        tight = condition is Condition.TIGHT_COVER
+        grew = False
+        for i, l in enumerate(labels):
+            if resolved[i]:
                 continue
-            for tau in sorted(decomps[l].classes):
-                cover = _find_cover(decomps, order, l, tau, d_k, resolved,
-                                    require_tight=False)
+            admit = np.ones(L + 1, dtype=bool) if tight else resolved.copy()
+            admit[[i, L]] = False
+            for tau in np.flatnonzero(present[:, i]).tolist():
+                cover = _find_cover(table, present, labels, i, tau, admit,
+                                    require_tight=tight)
                 if cover is not None:
-                    verdicts[l] = LabelVerdict(Condition.CHAINED_COVER,
-                                               target_digit=tau, cover=cover)
-                    resolved.add(l)
-                    changed = True
+                    verdicts[l] = LabelVerdict(condition, target_digit=tau, cover=cover)
+                    resolved[i] = grew = True
                     break
+        return grew
 
-    for l in order:
-        verdicts.setdefault(l, LabelVerdict(Condition.UNRESOLVED))
-    return {l: verdicts[l] for l in order}
+    resolve(Condition.TIGHT_COVER)
+    while resolve(Condition.CHAINED_COVER):
+        pass
+    return {l: verdicts.get(l, LabelVerdict(Condition.UNRESOLVED)) for l in labels}
 
 
-def check_pair_covering(family: SetFamily, k: int, cap: int | None = None) -> bool:
+def check_pair_covering(family: SetFamily, k: int) -> bool:
     """Every two residual tuples must share an extension digit whose
     insertions at k both land inside the family union.
 
-    The table of extension digits holds one bit for each tuple of the cube,
-    so the cube is held to the enumeration cap.  Residual tuples with the
-    same digit set are one row after deduplication.
+    Residual tuples with the same digit set are one row after deduplication.
     """
-    radix = family.radix
-    total = math.prod(radix)
-    limit = caps.enum_cap(cap)
-    if total > limit:
-        raise ResourceLimitError(f"cube of {total} tuples exceeds enumeration cap {limit}")
-    ranks = np.concatenate([ts.ranks for ts in family.sets()])
-    digit, resid = split_at(ranks, radix, k)
-    has = np.zeros((total // radix[k], radix[k]), dtype=bool)
-    has[resid, digit] = True
-    if not has.any(axis=1).all():
-        return False
+    has = np.ascontiguousarray(_label_table(family, k).T >= 0)
     packed = np.packbits(has, axis=1)
     rows = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
     ext = np.unpackbits(rows.view(np.uint8).reshape(len(rows), -1), axis=1).astype(np.float32)
@@ -214,21 +171,23 @@ def check_pair_covering(family: SetFamily, k: int, cap: int | None = None) -> bo
 
 
 def check_connectivity(family: SetFamily, k: int) -> bool:
-    """Labels form one component under "residual footprints intersect"."""
-    footprints = {l: np.unique(split_at(ts.ranks, family.radix, k)[1])
-                  for l, ts in family.items()}
-    labels = family.labels
-    seen = {labels[0]}
-    frontier = [labels[0]]
-    while frontier:
-        cur = frontier.pop()
-        for other in labels:
-            if other in seen:
-                continue
-            if len(np.intersect1d(footprints[cur], footprints[other])) > 0:
-                seen.add(other)
-                frontier.append(other)
-    return len(seen) == len(labels)
+    """Labels form one component under "residual footprints intersect".
+
+    Each nonempty column of the label table links every label in it to the
+    largest one there, which keeps the components of the overlap graph; the
+    L x L link matrix is then closed by squaring.
+    """
+    table = _label_table(family, k)
+    hit = table >= 0
+    hub = np.broadcast_to(table.max(axis=0), table.shape)
+    link = np.eye(len(family), dtype=np.float32)
+    link[table[hit], hub[hit]] = 1.0
+    link = np.maximum(link, link.T)
+    while True:
+        closed = np.minimum(link @ link, 1.0)
+        if (closed == link).all():
+            return bool(link.all())
+        link = closed
 
 
 @dataclass
@@ -254,8 +213,7 @@ def _cut_overall(conditions: dict[Label, LabelVerdict], pair: bool, conn: bool) 
 
 
 def verify_strongest_nonlocality(family: SetFamily | ModifiedFamily,
-                                 cuts: list[int] | None = None,
-                                 cap: int | None = None) -> list[CutReport]:
+                                 cuts: list[int] | None = None) -> list[CutReport]:
     """Run the per-cut combinatorial checks on every requested cut.
 
     "trivial" needs every label resolved plus pair covering plus
@@ -283,7 +241,7 @@ def verify_strongest_nonlocality(family: SetFamily | ModifiedFamily,
     reports = []
     for k in cuts:
         conditions = classify_block_triviality(family, k)
-        pair = check_pair_covering(family, k, cap=cap)
+        pair = check_pair_covering(family, k)
         conn = check_connectivity(family, k)
         reports.append(CutReport(
             k=k, conditions=conditions, pair_covering=pair, connectivity=conn,

@@ -1,55 +1,15 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qnonloc as q
-from qnonloc.verifier import Condition
-
-
-def test_block_decompose_frozen_d3():
-    fam = q.build_index_family(3, 2)
-    dec = q.block_decompose(fam[0], 0)
-    assert sorted(dec.classes) == [0, 1, 2]
-    assert dec.classes[0].tuples() == [(0,)]
-    assert dec.classes[2].tuples() == [(1,)]
-    assert dec.classes[1].tuples() == [(2,)]
-
-
-def test_block_decompose_d4_counts():
-    fam = q.build_index_family(4, 3)
-    dec = q.block_decompose(fam[0], 2)
-    assert sorted(dec.classes) == [0, 1, 2, 3]
-    assert all(len(c) == 4 for c in dec.classes.values())
-
-
-def test_block_decompose_extra_set(ex1_family):
-    dec = q.block_decompose(ex1_family["extra"], 1)
-    assert {g: c.tuples() for g, c in dec.classes.items()} == {
-        0: [(0, 0)], 2: [(2, 2)]}
-
-
-def test_block_decompose_bad_cut():
-    ts = q.TupleSet.from_tuples((2, 2), [(0, 0)])
-    with pytest.raises(ValueError):
-        q.block_decompose(ts, 2)
+from qnonloc.verifier import BlockCover, Condition
 
 
 # ------------------------------------------------------------- block cover
-
-def test_cover_on_unmodified_d3():
-    fam = q.build_index_family(3, 2)
-    cover = q.find_block_cover(fam, (0, 0), 0)
-    assert cover is not None
-    assert cover.common_digit != 0
-    assert cover.tight  # singleton residuals intersect in exactly one tuple
-    assert set(cover.contributor_labels) <= {1, 2}
-
-
-def test_cover_absent_for_single_label():
-    fam = q.build_index_family(3, 2)
-    solo = q.SetFamily((3, 3), {0: fam[0]})
-    assert q.find_block_cover(solo, (0, 0), 0) is None
-
 
 def test_cover_spec_shape_d4_n5():
     """At arity 5 (n = 1 mod 4, structured xi = 2) label 1 is untouched and its
@@ -57,29 +17,14 @@ def test_cover_spec_shape_d4_n5():
     set plus the all-zeros tuple sitting in the extra set."""
     fam = q.build_modified_family(4, 5, xi="structured")
     assert fam.xi == 2
-    cover = q.find_block_cover(fam.family, (1, 1), 0, require_tight=True)
-    assert cover is not None
+    verdict = q.classify_block_triviality(fam.family, 0)[1]
+    assert verdict.condition is Condition.TIGHT_COVER
+    assert verdict.target_digit == 1
+    cover = verdict.cover
     assert cover.common_digit == 0
     assert cover.tight and cover.tight_label == "extra"
     assert {0, "extra"} <= set(cover.contributor_labels)
     assert 1 not in cover.contributor_labels
-
-
-def test_cover_respects_allowed_labels(ex1_family):
-    fam = ex1_family.family
-    cover = q.find_block_cover(fam, (0, 0), 0, allowed_labels={1})
-    full = q.find_block_cover(fam, (0, 0), 0)
-    assert full is not None
-    if cover is not None:
-        assert set(cover.contributor_labels) <= {1}
-
-
-def test_cover_unknown_target():
-    fam = q.build_index_family(3, 2)
-    with pytest.raises(KeyError):
-        q.find_block_cover(fam, (7, 0), 0)
-    with pytest.raises(KeyError):
-        q.find_block_cover(fam, (0, 9), 0)
 
 
 # ----------------------------------------------------------- classification
@@ -109,6 +54,22 @@ def test_classify_unresolved_full_family():
 def test_classify_singletons(product_family):
     verdicts = q.classify_block_triviality(product_family, 0)
     assert all(v.condition is Condition.SINGLETON for v in verdicts.values())
+
+
+def test_classify_chained_cover_in_second_pass():
+    # at k = 0 label 1 is covered by the singleton label 2 only after label 0
+    # was tried, and label 0 needs label 1, so a second chained pass decides it
+    radix = (3, 4)
+    fam = q.SetFamily(radix, {
+        0: q.TupleSet.from_tuples(radix, [(0, 2), (0, 3)]),
+        1: q.TupleSet.from_tuples(radix, [(0, 0), (0, 1), (1, 2), (1, 3)]),
+        2: q.TupleSet.from_tuples(radix, [(1, 0), (1, 1), (2, 0)]),
+    })
+    verdicts = q.classify_block_triviality(fam, 0)
+    assert [v.condition for v in verdicts.values()] == [
+        Condition.CHAINED_COVER, Condition.CHAINED_COVER, Condition.SINGLETON]
+    assert verdicts[0].cover == BlockCover(0, 0, 1, (1, 2), False, None)
+    assert verdicts[1].cover == BlockCover(1, 0, 1, (2,), False, None)
 
 
 # ------------------------------------------------- pair covering and graph
@@ -153,6 +114,125 @@ def test_connectivity(ex1_family, product_family):
         assert not q.check_connectivity(product_family, k)
     solo = q.SetFamily((3, 3), {0: q.build_index_family(3, 2)[0]})
     assert q.check_connectivity(solo, 0)
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_checks_reject_cut_out_of_range(k):
+    fam = q.build_modified_family(4, 3).family
+    for check in (q.classify_block_triviality, q.check_pair_covering,
+                  q.check_connectivity):
+        with pytest.raises(ValueError, match="out of range"):
+            check(fam, k)
+
+
+# ------------------------------------------------- plain-Python reference
+
+def reference_checks(fam, k):
+    """Conditions, pair covering and connectivity from per-label dicts of
+    digit -> set of residual tuples, scanned as the verifier documents."""
+    order = fam.labels
+    d_k = fam.radix[k]
+    classes = {}
+    for l, ts in fam.items():
+        classes[l] = {}
+        for t in ts:
+            classes[l].setdefault(t[k], set()).add(t[:k] + t[k + 1:])
+
+    def find_cover(l, tau, allowed, require_tight):
+        target = classes[l][tau]
+        for g in range(d_k):
+            if g == tau:
+                continue
+            contrib = [v for v in order if v != l and g in classes[v]
+                       and (allowed is None or v in allowed)]
+            if not contrib or not target <= set().union(*(classes[v][g] for v in contrib)):
+                continue
+            tight = next((v for v in contrib if len(classes[v][g] & target) == 1), None)
+            if require_tight and tight is None:
+                continue
+            return BlockCover(l, tau, g, tuple(contrib), tight is not None, tight)
+        return None
+
+    verdicts, resolved = {}, set()
+    for l in order:
+        single = [g for g in sorted(classes[l]) if len(classes[l][g]) == 1]
+        if single:
+            verdicts[l] = (Condition.SINGLETON, single[0], None)
+            resolved.add(l)
+
+    def resolve(condition, allowed, require_tight):
+        grew = False
+        for l in order:
+            if l in resolved:
+                continue
+            for tau in sorted(classes[l]):
+                cover = find_cover(l, tau, allowed, require_tight)
+                if cover is not None:
+                    verdicts[l] = (condition, tau, cover)
+                    resolved.add(l)
+                    grew = True
+                    break
+        return grew
+
+    resolve(Condition.TIGHT_COVER, None, True)
+    while resolve(Condition.CHAINED_COVER, resolved, False):
+        pass
+    conditions = {l: verdicts.get(l, (Condition.UNRESOLVED, None, None)) for l in order}
+
+    union = set().union(*(set(ts) for ts in fam.sets()))
+    reduced = fam.radix[:k] + fam.radix[k + 1:]
+    ext = [{g for g in range(d_k) if r[:k] + (g,) + r[k:] in union}
+           for r in itertools.product(*map(range, reduced))]
+    pair = all(a & b for a, b in itertools.product(set(map(frozenset, ext)), repeat=2))
+
+    footprints = [set().union(*classes[l].values()) for l in order]
+    seen, frontier = {0}, [0]
+    while frontier:
+        cur = frontier.pop()
+        for other in range(len(order)):
+            if other not in seen and footprints[cur] & footprints[other]:
+                seen.add(other)
+                frontier.append(other)
+    return conditions, pair, len(seen) == len(order)
+
+
+@st.composite
+def small_families(draw):
+    """Random labelings of a small mixed-radix cube.  Half of them label by
+    a weighted digit sum, then move a few tuples to the last label and drop
+    a few more, as the modified construction does; that gives covers."""
+    radix = draw(st.lists(st.sampled_from([1, 1, 2, 3, 4, 9, 10]), min_size=1, max_size=4)
+                 .filter(lambda r: math.prod(r) <= 200))
+    labels = draw(st.lists(st.one_of(st.integers(0, 6), st.sampled_from(["extra", "a"])),
+                           min_size=1, max_size=5, unique=True))
+    cube = list(itertools.product(*map(range, radix)))
+    L = len(labels)
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(radix), max_size=len(radix)))
+        owner = [sum(w * x for w, x in zip(weights, t)) % max(L - 1, 1) for t in cube]
+        for r in draw(st.sets(st.integers(0, len(cube) - 1), min_size=1, max_size=3)):
+            owner[r] = L - 1
+        for r in draw(st.sets(st.integers(0, len(cube) - 1), max_size=1)):
+            owner[r] = -1
+    else:
+        owner = draw(st.lists(st.integers(-1, L - 1),
+                              min_size=len(cube), max_size=len(cube)))
+    sets = {l: q.TupleSet.from_tuples(radix, [t for t, o in zip(cube, owner) if o == i])
+            for i, l in enumerate(labels)}
+    return q.SetFamily(radix, sets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_families(), st.data())
+def test_checks_match_reference(fam, data):
+    k = data.draw(st.integers(0, len(fam.radix) - 1))
+    conditions, pair, conn = reference_checks(fam, k)
+    verdicts = q.classify_block_triviality(fam, k)
+    assert list(verdicts) == list(conditions)
+    for l, v in verdicts.items():
+        assert (v.condition, v.target_digit, v.cover) == conditions[l]
+    assert q.check_pair_covering(fam, k) == pair
+    assert q.check_connectivity(fam, k) == conn
 
 
 # ------------------------------------------------------------ full verdicts
