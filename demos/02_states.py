@@ -25,17 +25,12 @@ print(f"\ndense Gram cross-check: ok={report.ok}, "
       f"max off-diagonal {report.max_offdiag:.2e}")
 
 print("\nevery state is entangled across every bipartition:")
-cuts = list(q.iter_bipartitions(3))
-ranks = []
-for ss in state_sets:
-    for j in range(ss.s):
-        state = ss.dense(j)
-        ranks.append([q.schmidt_rank(state, cut) for cut in cuts])
-ranks = np.array(ranks)
+cuts = q.iter_bipartitions(3)
+ranks = np.vstack([q.schmidt_ranks(ss, cuts) for ss in state_sets])
 print(f"  {ranks.shape[0]} states x {ranks.shape[1]} cuts, "
       f"Schmidt ranks range [{ranks.min()}, {ranks.max()}]")
 assert ranks.min() >= 2
 
 print("\ncontrast: a product state has rank 1 on its separating cut")
-single = q.build_state_set(q.TupleSet.from_tuples((2, 2), [(0, 1)]), "p")
-print("  rank:", q.schmidt_rank(single.dense(0), q.Bipartition((0,), 2)))
+single = q.PhaseStateSet(q.TupleSet.from_tuples((2, 2), [(0, 1)]), "p")
+print("  rank:", q.schmidt_ranks(single, [q.Bipartition((0,), 2)])[0, 0])

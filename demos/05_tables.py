@@ -6,7 +6,6 @@ staying well above the d**(n-1) + 1 lower bound.  Where the cube is small
 enough the formula is cross-checked by explicit enumeration.
 """
 
-import qnonloc as q
 from qnonloc.tables import (all_comparison_tables, render_comparison_text,
                             render_diagonal_text)
 

@@ -24,10 +24,9 @@ from .oracle import (ConstraintSystem, NullspaceResult, OracleReport,
 from .serialize import (cut_report_to_json, dumps_canonical, family_from_json,
                         family_to_json, load_family, oracle_report_to_json,
                         save_family, states_to_json)
-from .states import (Bipartition, DenseState, GramReport, PhaseStateSet,
-                     build_state_set, family_states, genuine_entanglement_check,
-                     gram_check, iter_bipartitions, schmidt_rank,
-                     symbolic_orthogonality)
+from .states import (Bipartition, GramReport, PhaseStateSet, family_states,
+                     genuine_entanglement_check, gram_check, iter_bipartitions,
+                     schmidt_ranks, symbolic_orthogonality)
 from .tables import SizeTable, all_comparison_tables, comparison_table, diagonal_table
 from .verifier import (BlockCover, Condition, CutReport, LabelVerdict,
                        check_connectivity, check_pair_covering,

@@ -1,9 +1,9 @@
 """Resource caps.
 
 Enumeration cap bounds how many tuples a family materializes; operator cap
-bounds the Hermitian unknown count D**2 in the oracle.  Both can be
-overridden with the QNONLOC_CAP environment variable: a single integer sets
-the enumeration cap, a pair "enum,op" sets both.
+bounds the Hermitian unknown count D**2 in the oracle.  The QNONLOC_CAP
+environment variable is the only override, read on every call: a single
+integer sets the enumeration cap, a pair "enum,op" sets both.
 """
 
 from __future__ import annotations
@@ -36,17 +36,9 @@ def resolve_caps() -> tuple[int, int]:
     return enum_cap, op_cap
 
 
-def enum_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        if explicit <= 0:
-            raise ValueError("enumeration cap must be positive")
-        return explicit
+def enum_cap() -> int:
     return resolve_caps()[0]
 
 
-def op_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        if explicit <= 0:
-            raise ValueError("operator cap must be positive")
-        return explicit
+def op_cap() -> int:
     return resolve_caps()[1]

@@ -19,13 +19,12 @@ from pathlib import Path
 
 from . import caps
 from .errors import QnonlocError
-from .lattice import ModifiedFamily, SetFamily
+from .lattice import ModifiedFamily
 from .oracle import oracle_verify
-from .serialize import (cut_report_to_json, dumps_canonical, family_from_json,
-                        family_to_json, load_family, oracle_report_to_json,
-                        save_family, states_to_json)
+from .serialize import (cut_report_to_json, dumps_canonical, family_to_json,
+                        load_family, oracle_report_to_json, states_to_json)
 from .states import family_states
-from .tables import (DEFAULT_TABLE_D, all_comparison_tables, comparison_to_json,
+from .tables import (all_comparison_tables, comparison_to_json,
                      render_comparison_csv, render_comparison_text,
                      render_diagonal_csv, render_diagonal_text)
 from .verifier import overall_verdict, verify_strongest_nonlocality

@@ -147,25 +147,9 @@ class TupleSet:
         if self.radix != other.radix:
             raise ValueError(f"radix mismatch: {self.radix} vs {other.radix}")
 
-    def union(self, other: "TupleSet") -> "TupleSet":
-        self._same_radix(other)
-        return TupleSet(self.radix, np.union1d(self.ranks, other.ranks))
-
-    def intersection(self, other: "TupleSet") -> "TupleSet":
-        self._same_radix(other)
-        return TupleSet(self.radix, np.intersect1d(self.ranks, other.ranks, assume_unique=True))
-
     def difference(self, other: "TupleSet") -> "TupleSet":
         self._same_radix(other)
         return TupleSet(self.radix, np.setdiff1d(self.ranks, other.ranks, assume_unique=True))
-
-    def issubset(self, other: "TupleSet") -> bool:
-        self._same_radix(other)
-        return len(np.setdiff1d(self.ranks, other.ranks, assume_unique=True)) == 0
-
-    def isdisjoint(self, other: "TupleSet") -> bool:
-        self._same_radix(other)
-        return len(np.intersect1d(self.ranks, other.ranks, assume_unique=True)) == 0
 
 
 class SetFamily:
@@ -235,7 +219,7 @@ class SetFamily:
 # recursive family construction
 # ====================================================================
 
-def build_index_family(d: int, n: int, cap: int | None = None) -> SetFamily:
+def build_index_family(d: int, n: int) -> SetFamily:
     """The d sets of n-digit tuples generated by the circulant recursion.
 
     Level 1 puts digit i in set i; level n prepends digit (i - j) mod d to every
@@ -246,7 +230,7 @@ def build_index_family(d: int, n: int, cap: int | None = None) -> SetFamily:
     if n < 1:
         raise ValueError("n must be >= 1")
     total = d**n
-    limit = caps.enum_cap(cap)
+    limit = caps.enum_cap()
     if total > limit:
         raise ResourceLimitError(f"{total} tuples exceed enumeration cap {limit}")
 
@@ -459,8 +443,7 @@ def _case_tag(a: int, d: int) -> str:
     return "III"
 
 
-def build_modified_family(d: int, n: int, xi: int | str | None = None,
-                          cap: int | None = None) -> ModifiedFamily:
+def build_modified_family(d: int, n: int, xi: int | str | None = None) -> ModifiedFamily:
     """Kept-label family with the two constant tuples moved to an extra set."""
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -468,7 +451,7 @@ def build_modified_family(d: int, n: int, xi: int | str | None = None,
         raise ValueError("n must be >= 3")
     sel = select_rows(d)
     chosen = choose_xi(d, n, "smallest" if xi is None else xi)
-    base = build_index_family(d, n, cap=cap)
+    base = build_index_family(d, n)
     radix = (d,) * n
 
     zero_diag = (0,) * n

@@ -124,8 +124,7 @@ class ConstraintSystem:
             yield rows[keep] / norms[keep, None], resid
 
 
-def _cut_shape(state_sets: Sequence[PhaseStateSet], k: int,
-               operator_cap: int | None) -> tuple[tuple[int, ...], int, int]:
+def _cut_shape(state_sets: Sequence[PhaseStateSet], k: int) -> tuple[tuple[int, ...], int, int]:
     """(radix, d_k, D) of cut k, after the input and operator-cap checks."""
     if not state_sets:
         raise ValueError("need at least one state set")
@@ -139,7 +138,7 @@ def _cut_shape(state_sets: Sequence[PhaseStateSet], k: int,
         raise ValueError(f"cut {k} out of range for arity {n}")
     d_k = radix[k]
     D = math.prod(radix) // d_k
-    limit = caps.op_cap(operator_cap)
+    limit = caps.op_cap()
     if D * D > limit:
         raise ResourceLimitError(
             f"operator space of {D * D} unknowns exceeds operator cap {limit}")
@@ -169,8 +168,7 @@ def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             lab = jumped
 
 
-def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int,
-                    operator_cap: int | None = None) -> TrivialityVerdict:
+def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> TrivialityVerdict:
     """Decide cut k exactly from the entry classes of Pi (module docstring).
 
     Nodes are the D**2 entries of Pi, one zero node, and one class node per
@@ -185,7 +183,7 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int,
     orthogonal, and raise InternalConsistencyError.
     """
     state_sets = list(state_sets)
-    radix, d_k, D = _cut_shape(state_sets, k, operator_cap)
+    radix, d_k, D = _cut_shape(state_sets, k)
     ranks = np.concatenate([ss.support.ranks for ss in state_sets])
     if len(np.unique(ranks)) != len(ranks):
         raise InternalConsistencyError(
@@ -247,11 +245,10 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int,
                              witness=(W / np.linalg.norm(W)).astype(np.complex128))
 
 
-def assemble_constraints(state_sets: Sequence[PhaseStateSet], k: int,
-                         operator_cap: int | None = None) -> ConstraintSystem:
+def assemble_constraints(state_sets: Sequence[PhaseStateSet], k: int) -> ConstraintSystem:
     """Reshape every state with party k in front."""
     state_sets = list(state_sets)
-    radix, d_k, D = _cut_shape(state_sets, k, operator_cap)
+    radix, d_k, D = _cut_shape(state_sets, k)
 
     blocks = []
     for ss in state_sets:
@@ -417,8 +414,8 @@ class OracleReport:
     elapsed: float = 0.0
 
 
-def oracle_verify(state_sets: Sequence[PhaseStateSet], cuts: list[int] | None = None,
-                  operator_cap: int | None = None) -> list[OracleReport]:
+def oracle_verify(state_sets: Sequence[PhaseStateSet],
+                  cuts: list[int] | None = None) -> list[OracleReport]:
     """Decide triviality of every requested cut by the exact route."""
     state_sets = list(state_sets)
     if not state_sets:
@@ -430,7 +427,7 @@ def oracle_verify(state_sets: Sequence[PhaseStateSet], cuts: list[int] | None = 
     reports = []
     for k in cuts:
         t0 = time.perf_counter()
-        verdict = exact_nullspace(state_sets, k, operator_cap=operator_cap)
+        verdict = exact_nullspace(state_sets, k)
         reports.append(OracleReport(
             k=k, D=math.prod(radix) // radix[k], rows=2 * n_states * (n_states - 1),
             nullspace_dim=verdict.dim, verdict=verdict.status, sv_gap=None,

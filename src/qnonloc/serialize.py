@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .errors import FamilyFormatError
-from .lattice import (EXTRA_LABEL, Label, ModifiedFamily, SetFamily, TupleSet)
+from .lattice import Label, ModifiedFamily, SetFamily, TupleSet
 from .oracle import OracleReport
 from .states import PhaseStateSet
 from .verifier import CutReport

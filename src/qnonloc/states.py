@@ -1,10 +1,14 @@
 """Phase states over tuple supports.
 
 Each support set of size s yields s unnormalized states: member tuples are
-enumerated in canonical order, tuple number j gets amplitude omega**(k*j) in
-state k, with omega the primitive s-th root of unity.  Squared norm is exactly
-s; states of one support are mutually orthogonal by the geometric series, and
-states over disjoint supports are orthogonal term by term.
+enumerated in canonical order, tuple number j gets amplitude omega**(k*f(j))
+in state k, with omega the primitive s-th root of unity and f the set's
+bijection.  Squared norm is exactly s; states of one support are mutually
+orthogonal by the geometric series, and states over disjoint supports are
+orthogonal term by term.
+
+Each set holds its states as one matrix, `dense_all()`; the Gram
+cross-check, the Schmidt ranks and the oracle's dense route all read it.
 """
 
 from __future__ import annotations
@@ -18,25 +22,8 @@ import numpy as np
 
 from .lattice import Label, SetFamily, TupleSet
 
-DEFAULT_GRAM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DenseState:
-    """State vector indexed by mixed-radix rank (position 0 most significant)."""
-
-    radix: tuple[int, ...]
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.amplitudes.ndim != 1 or len(self.amplitudes) != math.prod(self.radix):
-            raise ValueError("amplitude length must match the radix product")
-
-    def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.radix)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+GRAM_TOL = 1e-12     # off-diagonal Gram bound, relative to the largest set
+SCHMIDT_TOL = 1e-9   # singular values at or below this times the largest are 0
 
 
 class PhaseStateSet:
@@ -65,20 +52,8 @@ class PhaseStateSet:
     def radix(self) -> tuple[int, ...]:
         return self.support.radix
 
-    def phases(self, k: int) -> np.ndarray:
-        """Amplitudes on the support, canonical tuple order."""
-        s = self.s
-        if not 0 <= k < s:
-            raise ValueError(f"state index {k} out of range for s={s}")
-        return np.exp(2j * np.pi * k * self.bijection / s)
-
-    def dense(self, k: int) -> DenseState:
-        v = np.zeros(math.prod(self.radix), dtype=np.complex128)
-        v[self.support.ranks] = self.phases(k)
-        return DenseState(self.radix, v)
-
     def dense_all(self) -> np.ndarray:
-        """(s, D_total) matrix holding every state of the set."""
+        """(s, d**n) amplitudes: row k is state k, column r the tuple of rank r."""
         out = np.zeros((self.s, math.prod(self.radix)), dtype=np.complex128)
         ks = np.arange(self.s)[:, None]
         out[:, self.support.ranks] = np.exp(2j * np.pi * ks * self.bijection[None, :] / self.s)
@@ -86,11 +61,6 @@ class PhaseStateSet:
 
     def __repr__(self) -> str:
         return f"PhaseStateSet(label={self.label!r}, s={self.s})"
-
-
-def build_state_set(support: TupleSet, label: Label | None = None,
-                    bijection: Sequence[int] | None = None) -> PhaseStateSet:
-    return PhaseStateSet(support, label=label, bijection=bijection)
 
 
 def family_states(family: SetFamily) -> list[PhaseStateSet]:
@@ -119,15 +89,14 @@ class GramReport:
     tol: float | None
 
 
-def gram_check(state_sets: Sequence[PhaseStateSet], dense: bool = True,
-               tol_factor: float = DEFAULT_GRAM_TOL) -> GramReport:
+def gram_check(state_sets: Sequence[PhaseStateSet]) -> GramReport:
     """Mutual orthogonality of every state across the given sets.
 
     Exact path: supports must be pairwise disjoint (cross-set inner products
     vanish term by term) and each set must pass the symbolic character-sum
     check.  Overlapping supports are a structural failure, reported before any
-    numerics.  With dense=True the full Gram matrix is also formed and its
-    off-diagonal maximum compared against tol_factor * max(s).
+    numerics.  The full Gram matrix of the stacked amplitude matrices is also
+    formed and its off-diagonal maximum compared against GRAM_TOL * max(s).
     """
     if not state_sets:
         raise ValueError("need at least one state set")
@@ -135,22 +104,18 @@ def gram_check(state_sets: Sequence[PhaseStateSet], dense: bool = True,
     if any(ss.radix != radix for ss in state_sets):
         raise ValueError("state sets must share one radix")
 
-    for a, b in itertools.combinations(state_sets, 2):
-        if not a.support.isdisjoint(b.support):
-            return GramReport(ok=False, structural_overlap=True, symbolic_ok=False,
-                              max_offdiag=None, tol=None)
+    # each support's ranks are distinct, so a repeat is an overlap of two sets
+    ranks = np.concatenate([ss.support.ranks for ss in state_sets])
+    if len(np.unique(ranks)) != len(ranks):
+        return GramReport(ok=False, structural_overlap=True, symbolic_ok=False,
+                          max_offdiag=None, tol=None)
 
     symbolic_ok = all(symbolic_orthogonality(ss) for ss in state_sets)
-
-    if not dense:
-        return GramReport(ok=symbolic_ok, structural_overlap=False,
-                          symbolic_ok=symbolic_ok, max_offdiag=None, tol=None)
-
     V = np.vstack([ss.dense_all() for ss in state_sets])
     gram = V @ V.conj().T
     np.fill_diagonal(gram, 0.0)
-    max_off = float(np.abs(gram).max()) if gram.size else 0.0
-    tol = tol_factor * max(ss.s for ss in state_sets)
+    max_off = float(np.abs(gram).max())
+    tol = GRAM_TOL * max(ss.s for ss in state_sets)
     numeric_ok = max_off <= tol
     return GramReport(ok=symbolic_ok and numeric_ok, structural_overlap=False,
                       symbolic_ok=symbolic_ok, max_offdiag=max_off, tol=tol)
@@ -192,30 +157,29 @@ def iter_bipartitions(n_parties: int) -> list[Bipartition]:
     return out
 
 
-def schmidt_rank(state: DenseState, cut: Bipartition, tol: float = 1e-9) -> int:
-    """Rank of the reshaped amplitude matrix; singular values below
-    tol * largest are treated as zero."""
-    n = len(state.radix)
-    if cut.n_parties != n:
-        raise ValueError("cut does not match the state arity")
-    left = sorted(cut.left)
-    right = sorted(cut.right)
-    tensor = state.tensor()
-    mat = np.transpose(tensor, left + right).reshape(
-        math.prod(state.radix[p] for p in left), -1)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        raise ValueError("zero state has no Schmidt rank")
-    return int(np.count_nonzero(sv > tol * sv[0]))
+def schmidt_ranks(state_set: PhaseStateSet, cuts: Sequence[Bipartition]) -> np.ndarray:
+    """(s, len(cuts)) Schmidt ranks of every state of the set on each cut.
 
-
-def genuine_entanglement_check(state_sets: Iterable[PhaseStateSet],
-                               tol: float = 1e-9) -> bool:
-    """True iff every state has Schmidt rank >= 2 across every bipartition.
-
-    The rank is counted as in schmidt_rank, with one batched SVD for all
-    states of a set on each bipartition.
+    One batched SVD per cut of the amplitude matrix, each state reshaped to
+    left parties x right parties; singular values at or below SCHMIDT_TOL
+    times a state's largest count as zero.
     """
+    s, radix = state_set.s, state_set.radix
+    V = state_set.dense_all().reshape((s,) + radix)
+    out = np.empty((s, len(cuts)), dtype=np.int64)
+    for i, cut in enumerate(cuts):
+        if cut.n_parties != len(radix):
+            raise ValueError("cut does not match the state arity")
+        left = sorted(cut.left)
+        order = [0] + [p + 1 for p in left + sorted(cut.right)]
+        mats = V.transpose(order).reshape(s, math.prod(radix[p] for p in left), -1)
+        sv = np.linalg.svd(mats, compute_uv=False)
+        out[:, i] = np.count_nonzero(sv > SCHMIDT_TOL * sv[:, :1], axis=1)
+    return out
+
+
+def genuine_entanglement_check(state_sets: Iterable[PhaseStateSet]) -> bool:
+    """True iff every state has Schmidt rank >= 2 across every bipartition."""
     state_sets = list(state_sets)
     if not state_sets:
         raise ValueError("need at least one state set")
@@ -223,13 +187,4 @@ def genuine_entanglement_check(state_sets: Iterable[PhaseStateSet],
     if n < 2:
         raise ValueError("entanglement needs at least two parties")
     cuts = iter_bipartitions(n)
-    for ss in state_sets:
-        V = ss.dense_all().reshape((ss.s,) + ss.radix)
-        for cut in cuts:
-            left = sorted(cut.left)
-            order = [0] + [p + 1 for p in left + sorted(cut.right)]
-            mats = V.transpose(order).reshape(ss.s, math.prod(ss.radix[p] for p in left), -1)
-            sv = np.linalg.svd(mats, compute_uv=False)
-            if (np.count_nonzero(sv > tol * sv[:, :1], axis=1) < 2).any():
-                return False
-    return True
+    return all((schmidt_ranks(ss, cuts) >= 2).all() for ss in state_sets)

@@ -7,12 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import caps
 from .lattice import build_modified_family, construction_size, reference_sizes
 
 DEFAULT_TABLE_N = (3, 4, 5, 6, 7, 8)
 DEFAULT_TABLE_D = (4, 5, 6, 7)
 
-# cross-checks by enumeration stay cheap enough for interactive table dumps
+# cross-checks by enumeration stay cheap enough for interactive table dumps;
+# a cube is enumerated only where it also fits the enumeration cap
 TABLES_CHECK_CAP = 10**5
 
 
@@ -37,9 +39,9 @@ def comparison_table(d: int, n_values: tuple[int, ...] = DEFAULT_TABLE_N,
         low.append(sizes.lower_bound)
         size = construction_size(d, n)
         work.append(size)
-        do_check = check_cap is not None and d**n <= check_cap
+        do_check = check_cap is not None and d**n <= min(check_cap, caps.enum_cap())
         if do_check:
-            built = build_modified_family(d, n, cap=check_cap)
+            built = build_modified_family(d, n)
             if built.total_size() != size:
                 raise AssertionError(
                     f"enumerated size {built.total_size()} != formula {size} "

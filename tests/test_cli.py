@@ -173,6 +173,15 @@ def test_env_cap_respected(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_env_cap_bounds_tables_enumeration(monkeypatch, capsys):
+    # the tables cross-check enumerates nothing the cap forbids `construct`
+    monkeypatch.setenv(caps.ENV_VAR, "10")
+    assert main(["tables", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    flags = [flag for table in doc["comparison"] for flag in table["enumerated"]]
+    assert flags and not any(flags)
+
+
 @pytest.mark.parametrize("raw", ["abc", "5,6,7"])
 def test_malformed_env_cap_is_an_error(tmp_path, monkeypatch, capsys, raw):
     fam_path = tmp_path / "fam.json"

@@ -41,8 +41,8 @@ def test_assemble_shapes(bell_family):
 
 
 def test_assemble_rejects_mixed_radix():
-    a = q.build_state_set(q.TupleSet.from_tuples((2, 2), [(0, 0), (1, 1)]), 0)
-    b = q.build_state_set(q.TupleSet.from_tuples((2, 3), [(0, 0), (1, 1)]), 1)
+    a = q.PhaseStateSet(q.TupleSet.from_tuples((2, 2), [(0, 0), (1, 1)]), 0)
+    b = q.PhaseStateSet(q.TupleSet.from_tuples((2, 3), [(0, 0), (1, 1)]), 1)
     with pytest.raises(ValueError):
         q.assemble_constraints([a, b], 0)
     with pytest.raises(ValueError):
@@ -54,9 +54,9 @@ def test_operator_cap_enforced():
     states = q.family_states(fam.family)
     # environment dimension 7^3 = 343 -> 343^2 parameters > default cap
     with pytest.raises(ResourceLimitError):
-        q.assemble_constraints(states, 0, operator_cap=4096)
+        q.assemble_constraints(states, 0)
     with pytest.raises(ResourceLimitError):
-        q.oracle_verify(states, cuts=[0], operator_cap=4096)
+        q.oracle_verify(states, cuts=[0])
 
 
 def test_bell_cut_is_trivial(bell_family):
@@ -74,7 +74,7 @@ def test_bell_cut_is_trivial(bell_family):
 
 def test_single_state_all_operators_allowed():
     ts = q.TupleSet.from_tuples((2, 2), [(0, 0)])
-    states = [q.build_state_set(ts, 0)]
+    states = [q.PhaseStateSet(ts, 0)]
     sys = q.assemble_constraints(states, 0)
     assert sys.pair_count == 0
     res = q.hermitian_nullspace(sys)
@@ -107,9 +107,9 @@ def test_product_basis_witness(product_family):
 
 def test_non_orthogonal_input_rejected():
     ts = q.TupleSet.from_tuples((2, 2), [(0, 0), (0, 1)])
-    s0 = q.build_state_set(ts, 0)
+    s0 = q.PhaseStateSet(ts, 0)
     # identical support with identical phases: states 0 coincide
-    s1 = q.build_state_set(ts, 1)
+    s1 = q.PhaseStateSet(ts, 1)
     sys = q.assemble_constraints([s0, s1], 0)
     with pytest.raises(InternalConsistencyError):
         q.hermitian_nullspace(sys)
@@ -151,7 +151,7 @@ def test_bijection_invariance_of_verdict(d3_minimal_family):
     for label in fam.labels:
         sup = fam[label]
         bij = rng.permutation(len(sup))
-        states.append(q.build_state_set(sup, label, bijection=bij))
+        states.append(q.PhaseStateSet(sup, label, bijection=bij))
     for k in range(3):
         sys = q.assemble_constraints(states, k)
         res = q.hermitian_nullspace(sys)
@@ -240,7 +240,7 @@ def test_exact_route_random_bijections(kind, rng):
     for label in fam.labels:
         perm = list(range(len(fam[label])))
         rng.shuffle(perm)
-        states.append(q.build_state_set(fam[label], label, bijection=perm))
+        states.append(q.PhaseStateSet(fam[label], label, bijection=perm))
     _assert_exact_matches_dense(states)
 
 
@@ -253,11 +253,11 @@ def test_index_3_3_dims_pinned():
 def test_exact_route_rejects_non_orthogonal_input():
     ts = q.TupleSet.from_tuples((2, 2), [(0, 0), (0, 1)])
     with pytest.raises(InternalConsistencyError):
-        q.oracle_verify([q.build_state_set(ts, 0), q.build_state_set(ts, 1)])
+        q.oracle_verify([q.PhaseStateSet(ts, 0), q.PhaseStateSet(ts, 1)])
     other = q.TupleSet.from_tuples((2, 2), [(0, 1), (1, 1)])
     with pytest.raises(InternalConsistencyError):
-        q.oracle_verify([q.build_state_set(ts, 0), q.build_state_set(other, 1)])
-    ss = q.build_state_set(ts, 0)
+        q.oracle_verify([q.PhaseStateSet(ts, 0), q.PhaseStateSet(other, 1)])
+    ss = q.PhaseStateSet(ts, 0)
     ss.bijection = np.array([0, 0])
     with pytest.raises(InternalConsistencyError):
         q.oracle_verify([ss])

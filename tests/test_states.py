@@ -10,10 +10,9 @@ import qnonloc as q
 
 def test_bell_states_frozen():
     fam = q.build_index_family(2, 2)
-    ss = q.build_state_set(fam[0])
+    ss = q.PhaseStateSet(fam[0])
     # support {(0,0), (1,1)} in lexicographic order
-    v0 = ss.dense(0).amplitudes
-    v1 = ss.dense(1).amplitudes
+    v0, v1 = ss.dense_all()
     assert np.allclose(v0, [1, 0, 0, 1])
     assert np.allclose(v1, [1, 0, 0, -1])
     assert abs(np.vdot(v0, v1)) < 1e-14
@@ -21,23 +20,18 @@ def test_bell_states_frozen():
 
 def test_phase_values_d3():
     fam = q.build_index_family(3, 2)
-    ss = q.build_state_set(fam[1])  # support {(0,1),(1,0),(2,2)}
+    ss = q.PhaseStateSet(fam[1])  # support {(0,1),(1,0),(2,2)}
     w = np.exp(2j * np.pi / 3)
-    assert np.allclose(ss.phases(1), [1, w, w**2])
-    assert np.allclose(ss.phases(2), [1, w**2, w**4])
+    V = ss.dense_all()
+    assert np.allclose(V[:, [1, 3, 8]], [[1, 1, 1], [1, w, w**2], [1, w**2, w**4]])
+    assert not np.delete(V, [1, 3, 8], axis=1).any()
 
 
 def test_norm_squared_is_support_size():
     for d, n in [(2, 3), (3, 2), (4, 3)]:
         for ss in q.family_states(q.build_index_family(d, n)):
-            for k in range(ss.s):
-                assert math.isclose(ss.dense(k).norm() ** 2, ss.s, rel_tol=1e-12)
-
-
-def test_state_index_range():
-    ss = q.build_state_set(q.TupleSet.from_tuples((2, 2), [(0, 0), (1, 1)]))
-    with pytest.raises(ValueError):
-        ss.phases(2)
+            norms = np.linalg.norm(ss.dense_all(), axis=1)
+            assert np.allclose(norms**2, ss.s, rtol=1e-12, atol=0)
 
 
 def test_symbolic_orthogonality_all_small_families():
@@ -53,7 +47,7 @@ def test_symbolic_orthogonality_shuffled_bijection(s, rng):
     support = q.TupleSet.from_tuples((s,), [(i,) for i in range(s)])
     perm = list(range(s))
     rng.shuffle(perm)
-    ss = q.build_state_set(support, bijection=perm)
+    ss = q.PhaseStateSet(support, bijection=perm)
     assert q.symbolic_orthogonality(ss)
     rep = q.gram_check([ss])
     assert rep.ok
@@ -61,13 +55,13 @@ def test_symbolic_orthogonality_shuffled_bijection(s, rng):
 
 def test_symbolic_orthogonality_large_set():
     fam = q.build_modified_family(4, 7).family
-    ss = q.build_state_set(fam[1], 1)
+    ss = q.PhaseStateSet(fam[1], 1)
     assert ss.s == 4096
     assert q.symbolic_orthogonality(ss)
 
 
 def test_symbolic_orthogonality_rejects_non_permutation():
-    ss = q.build_state_set(q.TupleSet.from_tuples((4,), [(i,) for i in range(4)]))
+    ss = q.PhaseStateSet(q.TupleSet.from_tuples((4,), [(i,) for i in range(4)]))
     ss.bijection = np.array([0, 1, 1, 3])
     assert not q.symbolic_orthogonality(ss)
     ss.bijection = np.array([0, 1, 2])
@@ -80,17 +74,20 @@ def test_gram_dense_and_symbolic_agree(ex1_family):
     assert rep.max_offdiag < rep.tol
 
 
-def test_gram_structural_overlap_detected():
-    a = q.build_state_set(q.TupleSet.from_tuples((2, 2), [(0, 0), (1, 1)]))
-    b = q.build_state_set(q.TupleSet.from_tuples((2, 2), [(1, 1), (0, 1)]))
-    rep = q.gram_check([a, b])
+@pytest.mark.parametrize("supports", [
+    [[(0, 0), (1, 1)], [(1, 1), (0, 1)]],
+    [[(0, 0), (1, 1)], [(0, 1)], [(1, 0), (1, 1)]],
+], ids=["two_sets", "sets_0_and_2_of_3"])
+def test_gram_structural_overlap_detected(supports):
+    states = [q.PhaseStateSet(q.TupleSet.from_tuples((2, 2), s)) for s in supports]
+    rep = q.gram_check(states)
     assert not rep.ok and rep.structural_overlap
     assert rep.max_offdiag is None  # numerics never ran
 
 
 def test_gram_radix_mismatch():
-    a = q.build_state_set(q.TupleSet.from_tuples((2, 2), [(0, 0)]))
-    b = q.build_state_set(q.TupleSet.from_tuples((3, 3), [(0, 0)]))
+    a = q.PhaseStateSet(q.TupleSet.from_tuples((2, 2), [(0, 0)]))
+    b = q.PhaseStateSet(q.TupleSet.from_tuples((3, 3), [(0, 0)]))
     with pytest.raises(ValueError):
         q.gram_check([a, b])
 
@@ -98,7 +95,7 @@ def test_gram_radix_mismatch():
 def test_bad_bijection_rejected():
     support = q.TupleSet.from_tuples((2, 2), [(0, 0), (1, 1)])
     with pytest.raises(ValueError):
-        q.build_state_set(support, bijection=[0, 0])
+        q.PhaseStateSet(support, bijection=[0, 0])
 
 
 # ------------------------------------------------------------ bipartitions
@@ -125,38 +122,50 @@ def test_bipartition_validation():
 
 # ------------------------------------------------------------ schmidt rank
 
+def _reference_ranks(ss, cuts):
+    """One np.linalg.matrix_rank per state and cut, relative threshold 1e-9."""
+    tensors = ss.dense_all().reshape((ss.s,) + ss.radix)
+    out = np.empty((ss.s, len(cuts)), dtype=np.int64)
+    for j, tensor in enumerate(tensors):
+        for i, cut in enumerate(cuts):
+            left, right = sorted(cut.left), sorted(cut.right)
+            mat = np.transpose(tensor, left + right).reshape(
+                math.prod(ss.radix[p] for p in left), -1)
+            sv_max = np.linalg.norm(mat, 2)
+            out[j, i] = np.linalg.matrix_rank(mat, tol=1e-9 * sv_max)
+    return out
+
+
 def test_schmidt_rank_product_and_bell():
-    prod = q.build_state_set(q.TupleSet.from_tuples((2, 2), [(0, 1)]))
+    prod = q.PhaseStateSet(q.TupleSet.from_tuples((2, 2), [(0, 1)]))
     cut = q.Bipartition(frozenset({0}), 2)
-    assert q.schmidt_rank(prod.dense(0), cut) == 1
-    bell = q.build_state_set(q.build_index_family(2, 2)[0])
-    assert q.schmidt_rank(bell.dense(0), cut) == 2
-    assert q.schmidt_rank(bell.dense(1), cut) == 2
+    assert q.schmidt_ranks(prod, [cut]).tolist() == [[1]]
+    bell = q.PhaseStateSet(q.build_index_family(2, 2)[0])
+    assert q.schmidt_ranks(bell, [cut]).tolist() == [[2], [2]]
 
 
 def test_schmidt_rank_ghz_like():
-    # equal-weight state on {(0,0,0), (1,1,1)}: rank 2 on every cut
+    # equal-weight states on {(0,0,0), (1,1,1)}: rank 2 on every cut
     supp = q.TupleSet.from_tuples((2, 2, 2), [(0, 0, 0), (1, 1, 1)])
-    ss = q.build_state_set(supp)
-    for cut in q.iter_bipartitions(3):
-        assert q.schmidt_rank(ss.dense(0), cut) == 2
+    ranks = q.schmidt_ranks(q.PhaseStateSet(supp), q.iter_bipartitions(3))
+    assert ranks.shape == (2, 3) and (ranks == 2).all()
 
 
-def test_schmidt_rank_zero_state_rejected():
-    st0 = q.DenseState((2, 2), np.zeros(4, dtype=complex))
+def test_schmidt_ranks_reject_wrong_arity():
+    ss = q.PhaseStateSet(q.TupleSet.from_tuples((2, 2, 2), [(0, 0, 0), (1, 1, 1)]))
     with pytest.raises(ValueError):
-        q.schmidt_rank(st0, q.Bipartition(frozenset({0}), 2))
+        q.schmidt_ranks(ss, [q.Bipartition(frozenset({0}), 2)])
 
 
 def test_genuine_entanglement_small():
     assert q.genuine_entanglement_check(q.family_states(q.build_index_family(2, 2)))
-    singles = [q.build_state_set(q.TupleSet.from_tuples((2, 2), [t]))
+    singles = [q.PhaseStateSet(q.TupleSet.from_tuples((2, 2), [t]))
                for t in [(0, 0), (0, 1), (1, 0), (1, 1)]]
     assert not q.genuine_entanglement_check(singles)
 
 
 def test_genuine_entanglement_matches_per_state_ranks():
-    # the batched check against one schmidt_rank per state and bipartition
+    # the batched ranks against one matrix_rank per state and bipartition
     flagship = q.build_modified_family(4, 3).family
     families = [q.build_index_family(2, 2), q.build_index_family(3, 3), flagship]
     families += [flagship.drop(l) for l in flagship.labels]
@@ -168,8 +177,11 @@ def test_genuine_entanglement_matches_per_state_ranks():
     for fam in families:
         states = q.family_states(fam)
         cuts = q.iter_bipartitions(len(fam.radix))
-        expected = all(q.schmidt_rank(ss.dense(j), cut) >= 2
-                       for ss in states for j in range(ss.s) for cut in cuts)
+        expected = True
+        for ss in states:
+            ranks = _reference_ranks(ss, cuts)
+            assert np.array_equal(q.schmidt_ranks(ss, cuts), ranks)
+            expected &= bool((ranks >= 2).all())
         assert q.genuine_entanglement_check(states) == expected
 
 
