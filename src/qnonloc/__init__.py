@@ -21,9 +21,9 @@ from .oracle import (ConstraintSystem, NullspaceResult, OracleReport,
                      TrivialityVerdict, assemble_constraints, exact_nullspace,
                      hermitian_nullspace, oracle_overall, oracle_verify,
                      triviality_verdict)
-from .serialize import (cut_report_to_json, dumps_canonical, family_from_json,
-                        family_to_json, load_family, oracle_report_to_json,
-                        save_family, states_to_json)
+from .serialize import (cut_report_to_json, dumps_canonical, dumps_family,
+                        family_from_json, family_to_json, load_family,
+                        oracle_report_to_json, save_family, states_to_json)
 from .states import (Bipartition, GramReport, PhaseStateSet, family_states,
                      genuine_entanglement_check, gram_check, iter_bipartitions,
                      schmidt_ranks, symbolic_orthogonality)

@@ -21,8 +21,9 @@ from . import caps
 from .errors import QnonlocError
 from .lattice import ModifiedFamily
 from .oracle import oracle_verify
-from .serialize import (cut_report_to_json, dumps_canonical, family_to_json,
-                        load_family, oracle_report_to_json, states_to_json)
+from .serialize import (cut_report_to_json, dumps_canonical, dumps_family,
+                        load_family, oracle_report_to_json, save_family,
+                        states_to_json)
 from .states import family_states
 from .tables import (all_comparison_tables, comparison_to_json,
                      render_comparison_csv, render_comparison_text,
@@ -89,9 +90,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     from .lattice import build_modified_family
 
     fam = build_modified_family(args.d, args.n, xi=args.xi)
-    doc = family_to_json(fam)
     if args.out:
-        Path(args.out).write_text(dumps_canonical(doc))
+        save_family(fam, args.out)
     if args.states_out:
         Path(args.states_out).write_text(
             dumps_canonical(states_to_json(family_states(fam.family))))
@@ -107,7 +107,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         print(f"built d={fam.d} n={fam.n} family: {fam.total_size()} tuples in "
               f"{len(fam.labels)} sets, case {fam.case}, xi'={fam.xi}{flag}")
         if not args.out:
-            print(dumps_canonical(doc), end="")
+            print(dumps_family(fam), end="")
     return 0
 
 
@@ -211,11 +211,10 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     fam = load_family(args.family)
-    text = dumps_canonical(family_to_json(fam))
     if args.out:
-        Path(args.out).write_text(text)
+        save_family(fam, args.out)
     else:
-        print(text, end="")
+        print(dumps_family(fam), end="")
     return 0
 
 

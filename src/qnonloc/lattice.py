@@ -96,13 +96,19 @@ class TupleSet:
         rows = [tuple(int(x) for x in t) for t in tuples]
         if not rows:
             return cls(radix, np.empty(0, dtype=np.int64))
-        mat = np.asarray(rows, dtype=np.int64)
-        if mat.shape[1] != len(radix):
-            raise ValueError(f"tuples have arity {mat.shape[1]}, radix has {len(radix)}")
-        for p, d in enumerate(radix):
-            if (mat[:, p] < 0).any() or (mat[:, p] >= d).any():
-                raise ValueError(f"digit out of range at position {p} (radix {d})")
-        return cls(radix, _encode(mat, radix))
+        return cls.from_digits(radix, np.asarray(rows, dtype=np.int64))
+
+    @classmethod
+    def from_digits(cls, radix: Sequence[int], digits: np.ndarray) -> "TupleSet":
+        """From an integer digit matrix, one row per tuple; repeated rows collapse."""
+        radix = _check_radix(radix)
+        if digits.ndim != 2 or digits.shape[1] != len(radix):
+            raise ValueError(f"digit matrix of shape {digits.shape} does not fit radix {radix}")
+        bad = ((digits < 0) | (digits >= np.asarray(radix))).any(axis=0)
+        if bad.any():
+            p = int(np.argmax(bad))
+            raise ValueError(f"digit out of range at position {p} (radix {radix[p]})")
+        return cls(radix, _encode(digits, radix))
 
     # ---- basic protocol -----------------------------------------------
 
@@ -110,8 +116,7 @@ class TupleSet:
         return len(self.ranks)
 
     def __iter__(self) -> Iterator[Tuple_]:
-        for row in self.members():
-            yield tuple(int(x) for x in row)
+        return map(tuple, self.members().tolist())
 
     def __contains__(self, item: Sequence[int]) -> bool:
         t = tuple(int(x) for x in item)

@@ -3,17 +3,30 @@
 Canonical form: label keys ordered integers-then-strings, member tuples in
 lexicographic order, two-space indentation.  Equal inputs serialize to
 byte-identical text.
+
+A family's canonical text is `dumps_canonical(family_to_json(family))`, and
+`dumps_family` writes exactly those bytes without the pure-Python indented
+encoder: each set's digit rows go through the compact C encoder and are
+expanded to the two-space layout by string replacement, which is exact
+because the rows hold only integers; `d`, `n` and `meta` go through
+`json.dumps(..., indent=2)` and are re-indented by their depth.
+
+Reading validates each set's rows as one integer array: shape, digit range
+against the radix, and duplicates within and across sets.  Only a document
+that fails those checks is scanned row by row, to name the first offending
+field in document order.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
-from .errors import FamilyFormatError
+from .errors import FamilyFormatError, InternalConsistencyError
 from .lattice import Label, ModifiedFamily, SetFamily, TupleSet
 from .oracle import OracleReport
 from .states import PhaseStateSet
@@ -35,7 +48,7 @@ def family_to_json(family: SetFamily | ModifiedFamily) -> dict[str, Any]:
         if family.beyond_guarantee:
             meta["beyond_guarantee"] = True
         family = family.family
-    sets = {_label_out(l): [list(t) for t in ts] for l, ts in family.items()}
+    sets = {_label_out(l): ts.members().tolist() for l, ts in family.items()}
     return {"d": _radix_out(family.radix), "n": len(family.radix),
             "sets": sets, "meta": meta}
 
@@ -56,7 +69,8 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily | ModifiedFamily:
 
     Digits must lie inside the declared radix, tuples must have arity n, no
     tuple may repeat inside a set or across sets.  Violations raise
-    FamilyFormatError naming the offending field.
+    FamilyFormatError naming the offending field.  JSON booleans count as
+    the digits 0 and 1, as Python's `isinstance(True, int)` has it.
     """
     if not isinstance(doc, dict):
         raise FamilyFormatError("document must be a JSON object")
@@ -83,35 +97,14 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily | ModifiedFamily:
     raw_sets = doc["sets"]
     if not isinstance(raw_sets, dict) or not raw_sets:
         raise FamilyFormatError("sets: expected a nonempty object")
-    sets: dict[Label, TupleSet] = {}
-    seen: dict[tuple[int, ...], str] = {}
-    for key, rows in raw_sets.items():
-        label = _label_in(key)
-        if not isinstance(rows, list) or not rows:
-            raise FamilyFormatError(f"sets[{key!r}]: expected a nonempty list of tuples")
-        parsed: list[tuple[int, ...]] = []
-        local = set()
-        for i, row in enumerate(rows):
-            where = f"sets[{key!r}][{i}]"
-            if not isinstance(row, list) or len(row) != n:
-                raise FamilyFormatError(f"{where}: expected a list of {n} digits")
-            for p, x in enumerate(row):
-                if not isinstance(x, int) or not 0 <= x < radix[p]:
-                    raise FamilyFormatError(
-                        f"{where}: digit {x!r} out of range at position {p} "
-                        f"(radix {radix[p]})")
-            t = tuple(row)
-            if t in local:
-                raise FamilyFormatError(f"{where}: duplicate tuple {list(t)}")
-            if t in seen:
-                raise FamilyFormatError(
-                    f"{where}: tuple {list(t)} already appears in sets[{seen[t]!r}]")
-            local.add(t)
-            seen[t] = key
-            parsed.append(t)
-        sets[label] = TupleSet.from_tuples(radix, parsed)
-
-    family = SetFamily(radix, sets, check_disjoint=False)
+    sets = {key: _rows_to_set(rows, radix) for key, rows in raw_sets.items()}
+    members = [ts.ranks for ts in sets.values() if ts is not None]
+    # a set the array checks refused, or a tuple in two sets
+    if (len(members) < len(sets)
+            or len(np.unique(np.concatenate(members))) != sum(map(len, members))):
+        _raise_first_fault(raw_sets, radix)
+    family = SetFamily(radix, {_label_in(key): ts for key, ts in sets.items()},
+                       check_disjoint=False)
 
     meta = doc.get("meta") or {}
     if not isinstance(meta, dict):
@@ -128,6 +121,48 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily | ModifiedFamily:
             case=str(meta["case"]), removed=removed,
             beyond_guarantee=bool(meta.get("beyond_guarantee", False)))
     return family
+
+
+def _rows_to_set(rows: Any, radix: tuple[int, ...]) -> TupleSet | None:
+    """One set's rows as a TupleSet, or None unless they are a nonempty list
+    of distinct lists of len(radix) integers inside the radix."""
+    if (not isinstance(rows, list) or not rows
+            or not all(issubclass(t, list) for t in set(map(type, rows)))
+            or not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(rows))))):
+        return None
+    try:
+        ts = TupleSet.from_digits(radix, np.array(rows, dtype=np.int64))
+    except (ValueError, OverflowError):  # ragged rows, digits outside the radix or int64
+        return None
+    return ts if len(ts) == len(rows) else None
+
+
+def _raise_first_fault(raw_sets: dict[str, Any], radix: tuple[int, ...]) -> NoReturn:
+    """Raise FamilyFormatError at the first field, in document order, that
+    breaks the format; run only on sets the array checks refused."""
+    n = len(radix)
+    seen: dict[tuple, str] = {}
+    for key, rows in raw_sets.items():
+        if not isinstance(rows, list) or not rows:
+            raise FamilyFormatError(f"sets[{key!r}]: expected a nonempty list of tuples")
+        for i, row in enumerate(rows):
+            where = f"sets[{key!r}][{i}]"
+            if not isinstance(row, list) or len(row) != n:
+                raise FamilyFormatError(f"{where}: expected a list of {n} digits")
+            for p, x in enumerate(row):
+                if not isinstance(x, int) or not 0 <= x < radix[p]:
+                    raise FamilyFormatError(
+                        f"{where}: digit {x!r} out of range at position {p} "
+                        f"(radix {radix[p]})")
+            t = tuple(row)
+            owner = seen.get(t)
+            if owner == key:
+                raise FamilyFormatError(f"{where}: duplicate tuple {list(t)}")
+            if owner is not None:
+                raise FamilyFormatError(
+                    f"{where}: tuple {list(t)} already appears in sets[{owner!r}]")
+            seen[t] = key
+    raise InternalConsistencyError("array checks refused a family document the row scan accepts")
 
 
 def states_to_json(state_sets: list[PhaseStateSet]) -> list[dict[str, Any]]:
@@ -173,8 +208,44 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
+# A set's rows sit at depth 2 of a family document: each row opens and
+# closes at depth 3 and holds its digits at depth 4.
+_ROW = "\n" + " " * 6
+_DIGIT = "\n" + " " * 8
+
+
+def _rows_text(rows: list[list[int]]) -> str:
+    """`json.dumps(rows, indent=2)` at depth 2, from the compact encoding.
+
+    Exact for nonempty rows of integers, where the compact text has a comma
+    only between two digits or two rows.
+    """
+    if not rows:
+        return "[]"
+    body = (json.dumps(rows, separators=(",", ":"))[2:-2]
+            .replace(",", "," + _DIGIT)
+            .replace("]," + _DIGIT + "[", _ROW + "]," + _ROW + "[" + _DIGIT))
+    return "[" + _ROW + "[" + _DIGIT + body + _ROW + "]\n    ]"
+
+
+def dumps_family(family: SetFamily | ModifiedFamily) -> str:
+    """Canonical text of a family: the bytes of
+    `dumps_canonical(family_to_json(family))`."""
+    doc = family_to_json(family)
+    fields = []
+    for key, value in doc.items():
+        if key == "sets":
+            text = "{\n" + ",\n".join(
+                f"    {json.dumps(label, ensure_ascii=False)}: {_rows_text(rows)}"
+                for label, rows in value.items()) + "\n  }"
+        else:
+            text = json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+        fields.append(f'  "{key}": {text}')
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
 def save_family(family: SetFamily | ModifiedFamily, path: str | Path) -> None:
-    Path(path).write_text(dumps_canonical(family_to_json(family)))
+    Path(path).write_text(dumps_family(family))
 
 
 def load_family(path: str | Path) -> SetFamily | ModifiedFamily:

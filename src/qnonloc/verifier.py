@@ -118,8 +118,10 @@ def classify_block_triviality(family: SetFamily, k: int) -> dict[Label, LabelVer
     class at the common digit.  The final resolved set does not depend on
     label order: each pass only grows it monotonically.
     """
-    table = _label_table(family, k)
-    labels = family.labels
+    return _classify(_label_table(family, k), family.labels)
+
+
+def _classify(table: np.ndarray, labels: list[Label]) -> dict[Label, LabelVerdict]:
     L = len(labels)
     rows, resid = np.nonzero(table >= 0)
     sizes = np.bincount(rows * L + table[rows, resid],
@@ -163,7 +165,11 @@ def check_pair_covering(family: SetFamily, k: int) -> bool:
 
     Residual tuples with the same digit set are one row after deduplication.
     """
-    has = np.ascontiguousarray(_label_table(family, k).T >= 0)
+    return _pair_covering(_label_table(family, k))
+
+
+def _pair_covering(table: np.ndarray) -> bool:
+    has = np.ascontiguousarray(table.T >= 0)
     packed = np.packbits(has, axis=1)
     rows = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
     ext = np.unpackbits(rows.view(np.uint8).reshape(len(rows), -1), axis=1).astype(np.float32)
@@ -177,10 +183,13 @@ def check_connectivity(family: SetFamily, k: int) -> bool:
     largest one there, which keeps the components of the overlap graph; the
     L x L link matrix is then closed by squaring.
     """
-    table = _label_table(family, k)
+    return _connectivity(_label_table(family, k), len(family))
+
+
+def _connectivity(table: np.ndarray, n_labels: int) -> bool:
     hit = table >= 0
     hub = np.broadcast_to(table.max(axis=0), table.shape)
-    link = np.eye(len(family), dtype=np.float32)
+    link = np.eye(n_labels, dtype=np.float32)
     link[table[hit], hub[hit]] = 1.0
     link = np.maximum(link, link.T)
     while True:
@@ -220,7 +229,8 @@ def verify_strongest_nonlocality(family: SetFamily | ModifiedFamily,
     connectivity; with all labels resolved and a global condition failing the
     cut is "nontrivial"; any unresolved label leaves it "inconclusive".
     The party-permutation symmetry of the family is recorded on each report
-    but never gates the verdict.
+    but never gates the verdict.  Each cut's label table is built once and
+    read by all three checks.
     """
     if isinstance(family, ModifiedFamily):
         family = family.family
@@ -240,9 +250,10 @@ def verify_strongest_nonlocality(family: SetFamily | ModifiedFamily,
 
     reports = []
     for k in cuts:
-        conditions = classify_block_triviality(family, k)
-        pair = check_pair_covering(family, k)
-        conn = check_connectivity(family, k)
+        table = _label_table(family, k)
+        conditions = _classify(table, family.labels)
+        pair = _pair_covering(table)
+        conn = _connectivity(table, len(family))
         reports.append(CutReport(
             k=k, conditions=conditions, pair_covering=pair, connectivity=conn,
             overall=_cut_overall(conditions, pair, conn), symmetric=symmetric))

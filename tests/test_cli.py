@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,26 @@ def test_export_idempotent(tmp_path, capsys):
     assert main(["export", str(src), "--out", str(once)]) == 0
     assert main(["export", str(once), "--out", str(twice)]) == 0
     assert once.read_bytes() == twice.read_bytes()
+
+
+# canonical text of modified (4,3) with xi' = 2, as written before the family
+# writer built it from the digit matrices; later writers must keep its bytes
+GOLDEN = Path(__file__).parent / "data" / "modified_4_3_xi2.json"
+
+
+def test_family_files_match_golden_bytes(tmp_path, capsys):
+    golden = GOLDEN.read_bytes()
+    built = tmp_path / "built.json"
+    assert main(["construct", "--d", "4", "--n", "3", "--xi", "2", "--out", str(built)]) == 0
+    assert built.read_bytes() == golden
+    exported = tmp_path / "exported.json"
+    assert main(["export", str(GOLDEN), "--out", str(exported)]) == 0
+    assert exported.read_bytes() == golden
+    capsys.readouterr()
+    assert main(["export", str(GOLDEN)]) == 0
+    assert capsys.readouterr().out.encode() == golden
+    assert main(["construct", "--d", "4", "--n", "3", "--xi", "2"]) == 0
+    assert capsys.readouterr().out.encode().endswith(b"xi'=2\n" + golden)
 
 
 def test_export_normalizes_layout(tmp_path, capsys):

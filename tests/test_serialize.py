@@ -1,6 +1,10 @@
+import copy
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qnonloc as q
 from qnonloc.errors import FamilyFormatError
@@ -142,3 +146,191 @@ def test_oracle_report_trivial_witness_null(bell_family):
     (rep,) = q.oracle_verify(states, cuts=[0])
     doc = q.oracle_report_to_json(rep)
     assert doc["verdict"] == "trivial" and doc["witness"] is None
+
+
+# ---- family files: writer and reader against their per-digit references ----
+
+LABEL_TEXT = st.text(alphabet=st.sampled_from('ab"\\/\n\t\u00e9\u03be\u2028\U0001d4b3 '),
+                     max_size=5)
+
+
+@st.composite
+def families(draw):
+    """Plain or modified families over mixed radices with digits up to 13,
+    under integer labels and string labels with quotes, backslashes and
+    non-ASCII characters; a set may be empty."""
+    radix = tuple(draw(st.lists(st.integers(1, 14), min_size=1, max_size=4)))
+    total = math.prod(radix)
+    labels = draw(st.lists(st.one_of(st.integers(-3, 30), LABEL_TEXT),
+                           min_size=1, max_size=4, unique=True))
+    ranks = draw(st.lists(st.integers(0, total - 1), unique=True, max_size=40))
+    owner = draw(st.lists(st.integers(0, len(labels) - 1),
+                          min_size=len(ranks), max_size=len(ranks)))
+    fam = q.SetFamily(radix, {l: q.TupleSet(radix, [r for r, o in zip(ranks, owner) if o == i])
+                              for i, l in enumerate(labels)})
+    if not draw(st.booleans()):
+        return fam
+    removed = [(l, tuple(draw(st.lists(st.integers(0, 12), min_size=len(radix),
+                                       max_size=len(radix)))))
+               for l in draw(st.lists(st.sampled_from(labels), max_size=3))]
+    return q.ModifiedFamily(family=fam, d=radix[0], n=len(radix),
+                            xi=draw(st.integers(0, 12)), case=draw(LABEL_TEXT),
+                            removed=removed, beyond_guarantee=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(families())
+def test_dumps_family_matches_indented_json(fam):
+    expected = json.dumps(q.family_to_json(fam), indent=2, ensure_ascii=False) + "\n"
+    assert q.dumps_family(fam) == expected
+
+
+def _reference_family_from_json(doc):
+    """The per-digit validation loop that family_from_json replaced."""
+    if not isinstance(doc, dict):
+        raise FamilyFormatError("document must be a JSON object")
+    for key in ("d", "n", "sets"):
+        if key not in doc:
+            raise FamilyFormatError(f"missing required field {key!r}")
+    n = doc["n"]
+    if not isinstance(n, int) or n < 1:
+        raise FamilyFormatError(f"n: expected a positive integer, got {n!r}")
+    d = doc["d"]
+    if isinstance(d, int):
+        if d < 2:
+            raise FamilyFormatError(f"d: expected an integer >= 2, got {d}")
+        radix = (d,) * n
+    elif isinstance(d, list):
+        if len(d) != n:
+            raise FamilyFormatError(f"d: list length {len(d)} does not match n={n}")
+        if not all(isinstance(x, int) and x >= 2 for x in d):
+            raise FamilyFormatError(f"d: every entry must be an integer >= 2, got {d}")
+        radix = tuple(d)
+    else:
+        raise FamilyFormatError(f"d: expected integer or list, got {type(d).__name__}")
+
+    raw_sets = doc["sets"]
+    if not isinstance(raw_sets, dict) or not raw_sets:
+        raise FamilyFormatError("sets: expected a nonempty object")
+    sets = {}
+    seen = {}
+    for key, rows in raw_sets.items():
+        try:
+            label = int(key)
+        except ValueError:
+            label = key
+        if not isinstance(rows, list) or not rows:
+            raise FamilyFormatError(f"sets[{key!r}]: expected a nonempty list of tuples")
+        parsed = []
+        local = set()
+        for i, row in enumerate(rows):
+            where = f"sets[{key!r}][{i}]"
+            if not isinstance(row, list) or len(row) != n:
+                raise FamilyFormatError(f"{where}: expected a list of {n} digits")
+            for p, x in enumerate(row):
+                if not isinstance(x, int) or not 0 <= x < radix[p]:
+                    raise FamilyFormatError(
+                        f"{where}: digit {x!r} out of range at position {p} "
+                        f"(radix {radix[p]})")
+            t = tuple(row)
+            if t in local:
+                raise FamilyFormatError(f"{where}: duplicate tuple {list(t)}")
+            if t in seen:
+                raise FamilyFormatError(
+                    f"{where}: tuple {list(t)} already appears in sets[{seen[t]!r}]")
+            local.add(t)
+            seen[t] = key
+            parsed.append(t)
+        sets[label] = q.TupleSet.from_tuples(radix, parsed)
+    return q.SetFamily(radix, sets, check_disjoint=False)
+
+
+FAULTS = ("none", "ragged", "nested", "not_a_row", "float", "string", "null", "bool",
+          "negative", "out_of_range", "duplicate_within", "duplicate_across", "empty_set")
+
+
+@st.composite
+def faulty_documents(draw, fault):
+    """A valid plain family document with one fault of the given kind at a
+    random set, row and position."""
+    radix = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
+    total = math.prod(radix)
+    n_sets = draw(st.integers(1, min(3, total)))
+    ranks = draw(st.lists(st.integers(0, total - 1), unique=True,
+                          min_size=n_sets, max_size=min(total, 24)))
+    cuts = sorted(draw(st.lists(st.integers(1, len(ranks) - 1), unique=True,
+                                min_size=n_sets - 1, max_size=n_sets - 1))) if n_sets > 1 else []
+    chunks = [ranks[a:b] for a, b in zip([0] + cuts, cuts + [len(ranks)])]
+
+    def digits(r):
+        out = []
+        for d in reversed(radix):
+            r, x = divmod(r, d)
+            out.append(x)
+        return out[::-1]
+
+    keys = draw(st.lists(st.sampled_from(["0", "1", "2", "7", "a", "extra"]),
+                         min_size=n_sets, max_size=n_sets, unique=True))
+    sets = {key: [digits(r) for r in chunk] for key, chunk in zip(keys, chunks)}
+    uniform = len(set(radix)) == 1 and draw(st.booleans())
+    doc = {"d": radix[0] if uniform else radix, "n": len(radix), "sets": sets, "meta": {}}
+
+    key = draw(st.sampled_from(keys))
+    rows = sets[key]
+    i = draw(st.integers(0, len(rows) - 1))
+    p = draw(st.integers(0, len(radix) - 1))
+    x = rows[i][p]
+    if fault == "ragged":
+        rows[i] = rows[i] + [0] if draw(st.booleans()) else rows[i][:-1]
+    elif fault == "nested":
+        rows[i][p] = [x]
+    elif fault == "not_a_row":
+        rows[i] = draw(st.sampled_from([x, None, "row", {"0": x}]))
+    elif fault == "float":
+        rows[i][p] = draw(st.sampled_from([float(x), x + 0.5]))
+    elif fault == "string":
+        rows[i][p] = str(x)
+    elif fault == "null":
+        rows[i][p] = None
+    elif fault == "bool":
+        rows[i][p] = x == 1 if x in (0, 1) else x
+    elif fault == "negative":
+        rows[i][p] = -1 - draw(st.integers(0, 3))
+    elif fault == "out_of_range":
+        rows[i][p] = radix[p] + draw(st.sampled_from([0, 1, 2**40, 2**70]))
+    elif fault == "duplicate_within":
+        rows.insert(i, list(rows[draw(st.integers(0, len(rows) - 1))]))
+    elif fault == "duplicate_across" and len(sets) == 1:
+        sets["copy"] = [list(rows[i])]
+    elif fault == "duplicate_across":
+        other = sets[draw(st.sampled_from([k for k in keys if k != key]))]
+        rows.insert(i, list(other[draw(st.integers(0, len(other) - 1))]))
+    elif fault == "empty_set":
+        sets[key] = []
+    return doc
+
+
+def _outcome(parse, doc):
+    try:
+        return parse(copy.deepcopy(doc))
+    except FamilyFormatError as e:
+        return f"FamilyFormatError: {e}"
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_family_from_json_matches_per_digit_reference(fault, data):
+    doc = data.draw(faulty_documents(fault))
+    assert _outcome(q.family_from_json, doc) == _outcome(_reference_family_from_json, doc)
+
+
+def test_json_booleans_are_digits():
+    doc = {"d": 2, "n": 2, "sets": {"0": [[True, False]], "1": [[0, 1], [1, True]]}}
+    fam = q.family_from_json(doc)
+    assert fam == _reference_family_from_json(doc)
+    assert fam[0].tuples() == [(1, 0)] and fam[1].tuples() == [(0, 1), (1, 1)]
+    doc["sets"]["1"].append([1, 0])
+    with pytest.raises(FamilyFormatError, match=r"sets\['1'\]\[2\]: tuple \[1, 0\] "
+                                                r"already appears in sets\['0'\]"):
+        q.family_from_json(doc)
