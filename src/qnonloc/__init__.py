@@ -5,7 +5,8 @@ modified families obtained by rehoming two constant tuples.  The states layer
 attaches phase states to each set.  Triviality of orthogonality-preserving
 measurements on every all-but-one cut is decided twice: combinatorially
 (verifier) and by an exact oracle (oracle) that counts the classes of
-operator entries left free, with a dense SVD route kept as its cross-check.
+operator entries left free.  The oracle module also keeps a dense SVD
+reference of the same dimension, which tests import from `qnonloc.oracle`.
 Party and cut indices are 0-based throughout.
 """
 
@@ -17,16 +18,13 @@ from .lattice import (EXTRA_LABEL, ModifiedFamily, ReferenceSizes, RowSelection,
                       cyclic_distance, diagonal_home, reference_sizes,
                       select_rows, verify_partition,
                       verify_permutation_invariance, verify_shift_relation)
-from .oracle import (ConstraintSystem, NullspaceResult, OracleReport,
-                     TrivialityVerdict, assemble_constraints, exact_nullspace,
-                     hermitian_nullspace, oracle_overall, oracle_verify,
-                     triviality_verdict)
+from .oracle import OracleReport, exact_nullspace, oracle_overall, oracle_verify
 from .serialize import (cut_report_to_json, dumps_canonical, dumps_family,
                         family_from_json, family_to_json, load_family,
                         oracle_report_to_json, save_family, states_to_json)
 from .states import (Bipartition, GramReport, PhaseStateSet, family_states,
                      genuine_entanglement_check, gram_check, iter_bipartitions,
-                     schmidt_ranks, symbolic_orthogonality)
+                     schmidt_ranks)
 from .tables import SizeTable, all_comparison_tables, comparison_table, diagonal_table
 from .verifier import (BlockCover, Condition, CutReport, LabelVerdict,
                        check_connectivity, check_pair_covering,

@@ -129,7 +129,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc: dict = {
         "family": args.family,
         "cuts": [cut_report_to_json(r) for r in reports],
-        "symmetric": reports[0].symmetric if reports else None,
         "combinatorial_overall": overall_verdict(reports),
     }
 
@@ -156,12 +155,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
                               for l, v in r.conditions.items())
             print(f"cut {r.k}: [{conds}] pair_covering={r.pair_covering} "
                   f"connectivity={r.connectivity} -> {r.overall}")
-        print(f"combinatorial overall: {doc['combinatorial_overall']} "
-              f"(symmetric={doc['symmetric']})")
+        print(f"combinatorial overall: {doc['combinatorial_overall']}")
         if oracle_reports is not None:
             for r in oracle_reports:
-                print(f"cut {r.k}: oracle D={r.D} rows={r.rows} "
-                      f"dim={r.nullspace_dim} -> {r.verdict}")
+                print(f"cut {r.k}: oracle D={r.D} dim={r.nullspace_dim} -> {r.verdict}")
             for msg in disagreements:
                 print(f"DISAGREEMENT: {msg}")
 

@@ -23,22 +23,21 @@ complex solution space has one dimension per class not forced to 0, and
 since it is closed under adjoints this is also the real dimension of its
 Hermitian part.  Everything is integer bookkeeping: there is no tolerance.
 
-The dense route (`assemble_constraints` -> `hermitian_nullspace` ->
-`triviality_verdict`) is an independent cross-check for tests and demos and
-is on no decision path.  It expands Pi over the orthonormal Hermitian basis
-{E_xx} u {(e_xy + e_yx)/sqrt2} u {i(e_yx - e_xy)/sqrt2}, turning each state
-pair into two real-linear rows over D**2 real parameters, with
+The dense route (`ConstraintSystem.iter_row_batches` -> `assemble_constraints`
+-> `hermitian_nullspace`) is a test-only reference for the nullspace
+dimension and decides nothing.  It expands Pi over the orthonormal Hermitian
+basis {E_xx} u {(e_xy + e_yx)/sqrt2} u {i(e_yx - e_xy)/sqrt2}, turning each
+state pair into two real-linear rows over D**2 real parameters, with
 sum_{x,y} M[x,y] Pi[x,y] = 0 and M = A_a^H A_b, where A_a is state a
 reshaped to d_k rows.  Rows are processed in batches and only their row
 space is carried between batches (an SVD-compressed matrix has the same Gram
-matrix, hence the same right singular vectors), so memory stays at O(D**4)
+matrix, hence the same singular values), so memory stays at O(D**4)
 regardless of how many state pairs there are.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -55,73 +54,12 @@ ROW_DROP_TOL = 1e-8
 
 
 @dataclass
-class ConstraintSystem:
-    """Lazily-batched real-linear constraint rows for one cut."""
-
+class OracleReport:
     k: int
-    d_k: int
     D: int
-    radix: tuple[int, ...]
-    A: np.ndarray                      # (n_states, d_k, D)
-    scales: np.ndarray                 # Frobenius norm of each A_a
-
-    @property
-    def n_states(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_params(self) -> int:
-        return self.D * self.D
-
-    @property
-    def pair_count(self) -> int:
-        n = self.n_states
-        return n * (n - 1)
-
-    @property
-    def row_count(self) -> int:
-        return 2 * self.pair_count
-
-    def iter_row_batches(self, batch_pairs: int = 2000,
-                         row_drop_tol: float = ROW_DROP_TOL,
-                         ) -> Iterator[tuple[np.ndarray, float]]:
-        """Yield (normalized row block, max identity residual of the block).
-
-        Rows whose norm falls below row_drop_tol times the pair scale are
-        mathematically zero and dropped; everything else is scaled to unit
-        length.  The identity residual is |row . iota| / ||row|| with iota the
-        unit identity parameter vector, and must vanish for orthogonal input.
-        """
-        D = self.D
-        iu0, iu1 = np.triu_indices(D, 1)
-        diag_idx = np.arange(D)
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        # ordered pair p = (a, b), a != b, in row-major order: a = p // (n-1)
-        # and b skips a, so no batch needs the list of all pairs
-        others = self.n_states - 1
-        for start in range(0, self.pair_count, batch_pairs):
-            p = np.arange(start, min(start + batch_pairs, self.pair_count), dtype=np.int64)
-            ia, j = np.divmod(p, others)
-            ib = j + (j >= ia)
-            M = np.einsum("pki,pkj->pij", self.A[ia].conj(), self.A[ib], optimize=True)
-            diag = M[:, diag_idx, diag_idx]
-            mxy = M[:, iu0, iu1]
-            myx = M[:, iu1, iu0]
-            c_u = (mxy + myx) * inv_sqrt2
-            c_w = 1j * (myx - mxy) * inv_sqrt2
-            c = np.concatenate([diag, c_u, c_w], axis=1)
-            rows = np.empty((2 * len(p), self.n_params), dtype=np.float64)
-            rows[0::2] = c.real
-            rows[1::2] = c.imag
-            # identity component: diag entries sum to tr(M) = <psi_a|psi_b>
-            iota_dot = np.abs(np.repeat(diag.sum(axis=1), 2)) / math.sqrt(D)
-            norms = np.linalg.norm(rows, axis=1)
-            pair_scale = np.repeat(self.scales[ia] * self.scales[ib], 2)
-            keep = norms > row_drop_tol * np.maximum(pair_scale, 1e-300)
-            if not keep.any():
-                continue
-            resid = float((iota_dot[keep] / norms[keep]).max())
-            yield rows[keep] / norms[keep, None], resid
+    nullspace_dim: int
+    verdict: str                       # "trivial" | "nontrivial"
+    witness: np.ndarray | None = None  # Hermitian, traceless, unit Frobenius norm
 
 
 def _cut_shape(state_sets: Sequence[PhaseStateSet], k: int) -> tuple[tuple[int, ...], int, int]:
@@ -168,7 +106,7 @@ def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             lab = jumped
 
 
-def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> TrivialityVerdict:
+def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport:
     """Decide cut k exactly from the entry classes of Pi (module docstring).
 
     Nodes are the D**2 entries of Pi, one zero node, and one class node per
@@ -178,9 +116,10 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> TrivialityVe
     same-digit joins zero.  The dimension is the number of components that
     hold an entry and not the zero node.
 
-    Overlapping supports, a bijection that is no permutation, or a single
-    free class other than the diagonal mean the states are not mutually
-    orthogonal, and raise InternalConsistencyError.
+    Overlapping supports or a single free class other than the diagonal
+    mean the states are not mutually orthogonal, and raise
+    InternalConsistencyError.  Each bijection is a permutation, which
+    `PhaseStateSet` checks once and then keeps read-only.
     """
     state_sets = list(state_sets)
     radix, d_k, D = _cut_shape(state_sets, k)
@@ -188,10 +127,6 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> TrivialityVe
     if len(np.unique(ranks)) != len(ranks):
         raise InternalConsistencyError(
             "supports overlap, so states of different sets are not orthogonal")
-    for ss in state_sets:
-        if not np.array_equal(np.sort(ss.bijection), np.arange(ss.s)):
-            raise InternalConsistencyError(
-                f"bijection of set {ss.label!r} is not a permutation of 0..s-1")
     sizes = np.array([ss.s for ss in state_sets], dtype=np.int64)
     size = np.repeat(sizes, sizes)                      # s of each member's set
     set_id = np.repeat(np.arange(len(sizes)), sizes)
@@ -229,7 +164,7 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> TrivialityVe
             raise InternalConsistencyError(
                 f"{len(classes)}-dimensional solution space is not the identity line; "
                 "input states cannot have been orthogonal")
-        return TrivialityVerdict(status="trivial", dim=1, identity_distance=0.0)
+        return OracleReport(k=k, D=D, nullspace_dim=1, verdict="trivial")
 
     # X + X^T of a free class indicator X solves (the space is closed under
     # adjoints), and so does its traceless part (the identity solves).  Only
@@ -241,8 +176,91 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> TrivialityVe
         W = H - (np.trace(H) / D) * np.eye(D)
         if W.any():
             break
-    return TrivialityVerdict(status="nontrivial", dim=len(classes),
-                             witness=(W / np.linalg.norm(W)).astype(np.complex128))
+    return OracleReport(k=k, D=D, nullspace_dim=len(classes), verdict="nontrivial",
+                        witness=(W / np.linalg.norm(W)).astype(np.complex128))
+
+
+def oracle_verify(state_sets: Sequence[PhaseStateSet],
+                  cuts: list[int] | None = None) -> list[OracleReport]:
+    """Decide triviality of every requested cut by the exact route."""
+    state_sets = list(state_sets)
+    if not state_sets:
+        raise ValueError("need at least one state set")
+    if cuts is None:
+        cuts = list(range(len(state_sets[0].radix)))
+    return [exact_nullspace(state_sets, k) for k in cuts]
+
+
+def oracle_overall(reports: Sequence[OracleReport]) -> str:
+    return "trivial" if all(r.verdict == "trivial" for r in reports) else "nontrivial"
+
+
+# ---- dense reference: the nullspace dimension by batched SVD ---------------
+
+@dataclass
+class ConstraintSystem:
+    """Lazily-batched real-linear constraint rows for one cut."""
+
+    d_k: int
+    D: int
+    A: np.ndarray                      # (n_states, d_k, D)
+    scales: np.ndarray                 # Frobenius norm of each A_a
+
+    @property
+    def n_states(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def n_params(self) -> int:
+        return self.D * self.D
+
+    @property
+    def pair_count(self) -> int:
+        n = self.n_states
+        return n * (n - 1)
+
+    @property
+    def row_count(self) -> int:
+        return 2 * self.pair_count
+
+    def iter_row_batches(self, batch_pairs: int = 2000) -> Iterator[tuple[np.ndarray, float]]:
+        """Yield (normalized row block, max identity residual of the block).
+
+        Rows whose norm falls below ROW_DROP_TOL times the pair scale are
+        mathematically zero and dropped; everything else is scaled to unit
+        length.  The identity residual is |row . iota| / ||row|| with iota the
+        unit identity parameter vector, and must vanish for orthogonal input.
+        """
+        D = self.D
+        iu0, iu1 = np.triu_indices(D, 1)
+        diag_idx = np.arange(D)
+        inv_sqrt2 = 1.0 / math.sqrt(2.0)
+        # ordered pair p = (a, b), a != b, in row-major order: a = p // (n-1)
+        # and b skips a, so no batch needs the list of all pairs
+        others = self.n_states - 1
+        for start in range(0, self.pair_count, batch_pairs):
+            p = np.arange(start, min(start + batch_pairs, self.pair_count), dtype=np.int64)
+            ia, j = np.divmod(p, others)
+            ib = j + (j >= ia)
+            M = np.einsum("pki,pkj->pij", self.A[ia].conj(), self.A[ib], optimize=True)
+            diag = M[:, diag_idx, diag_idx]
+            mxy = M[:, iu0, iu1]
+            myx = M[:, iu1, iu0]
+            c_u = (mxy + myx) * inv_sqrt2
+            c_w = 1j * (myx - mxy) * inv_sqrt2
+            c = np.concatenate([diag, c_u, c_w], axis=1)
+            rows = np.empty((2 * len(p), self.n_params), dtype=np.float64)
+            rows[0::2] = c.real
+            rows[1::2] = c.imag
+            # identity component: diag entries sum to tr(M) = <psi_a|psi_b>
+            iota_dot = np.abs(np.repeat(diag.sum(axis=1), 2)) / math.sqrt(D)
+            norms = np.linalg.norm(rows, axis=1)
+            pair_scale = np.repeat(self.scales[ia] * self.scales[ib], 2)
+            keep = norms > ROW_DROP_TOL * np.maximum(pair_scale, 1e-300)
+            if not keep.any():
+                continue
+            resid = float((iota_dot[keep] / norms[keep]).max())
+            yield rows[keep] / norms[keep, None], resid
 
 
 def assemble_constraints(state_sets: Sequence[PhaseStateSet], k: int) -> ConstraintSystem:
@@ -256,74 +274,32 @@ def assemble_constraints(state_sets: Sequence[PhaseStateSet], k: int) -> Constra
         blocks.append(np.moveaxis(V, k + 1, 1).reshape(ss.s, d_k, D))
     A = np.concatenate(blocks, axis=0)
     scales = np.linalg.norm(A.reshape(A.shape[0], -1), axis=1)
-    return ConstraintSystem(k=k, d_k=d_k, D=D, radix=radix, A=A, scales=scales)
+    return ConstraintSystem(d_k=d_k, D=D, A=A, scales=scales)
 
 
 @dataclass
 class NullspaceResult:
-    D: int
     dim: int
     rank: int
-    basis_params: np.ndarray           # (dim, D**2), orthonormal
-    singular_values: np.ndarray        # normalized to the largest
-    sv_gap: float
-    gap_warning: bool
+    sv_gap: float                      # smallest kept minus largest dropped, normalized
     identity_residual: float
     rows_total: int
     rows_kept: int
 
 
-def params_to_operator(theta: np.ndarray, D: int) -> np.ndarray:
-    """Real parameter vector -> Hermitian D x D matrix."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (D * D,):
-        raise ValueError(f"expected {D * D} parameters, got {theta.shape}")
-    t = D * (D - 1) // 2
-    p, u, w = theta[:D], theta[D:D + t], theta[D + t:]
-    out = np.zeros((D, D), dtype=np.complex128)
-    iu0, iu1 = np.triu_indices(D, 1)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    out[iu0, iu1] = (u - 1j * w) * inv_sqrt2
-    out[iu1, iu0] = (u + 1j * w) * inv_sqrt2
-    out[np.arange(D), np.arange(D)] = p
-    return out
-
-
-def operator_to_params(op: np.ndarray) -> np.ndarray:
-    D = op.shape[0]
-    if op.shape != (D, D):
-        raise ValueError("operator must be square")
-    iu0, iu1 = np.triu_indices(D, 1)
-    sqrt2 = math.sqrt(2.0)
-    p = np.real(np.diag(op))
-    u = np.real(op[iu0, iu1] + op[iu1, iu0]) / sqrt2
-    w = np.real(1j * (op[iu0, iu1] - op[iu1, iu0])) / sqrt2
-    return np.concatenate([p, u, w])
-
-
-def identity_params(D: int) -> np.ndarray:
-    theta = np.zeros(D * D)
-    theta[:D] = 1.0
-    return theta
-
-
-def hermitian_nullspace(system: ConstraintSystem, tol: float = DEFAULT_RANK_TOL,
-                        batch_pairs: int = 2000,
-                        row_drop_tol: float = ROW_DROP_TOL) -> NullspaceResult:
-    """Orthonormal basis of the joint nullspace of all constraint rows.
+def hermitian_nullspace(system: ConstraintSystem, batch_pairs: int = 2000) -> NullspaceResult:
+    """Dimension of the joint nullspace of all constraint rows.
 
     Batches are folded into a running row-space matrix S (at most D**2 rows):
     stacking S on new rows and keeping sigma * V^T preserves the Gram matrix,
-    hence the singular structure of everything seen so far.  Rank is read off
-    the final spectrum at the relative threshold tol; a gap between kept and
-    discarded singular values below 10 * tol raises the warning flag.
+    hence the singular values of everything seen so far.  Rank is read off
+    the final spectrum at the relative threshold DEFAULT_RANK_TOL.
     """
     P = system.n_params
     S = np.empty((0, P))
     identity_residual = 0.0
     rows_kept = 0
-    for rows, resid in system.iter_row_batches(batch_pairs=batch_pairs,
-                                               row_drop_tol=row_drop_tol):
+    for rows, resid in system.iter_row_batches(batch_pairs=batch_pairs):
         identity_residual = max(identity_residual, resid)
         if resid > IDENTITY_FEASIBILITY_TOL:
             raise InternalConsistencyError(
@@ -336,104 +312,15 @@ def hermitian_nullspace(system: ConstraintSystem, tol: float = DEFAULT_RANK_TOL,
         S = sv[nz, None] * vt[nz]
 
     if len(S) == 0:
-        basis = np.eye(P)
-        return NullspaceResult(D=system.D, dim=P, rank=0, basis_params=basis,
-                               singular_values=np.zeros(0), sv_gap=math.inf,
-                               gap_warning=False, identity_residual=identity_residual,
+        return NullspaceResult(dim=P, rank=0, sv_gap=math.inf,
+                               identity_residual=identity_residual,
                                rows_total=system.row_count, rows_kept=0)
 
-    _, sv, vt = np.linalg.svd(S, full_matrices=True)
+    sv = np.linalg.svd(S, compute_uv=False)
     sv_norm = sv / sv[0]
-    rank = int(np.count_nonzero(sv_norm > tol))
-    dim = P - rank
-    kept_min = sv_norm[rank - 1]
+    rank = int(np.count_nonzero(sv_norm > DEFAULT_RANK_TOL))
     disc_max = sv_norm[rank] if rank < len(sv_norm) else 0.0
-    gap = float(kept_min - disc_max)
     return NullspaceResult(
-        D=system.D, dim=dim, rank=rank, basis_params=vt[rank:],
-        singular_values=sv_norm, sv_gap=gap, gap_warning=gap < 10 * tol,
+        dim=P - rank, rank=rank, sv_gap=float(sv_norm[rank - 1] - disc_max),
         identity_residual=identity_residual,
         rows_total=system.row_count, rows_kept=rows_kept)
-
-
-@dataclass(frozen=True)
-class TrivialityVerdict:
-    status: str                        # "trivial" | "nontrivial"
-    dim: int
-    identity_distance: float | None = None
-    witness: np.ndarray | None = None  # Hermitian, traceless, unit Frobenius norm
-
-
-def triviality_verdict(ns: NullspaceResult, tol: float = DEFAULT_RANK_TOL) -> TrivialityVerdict:
-    """Classify the solution space.
-
-    Dimension 0 is impossible for orthogonal input (the identity always
-    solves), and a one-dimensional space can only be the identity line; both
-    violations raise.  Dimension >= 2 always yields a traceless witness
-    because the identity lies inside the space.
-    """
-    D = ns.D
-    if ns.dim == 0:
-        raise InternalConsistencyError(
-            "solution space is empty, yet the identity always solves; "
-            "input states cannot have been orthogonal")
-    if ns.dim == 1:
-        B = params_to_operator(ns.basis_params[0], D)
-        dist = float(np.linalg.norm(B - (np.trace(B) / D) * np.eye(D)))
-        rel = dist / float(np.linalg.norm(B))
-        if rel > tol:
-            raise InternalConsistencyError(
-                f"one-dimensional solution space is not the identity line "
-                f"(relative off-identity {rel:.3e})")
-        return TrivialityVerdict(status="trivial", dim=1, identity_distance=rel)
-
-    best = None
-    best_norm = -1.0
-    for v in ns.basis_params:
-        B = params_to_operator(v, D)
-        W = B - (np.trace(B) / D) * np.eye(D)
-        w_norm = float(np.linalg.norm(W))
-        if w_norm > best_norm:
-            best, best_norm = W, w_norm
-    if best is None or best_norm <= tol:
-        raise InternalConsistencyError(
-            "multi-dimensional solution space collapsed onto the identity line")
-    return TrivialityVerdict(status="nontrivial", dim=ns.dim,
-                             identity_distance=None, witness=best / best_norm)
-
-
-@dataclass
-class OracleReport:
-    k: int
-    D: int
-    rows: int                          # 2 N (N - 1) real constraints for N states
-    nullspace_dim: int
-    verdict: str
-    sv_gap: float | None               # None: the exact route has no spectrum
-    witness: np.ndarray | None = None
-    elapsed: float = 0.0
-
-
-def oracle_verify(state_sets: Sequence[PhaseStateSet],
-                  cuts: list[int] | None = None) -> list[OracleReport]:
-    """Decide triviality of every requested cut by the exact route."""
-    state_sets = list(state_sets)
-    if not state_sets:
-        raise ValueError("need at least one state set")
-    radix = state_sets[0].radix
-    if cuts is None:
-        cuts = list(range(len(radix)))
-    n_states = sum(ss.s for ss in state_sets)
-    reports = []
-    for k in cuts:
-        t0 = time.perf_counter()
-        verdict = exact_nullspace(state_sets, k)
-        reports.append(OracleReport(
-            k=k, D=math.prod(radix) // radix[k], rows=2 * n_states * (n_states - 1),
-            nullspace_dim=verdict.dim, verdict=verdict.status, sv_gap=None,
-            witness=verdict.witness, elapsed=time.perf_counter() - t0))
-    return reports
-
-
-def oracle_overall(reports: Sequence[OracleReport]) -> str:
-    return "trivial" if all(r.verdict == "trivial" for r in reports) else "nontrivial"

@@ -196,11 +196,9 @@ def oracle_report_to_json(report: OracleReport) -> dict[str, Any]:
     return {
         "k": report.k,
         "D": report.D,
-        "rows": report.rows,
         "nullspace_dim": report.nullspace_dim,
         "verdict": report.verdict,
         "witness": _complex_matrix_out(report.witness),
-        "sv_gap": report.sv_gap,
     }
 
 

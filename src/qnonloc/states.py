@@ -8,7 +8,7 @@ orthogonal by the geometric series, and states over disjoint supports are
 orthogonal term by term.
 
 Each set holds its states as one matrix, `dense_all()`; the Gram
-cross-check, the Schmidt ranks and the oracle's dense route all read it.
+cross-check, the Schmidt ranks and the oracle's dense reference all read it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,15 @@ SCHMIDT_TOL = 1e-9   # singular values at or below this times the largest are 0
 
 
 class PhaseStateSet:
-    """The s phase states carried by one support set."""
+    """The s phase states carried by one support set.
+
+    For states k != k' the inner product is sum_j omega**(m*f(j)) with
+    m = k' - k.  With f a bijection onto Z_s the exponent multiset covers each
+    multiple of gcd(m, s) exactly gcd(m, s) times, and the corresponding root
+    sums vanish as full geometric series.  So the states of one set are
+    orthogonal, with no floating point, as soon as f is a permutation of
+    0..s-1.  That is checked once here, and `bijection` is read-only after.
+    """
 
     def __init__(self, support: TupleSet, label: Label | None = None,
                  bijection: Sequence[int] | None = None):
@@ -39,10 +47,15 @@ class PhaseStateSet:
         if bijection is None:
             f = np.arange(s, dtype=np.int64)
         else:
-            f = np.asarray(bijection, dtype=np.int64)
+            f = np.array(bijection, dtype=np.int64)
             if sorted(f.tolist()) != list(range(s)):
                 raise ValueError("bijection must be a permutation of 0..s-1")
-        self.bijection = f
+        f.flags.writeable = False
+        self._bijection = f
+
+    @property
+    def bijection(self) -> np.ndarray:
+        return self._bijection
 
     @property
     def s(self) -> int:
@@ -67,24 +80,10 @@ def family_states(family: SetFamily) -> list[PhaseStateSet]:
     return [PhaseStateSet(ts, label=l) for l, ts in family.items()]
 
 
-def symbolic_orthogonality(state_set: PhaseStateSet) -> bool:
-    """Exact orthogonality within one set, no floating point.
-
-    For states k != k' the inner product is sum_j omega**(m*f(j)) with
-    m = k' - k.  With f a bijection onto Z_s the exponent multiset covers each
-    multiple of gcd(m, s) exactly gcd(m, s) times, and the corresponding root
-    sums vanish as full geometric series.  The count profile therefore holds
-    for every m in 1..s-1 as soon as f is a permutation of 0..s-1, which is
-    all that is checked, in O(s log s).
-    """
-    return bool(np.array_equal(np.sort(state_set.bijection), np.arange(state_set.s)))
-
-
 @dataclass(frozen=True)
 class GramReport:
     ok: bool
     structural_overlap: bool
-    symbolic_ok: bool
     max_offdiag: float | None
     tol: float | None
 
@@ -93,10 +92,11 @@ def gram_check(state_sets: Sequence[PhaseStateSet]) -> GramReport:
     """Mutual orthogonality of every state across the given sets.
 
     Exact path: supports must be pairwise disjoint (cross-set inner products
-    vanish term by term) and each set must pass the symbolic character-sum
-    check.  Overlapping supports are a structural failure, reported before any
-    numerics.  The full Gram matrix of the stacked amplitude matrices is also
-    formed and its off-diagonal maximum compared against GRAM_TOL * max(s).
+    vanish term by term); within a set, orthogonality follows from the
+    bijection being a permutation (`PhaseStateSet`).  Overlapping supports
+    are a structural failure, reported before any numerics.  The full Gram
+    matrix of the stacked amplitude matrices is also formed and its
+    off-diagonal maximum compared against GRAM_TOL * max(s).
     """
     if not state_sets:
         raise ValueError("need at least one state set")
@@ -107,18 +107,15 @@ def gram_check(state_sets: Sequence[PhaseStateSet]) -> GramReport:
     # each support's ranks are distinct, so a repeat is an overlap of two sets
     ranks = np.concatenate([ss.support.ranks for ss in state_sets])
     if len(np.unique(ranks)) != len(ranks):
-        return GramReport(ok=False, structural_overlap=True, symbolic_ok=False,
-                          max_offdiag=None, tol=None)
+        return GramReport(ok=False, structural_overlap=True, max_offdiag=None, tol=None)
 
-    symbolic_ok = all(symbolic_orthogonality(ss) for ss in state_sets)
     V = np.vstack([ss.dense_all() for ss in state_sets])
     gram = V @ V.conj().T
     np.fill_diagonal(gram, 0.0)
     max_off = float(np.abs(gram).max())
     tol = GRAM_TOL * max(ss.s for ss in state_sets)
-    numeric_ok = max_off <= tol
-    return GramReport(ok=symbolic_ok and numeric_ok, structural_overlap=False,
-                      symbolic_ok=symbolic_ok, max_offdiag=max_off, tol=tol)
+    return GramReport(ok=max_off <= tol, structural_overlap=False,
+                      max_offdiag=max_off, tol=tol)
 
 
 @dataclass(frozen=True)

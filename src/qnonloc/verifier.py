@@ -30,7 +30,7 @@ import numpy as np
 
 from . import caps
 from .errors import ResourceLimitError
-from .lattice import Label, ModifiedFamily, SetFamily, split_at, verify_permutation_invariance
+from .lattice import Label, ModifiedFamily, SetFamily, split_at
 
 
 def _label_table(family: SetFamily, k: int) -> np.ndarray:
@@ -208,7 +208,6 @@ class CutReport:
     pair_covering: bool
     connectivity: bool
     overall: str
-    symmetric: bool | None = None
 
     @property
     def all_resolved(self) -> bool:
@@ -228,9 +227,7 @@ def verify_strongest_nonlocality(family: SetFamily | ModifiedFamily,
     "trivial" needs every label resolved plus pair covering plus
     connectivity; with all labels resolved and a global condition failing the
     cut is "nontrivial"; any unresolved label leaves it "inconclusive".
-    The party-permutation symmetry of the family is recorded on each report
-    but never gates the verdict.  Each cut's label table is built once and
-    read by all three checks.
+    Each cut's label table is built once and read by all three checks.
     """
     if isinstance(family, ModifiedFamily):
         family = family.family
@@ -243,11 +240,6 @@ def verify_strongest_nonlocality(family: SetFamily | ModifiedFamily,
         if not 0 <= k < n:
             raise ValueError(f"cut {k} out of range for arity {n}")
 
-    try:
-        symmetric = all(verify_permutation_invariance(ts) for ts in family.sets())
-    except ValueError:
-        symmetric = False
-
     reports = []
     for k in cuts:
         table = _label_table(family, k)
@@ -256,7 +248,7 @@ def verify_strongest_nonlocality(family: SetFamily | ModifiedFamily,
         conn = _connectivity(table, len(family))
         reports.append(CutReport(
             k=k, conditions=conditions, pair_covering=pair, connectivity=conn,
-            overall=_cut_overall(conditions, pair, conn), symmetric=symmetric))
+            overall=_cut_overall(conditions, pair, conn)))
     return reports
 
 

@@ -140,18 +140,18 @@ def test_acceptance_6_orthogonality_and_entanglement():
     for d in range(2, 8):
         for n in range(1, 5):
             for ss in q.family_states(q.build_index_family(d, n)):
-                ok &= q.symbolic_orthogonality(ss)
+                ok &= q.gram_check([ss]).ok
         for n in (3, 4):
             fam = q.build_modified_family(d, n)
             for ss in q.family_states(fam.family):
-                ok &= q.symbolic_orthogonality(ss)
+                ok &= q.gram_check([ss]).ok
 
     # every state of the flagship family is entangled across every cut
     fam = q.build_modified_family(4, 3)
     cuts = list(q.iter_bipartitions(3))
     for ss in q.family_states(fam.family):
         ok &= bool((q.schmidt_ranks(ss, cuts) >= 2).all())
-    _report(6, "orthogonality (symbolic) + genuine entanglement", ok)
+    _report(6, "orthogonality (Gram) + genuine entanglement", ok)
 
 
 def test_acceptance_7_diagonal_home_formula():

@@ -63,9 +63,7 @@ def test_verify_flags_oracle_trivial_on_combinatorial_nontrivial(
     q.save_family(q.SetFamily(radix, sets), path)
 
     def all_trivial(state_sets, cuts, **kwargs):
-        return [q.OracleReport(k=k, D=2, rows=24, nullspace_dim=1, verdict="trivial",
-                               sv_gap=None)
-                for k in cuts]
+        return [q.OracleReport(k=k, D=2, nullspace_dim=1, verdict="trivial") for k in cuts]
 
     monkeypatch.setattr("qnonloc.cli.oracle_verify", all_trivial)
     assert main(["verify", str(path), "--format", "json"]) == 1
@@ -219,3 +217,21 @@ def test_malformed_env_cap_is_an_error(tmp_path, monkeypatch, capsys, raw):
 def test_parser_rejects_bad_xi():
     with pytest.raises(SystemExit):
         main(["construct", "--d", "4", "--n", "3", "--xi", "weird"])
+
+
+def test_verify_json_key_sets(capsys):
+    assert main(["verify", "--format", "json", str(GOLDEN)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"family", "cuts", "combinatorial_overall", "oracle", "agreement"}
+    assert [set(r) for r in doc["oracle"]] == [
+        {"k", "D", "nullspace_dim", "verdict", "witness"}] * 3
+    assert main(["verify", "--combinatorial-only", "--format", "json", str(GOLDEN)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"family", "cuts", "combinatorial_overall"}
+
+
+def test_verify_text_output(capsys):
+    assert main(["verify", str(GOLDEN)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3] == "combinatorial overall: trivial"
+    assert lines[4:] == [f"cut {k}: oracle D=16 dim=1 -> trivial" for k in range(3)]

@@ -133,8 +133,7 @@ def test_oracle_report_json_shape(product_family):
     states = q.family_states(product_family)
     (rep,) = q.oracle_verify(states, cuts=[0])
     doc = q.oracle_report_to_json(rep)
-    assert set(doc) == {"k", "D", "rows", "nullspace_dim",
-                        "verdict", "witness", "sv_gap"}
+    assert set(doc) == {"k", "D", "nullspace_dim", "verdict", "witness"}
     assert doc["verdict"] == "nontrivial"
     w = doc["witness"]
     assert len(w) == 2 and len(w[0]) == 2 and len(w[0][0]) == 2

@@ -34,43 +34,36 @@ def test_norm_squared_is_support_size():
             assert np.allclose(norms**2, ss.s, rtol=1e-12, atol=0)
 
 
-def test_symbolic_orthogonality_all_small_families():
-    for d in range(2, 6):
-        for n in range(1, 4):
-            for ss in q.family_states(q.build_index_family(d, n)):
-                assert q.symbolic_orthogonality(ss)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 24), st.randoms(use_true_random=False))
-def test_symbolic_orthogonality_shuffled_bijection(s, rng):
+def test_shuffled_bijection_states_orthogonal(s, rng):
     support = q.TupleSet.from_tuples((s,), [(i,) for i in range(s)])
     perm = list(range(s))
     rng.shuffle(perm)
     ss = q.PhaseStateSet(support, bijection=perm)
-    assert q.symbolic_orthogonality(ss)
-    rep = q.gram_check([ss])
-    assert rep.ok
+    assert ss.bijection.tolist() == perm
+    assert q.gram_check([ss]).ok
 
 
-def test_symbolic_orthogonality_large_set():
-    fam = q.build_modified_family(4, 7).family
-    ss = q.PhaseStateSet(fam[1], 1)
-    assert ss.s == 4096
-    assert q.symbolic_orthogonality(ss)
-
-
-def test_symbolic_orthogonality_rejects_non_permutation():
-    ss = q.PhaseStateSet(q.TupleSet.from_tuples((4,), [(i,) for i in range(4)]))
-    ss.bijection = np.array([0, 1, 1, 3])
-    assert not q.symbolic_orthogonality(ss)
-    ss.bijection = np.array([0, 1, 2])
-    assert not q.symbolic_orthogonality(ss)
+def test_bijection_is_read_only():
+    perm = np.array([2, 0, 3, 1])
+    ss = q.PhaseStateSet(q.TupleSet.from_tuples((4,), [(i,) for i in range(4)]), bijection=perm)
+    with pytest.raises(AttributeError):
+        ss.bijection = np.array([0, 1, 1, 3])
+    with pytest.raises(ValueError):
+        ss.bijection[1] = 1
+    # the set holds its own copy, so the caller's array stays writable
+    perm[0] = 0
+    assert ss.bijection.tolist() == [2, 0, 3, 1]
+    default = q.PhaseStateSet(q.TupleSet.from_tuples((2,), [(0,), (1,)]))
+    with pytest.raises(ValueError):
+        default.bijection[0] = 1
 
 
 def test_gram_dense_and_symbolic_agree(ex1_family):
+    # each set is orthogonal by its permutation (PhaseStateSet); the dense Gram agrees
     rep = q.gram_check(q.family_states(ex1_family.family))
-    assert rep.ok and rep.symbolic_ok and not rep.structural_overlap
+    assert rep.ok and not rep.structural_overlap
     assert rep.max_offdiag < rep.tol
 
 
@@ -96,6 +89,8 @@ def test_bad_bijection_rejected():
     support = q.TupleSet.from_tuples((2, 2), [(0, 0), (1, 1)])
     with pytest.raises(ValueError):
         q.PhaseStateSet(support, bijection=[0, 0])
+    with pytest.raises(ValueError):
+        q.PhaseStateSet(support, bijection=[0, 1, 2])
 
 
 # ------------------------------------------------------------ bipartitions

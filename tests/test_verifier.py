@@ -242,7 +242,6 @@ def test_verify_example_families(ex1_family, ex2_family, d3_minimal_family):
         reports = q.verify_strongest_nonlocality(fam)
         assert len(reports) == 3
         assert all(r.overall == "trivial" for r in reports)
-        assert all(r.symmetric for r in reports)
         assert q.overall_verdict(reports) == "trivial"
 
 
@@ -252,7 +251,6 @@ def test_verify_product_basis(product_family):
         assert r.all_resolved
         assert r.pair_covering and not r.connectivity
         assert r.overall == "nontrivial"
-        assert r.symmetric is False  # singleton supports are not symmetric
     assert q.overall_verdict(reports) == "nontrivial"
 
 
@@ -276,7 +274,6 @@ def test_verify_mixed_radix_family():
     fam = q.SetFamily(radix, sets)
     reports = q.verify_strongest_nonlocality(fam)
     assert len(reports) == 2
-    assert all(r.symmetric is False for r in reports)
     assert all(r.all_resolved for r in reports)
 
 
