@@ -24,7 +24,7 @@ print("flagship family, all three cuts:")
 for rep in q.oracle_verify(states):
     print(f"  cut {rep.k}: D={rep.D}, nullspace dim={rep.nullspace_dim} -> {rep.verdict}")
 
-print("\ndense reference for cut 0 (batched SVD over the same constraints):")
+print("\ndense reference for cut 0 (complex rank of the same constraints):")
 dense = hermitian_nullspace(assemble_constraints(states, 0))
 print(f"  nullspace dim={dense.dim}, sv gap={dense.sv_gap:.3f}")
 

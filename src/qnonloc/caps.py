@@ -1,6 +1,7 @@
 """Resource caps.
 
-Enumeration cap bounds how many tuples a family materializes; operator cap
+Enumeration cap bounds how many tuples a family materializes, and how many
+entries the oracle's dense reference stacks into its row matrix; operator cap
 bounds the Hermitian unknown count D**2 in the oracle.  The QNONLOC_CAP
 environment variable is the only override, read on every call: a single
 integer sets the enumeration cap, a pair "enum,op" sets both.

@@ -23,16 +23,13 @@ complex solution space has one dimension per class not forced to 0, and
 since it is closed under adjoints this is also the real dimension of its
 Hermitian part.  Everything is integer bookkeeping: there is no tolerance.
 
-The dense route (`ConstraintSystem.iter_row_batches` -> `assemble_constraints`
+The dense route (`assemble_constraints` -> `ConstraintSystem.iter_row_batches`
 -> `hermitian_nullspace`) is a test-only reference for the nullspace
-dimension and decides nothing.  It expands Pi over the orthonormal Hermitian
-basis {E_xx} u {(e_xy + e_yx)/sqrt2} u {i(e_yx - e_xy)/sqrt2}, turning each
-state pair into two real-linear rows over D**2 real parameters, with
-sum_{x,y} M[x,y] Pi[x,y] = 0 and M = A_a^H A_b, where A_a is state a
-reshaped to d_k rows.  Rows are processed in batches and only their row
-space is carried between batches (an SVD-compressed matrix has the same Gram
-matrix, hence the same singular values), so memory stays at O(D**4)
-regardless of how many state pairs there are.
+dimension and decides nothing.  With every state scaled to unit norm and
+reshaped to A_a with d_k rows, each ordered pair a != b gives one complex
+row sum_{x,y} M[x,y] Pi[x,y] = 0 with M = A_a^H A_b.  The dimension is D**2
+minus the complex rank of all rows; by the same adjoint argument it is the
+real dimension of the Hermitian solutions.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ from .states import PhaseStateSet
 
 DEFAULT_RANK_TOL = 1e-9
 IDENTITY_FEASIBILITY_TOL = 1e-12
-ROW_DROP_TOL = 1e-8
 
 
 @dataclass
@@ -195,132 +191,76 @@ def oracle_overall(reports: Sequence[OracleReport]) -> str:
     return "trivial" if all(r.verdict == "trivial" for r in reports) else "nontrivial"
 
 
-# ---- dense reference: the nullspace dimension by batched SVD ---------------
+# ---- dense reference: the nullspace dimension by one complex rank ---------
 
 @dataclass
 class ConstraintSystem:
-    """Lazily-batched real-linear constraint rows for one cut."""
+    """The unit states of one cut with party k in front, and their rows."""
 
-    d_k: int
     D: int
-    A: np.ndarray                      # (n_states, d_k, D)
-    scales: np.ndarray                 # Frobenius norm of each A_a
-
-    @property
-    def n_states(self) -> int:
-        return self.A.shape[0]
+    A: np.ndarray                      # (N, d_k, D), each state of unit norm
 
     @property
     def n_params(self) -> int:
         return self.D * self.D
 
-    @property
-    def pair_count(self) -> int:
-        n = self.n_states
-        return n * (n - 1)
-
-    @property
-    def row_count(self) -> int:
-        return 2 * self.pair_count
-
-    def iter_row_batches(self, batch_pairs: int = 2000) -> Iterator[tuple[np.ndarray, float]]:
-        """Yield (normalized row block, max identity residual of the block).
-
-        Rows whose norm falls below ROW_DROP_TOL times the pair scale are
-        mathematically zero and dropped; everything else is scaled to unit
-        length.  The identity residual is |row . iota| / ||row|| with iota the
-        unit identity parameter vector, and must vanish for orthogonal input.
-        """
-        D = self.D
-        iu0, iu1 = np.triu_indices(D, 1)
-        diag_idx = np.arange(D)
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        # ordered pair p = (a, b), a != b, in row-major order: a = p // (n-1)
-        # and b skips a, so no batch needs the list of all pairs
-        others = self.n_states - 1
-        for start in range(0, self.pair_count, batch_pairs):
-            p = np.arange(start, min(start + batch_pairs, self.pair_count), dtype=np.int64)
-            ia, j = np.divmod(p, others)
-            ib = j + (j >= ia)
-            M = np.einsum("pki,pkj->pij", self.A[ia].conj(), self.A[ib], optimize=True)
-            diag = M[:, diag_idx, diag_idx]
-            mxy = M[:, iu0, iu1]
-            myx = M[:, iu1, iu0]
-            c_u = (mxy + myx) * inv_sqrt2
-            c_w = 1j * (myx - mxy) * inv_sqrt2
-            c = np.concatenate([diag, c_u, c_w], axis=1)
-            rows = np.empty((2 * len(p), self.n_params), dtype=np.float64)
-            rows[0::2] = c.real
-            rows[1::2] = c.imag
-            # identity component: diag entries sum to tr(M) = <psi_a|psi_b>
-            iota_dot = np.abs(np.repeat(diag.sum(axis=1), 2)) / math.sqrt(D)
-            norms = np.linalg.norm(rows, axis=1)
-            pair_scale = np.repeat(self.scales[ia] * self.scales[ib], 2)
-            keep = norms > ROW_DROP_TOL * np.maximum(pair_scale, 1e-300)
-            if not keep.any():
-                continue
-            resid = float((iota_dot[keep] / norms[keep]).max())
-            yield rows[keep] / norms[keep, None], resid
+    def iter_row_batches(self) -> Iterator[np.ndarray]:
+        """For each state a, the rows vec(A_a^H A_b) of every b != a."""
+        N = len(self.A)
+        for a in range(N):
+            M = self.A[a].conj().T @ np.delete(self.A, a, axis=0)
+            yield M.reshape(N - 1, self.n_params)
 
 
 def assemble_constraints(state_sets: Sequence[PhaseStateSet], k: int) -> ConstraintSystem:
-    """Reshape every state with party k in front."""
+    """Reshape every state to unit norm with party k in front."""
     state_sets = list(state_sets)
     radix, d_k, D = _cut_shape(state_sets, k)
 
     blocks = []
     for ss in state_sets:
-        V = ss.dense_all().reshape((ss.s,) + radix)
+        # s unit-modulus amplitudes per state, so the squared norm is s
+        V = (ss.dense_all() / math.sqrt(ss.s)).reshape((ss.s,) + radix)
         blocks.append(np.moveaxis(V, k + 1, 1).reshape(ss.s, d_k, D))
-    A = np.concatenate(blocks, axis=0)
-    scales = np.linalg.norm(A.reshape(A.shape[0], -1), axis=1)
-    return ConstraintSystem(d_k=d_k, D=D, A=A, scales=scales)
+    return ConstraintSystem(D=D, A=np.concatenate(blocks, axis=0))
 
 
 @dataclass
 class NullspaceResult:
     dim: int
-    rank: int
     sv_gap: float                      # smallest kept minus largest dropped, normalized
     identity_residual: float
     rows_total: int
     rows_kept: int
 
 
-def hermitian_nullspace(system: ConstraintSystem, batch_pairs: int = 2000) -> NullspaceResult:
-    """Dimension of the joint nullspace of all constraint rows.
+def hermitian_nullspace(system: ConstraintSystem) -> NullspaceResult:
+    """Dimension of the common solution space of every constraint row.
 
-    Batches are folded into a running row-space matrix S (at most D**2 rows):
-    stacking S on new rows and keeping sigma * V^T preserves the Gram matrix,
-    hence the singular values of everything seen so far.  Rank is read off
-    the final spectrum at the relative threshold DEFAULT_RANK_TOL.
+    The identity must solve each row: its residual is tr(A_a^H A_b) =
+    <a|b>.  The rank is read off the singular values of all N (N - 1) rows
+    at the relative threshold DEFAULT_RANK_TOL; rows that are all zero have
+    rank 0.  The row matrix is held to the enumeration cap.
     """
-    P = system.n_params
-    S = np.empty((0, P))
-    identity_residual = 0.0
-    rows_kept = 0
-    for rows, resid in system.iter_row_batches(batch_pairs=batch_pairs):
-        identity_residual = max(identity_residual, resid)
-        if resid > IDENTITY_FEASIBILITY_TOL:
-            raise InternalConsistencyError(
-                f"identity violates a constraint (residual {resid:.3e}); "
-                "input states are not mutually orthogonal")
-        rows_kept += len(rows)
-        stacked = np.vstack([S, rows])
-        _, sv, vt = np.linalg.svd(stacked, full_matrices=False)
-        nz = sv > (sv[0] * 1e-18 if sv.size and sv[0] > 0 else 0.0)
-        S = sv[nz, None] * vt[nz]
+    N, P = len(system.A), system.n_params
+    limit = caps.enum_cap()
+    if N * (N - 1) * P > limit:
+        raise ResourceLimitError(
+            f"{N * (N - 1)} rows of {P} entries exceed enumeration cap {limit}")
+    rows = np.concatenate(list(system.iter_row_batches()))
+    identity_residual = float(np.abs(rows[:, ::system.D + 1].sum(axis=1)).max(initial=0.0))
+    if identity_residual > IDENTITY_FEASIBILITY_TOL:
+        raise InternalConsistencyError(
+            f"identity violates a constraint (residual {identity_residual:.3e}); "
+            "input states are not mutually orthogonal")
 
-    if len(S) == 0:
-        return NullspaceResult(dim=P, rank=0, sv_gap=math.inf,
-                               identity_residual=identity_residual,
-                               rows_total=system.row_count, rows_kept=0)
-
-    sv = np.linalg.svd(S, compute_uv=False)
-    sv_norm = sv / sv[0]
-    rank = int(np.count_nonzero(sv_norm > DEFAULT_RANK_TOL))
-    disc_max = sv_norm[rank] if rank < len(sv_norm) else 0.0
-    return NullspaceResult(
-        dim=P - rank, rank=rank, sv_gap=float(sv_norm[rank - 1] - disc_max),
-        identity_residual=identity_residual,
-        rows_total=system.row_count, rows_kept=rows_kept)
+    sv = np.linalg.svd(rows, compute_uv=False)
+    if not sv.size or sv[0] == 0.0:
+        rank, sv_gap = 0, math.inf
+    else:
+        sv_norm = sv / sv[0]
+        rank = int(np.count_nonzero(sv_norm > DEFAULT_RANK_TOL))
+        disc_max = sv_norm[rank] if rank < len(sv_norm) else 0.0
+        sv_gap = float(sv_norm[rank - 1] - disc_max)
+    return NullspaceResult(dim=P - rank, sv_gap=sv_gap, identity_residual=identity_residual,
+                           rows_total=len(rows), rows_kept=len(rows))

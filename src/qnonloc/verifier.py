@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from . import caps
-from .errors import ResourceLimitError
+from .errors import InternalConsistencyError, ResourceLimitError
 from .lattice import Label, ModifiedFamily, SetFamily, split_at
 
 
@@ -52,6 +52,9 @@ def _label_table(family: SetFamily, k: int) -> np.ndarray:
     for i, ts in enumerate(family.sets()):
         digit, resid = split_at(ts.ranks, radix, k)
         table[digit, resid] = i
+    # a tuple held by two sets fills one entry twice
+    if np.count_nonzero(table >= 0) != family.total_size():
+        raise InternalConsistencyError("sets overlap, so the family is not a partition")
     return table
 
 

@@ -1,8 +1,9 @@
 """The benchmark's tracer still finds every hook it patches in the package.
 
 `bench/tracing.py` wraps the public functions of each layer and the
-`ConstraintSystem.iter_row_batches` method of `qnonloc.oracle`; removing any
-of these breaks `bench/run.py --trace 1`, so it must come with a benchmark
+`ConstraintSystem.iter_row_batches` method of `qnonloc.oracle`, and reads
+counts off the results of some of them; removing any of these, or a field it
+reads, breaks `bench/run.py --trace 1`, so it must come with a benchmark
 change.  The tracer is loaded from its file, as the benchmark scripts do.
 """
 
@@ -42,3 +43,8 @@ def test_tracer_records_verify_and_oracle_spans():
             "oracle.exact_nullspace", "oracle.iter_row_batches"} <= names
     assert (q.verify_strongest_nonlocality, q.oracle_verify, oracle.oracle_verify,
             oracle.ConstraintSystem.iter_row_batches) == originals
+    # the counts the tracer reads off the dense reference: D = 9, N = 18
+    counts = {s["name"]: s["counts"] for s in tracer.spans}
+    assert counts["oracle.assemble_constraints"] == {"params": 81}
+    assert counts["oracle.hermitian_nullspace"] == {"rows_total": 18 * 17,
+                                                    "rows_kept": 18 * 17}

@@ -13,10 +13,12 @@ from qnonloc.oracle import assemble_constraints, hermitian_nullspace
 def test_assemble_shapes(bell_family):
     states = q.family_states(bell_family)
     sys = assemble_constraints(states, 0)
-    assert sys.d_k == 2 and sys.D == 2
+    assert sys.A.shape == (4, 2, 2) and sys.D == 2
     assert sys.n_params == 4
-    # 4 states -> 12 ordered pairs -> 24 real rows
-    assert sys.pair_count == 12 and sys.row_count == 24
+    assert np.allclose(np.linalg.norm(sys.A, axis=(1, 2)), 1.0)
+    # 4 states -> 12 ordered pairs -> 12 complex rows, 3 for each state
+    batches = list(sys.iter_row_batches())
+    assert [b.shape for b in batches] == [(3, 4)] * 4
 
 
 def test_assemble_rejects_mixed_radix():
@@ -44,7 +46,7 @@ def test_bell_cut_is_trivial(bell_family):
         sys = assemble_constraints(states, k)
         res = hermitian_nullspace(sys)
         assert res.dim == 1
-        assert res.rows_total == 24
+        assert res.rows_total == res.rows_kept == 12
         assert res.identity_residual <= 1e-12
         rep = q.exact_nullspace(states, k)
         assert (rep.nullspace_dim, rep.verdict, rep.witness) == (1, "trivial", None)
@@ -54,9 +56,8 @@ def test_single_state_all_operators_allowed():
     ts = q.TupleSet.from_tuples((2, 2), [(0, 0)])
     states = [q.PhaseStateSet(ts, 0)]
     sys = assemble_constraints(states, 0)
-    assert sys.pair_count == 0
     res = hermitian_nullspace(sys)
-    assert res.rank == 0
+    assert res.rows_total == 0
     assert res.dim == 4  # no constraints at all
 
 
@@ -78,18 +79,19 @@ def test_non_orthogonal_input_rejected():
         hermitian_nullspace(sys)
 
 
-def test_batch_size_independence(d3_minimal_family):
-    states = q.family_states(d3_minimal_family.family)
-    sys = assemble_constraints(states, 1)
-    full = hermitian_nullspace(sys)
-    small = hermitian_nullspace(sys, batch_pairs=7)
-    assert full.dim == small.dim == 1
-    assert np.isclose(full.sv_gap, small.sv_gap, rtol=1e-6)
-    # the batches cut one sequence of rows at different places
-    batches = list(sys.iter_row_batches(batch_pairs=7))
-    (whole,) = sys.iter_row_batches(batch_pairs=2000)
-    assert np.array_equal(np.vstack([rows for rows, _ in batches]), whole[0])
-    assert max(resid for _, resid in batches) == whole[1]
+def test_row_matrix_held_to_enumeration_cap(bell_family, monkeypatch):
+    # 12 rows of 4 entries: 48 fits a cap of 48 and not one of 47
+    sys = assemble_constraints(q.family_states(bell_family), 0)
+    monkeypatch.setenv("QNONLOC_CAP", "48")
+    assert hermitian_nullspace(sys).dim == 1
+
+    def no_rows():
+        raise AssertionError("rows built past the cap")
+
+    monkeypatch.setattr(sys, "iter_row_batches", no_rows)
+    monkeypatch.setenv("QNONLOC_CAP", "47")
+    with pytest.raises(ResourceLimitError):
+        hermitian_nullspace(sys)
 
 
 def test_oracle_verify_example(ex1_family):
@@ -101,9 +103,9 @@ def test_oracle_verify_example(ex1_family):
     assert rep.witness is None
     assert q.oracle_overall(reports) == "trivial"
     # the dense reference finds the same dimension with a clear margin,
-    # from 2 N (N - 1) real rows for the N = 48 states
+    # from N (N - 1) complex rows for the N = 48 states
     dense = hermitian_nullspace(assemble_constraints(states, 0))
-    assert dense.dim == 1 and dense.rows_total == 4512
+    assert dense.dim == 1 and dense.rows_total == 2256
     assert dense.sv_gap > 0.1
 
 
@@ -168,10 +170,8 @@ def _assert_witness(W, states, k, tol=1e-9):
     assert np.abs(W - W.conj().T).max() <= tol
     assert abs(np.trace(W)) <= tol
     assert abs(np.linalg.norm(W) - 1.0) <= tol
-    system = assemble_constraints(states, k)
-    A = system.A
+    A = assemble_constraints(states, k).A
     G = np.einsum("agx,xy,bgy->ab", A.conj(), W, A, optimize=True)
-    G /= np.outer(system.scales, system.scales)
     np.fill_diagonal(G, 0.0)
     assert np.abs(G).max(initial=0.0) <= tol
 
@@ -183,6 +183,7 @@ def _assert_exact_matches_dense(states):
         dense = hermitian_nullspace(system)
         assert (exact.k, exact.D) == (k, system.D)
         assert exact.nullspace_dim == dense.dim, f"cut {k}"
+        assert dense.sv_gap >= 0.1, f"cut {k}"
         assert exact.verdict == ("trivial" if dense.dim == 1 else "nontrivial")
         if exact.nullspace_dim == 1:
             assert exact.witness is None

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qnonloc as q
+from qnonloc.errors import InternalConsistencyError
 from qnonloc.verifier import BlockCover, Condition
 
 
@@ -123,6 +124,21 @@ def test_checks_reject_cut_out_of_range(k):
                   q.check_connectivity):
         with pytest.raises(ValueError, match="out of range"):
             check(fam, k)
+
+
+def test_checks_reject_overlapping_sets():
+    # set 3 repeats set 0, as the oracle and the Gram check would both notice
+    f = q.build_index_family(3, 2)
+    fam = q.SetFamily((3, 3), {0: f[0], 1: f[1], 2: f[2], 3: f[0]}, check_disjoint=False)
+    assert q.gram_check(q.family_states(fam)).structural_overlap
+    with pytest.raises(InternalConsistencyError):
+        q.oracle_verify(q.family_states(fam))
+    for check in (q.classify_block_triviality, q.check_pair_covering,
+                  q.check_connectivity):
+        with pytest.raises(InternalConsistencyError):
+            check(fam, 0)
+    with pytest.raises(InternalConsistencyError):
+        q.verify_strongest_nonlocality(fam)
 
 
 # ------------------------------------------------- plain-Python reference
