@@ -8,27 +8,48 @@ measurements on every all-but-one cut is decided twice: combinatorially
 operator entries left free.  The oracle module also keeps a dense SVD
 reference of the same dimension, which tests import from `qnonloc.oracle`.
 Party and cut indices are 0-based throughout.
+
+Layers load on first use: `import qnonloc` imports none of them, and reading
+an exported name imports its home module (PEP 562).  The names are not
+cached here, so each read returns the home module's current attribute.
 """
 
-from .errors import (FamilyFormatError, InadmissibleXiError,
-                     InternalConsistencyError, QnonlocError, ResourceLimitError)
-from .lattice import (EXTRA_LABEL, ModifiedFamily, ReferenceSizes, RowSelection,
-                      SetFamily, TupleSet, build_index_family,
-                      build_modified_family, choose_xi, construction_size,
-                      cyclic_distance, diagonal_home, reference_sizes,
-                      select_rows, verify_partition,
-                      verify_permutation_invariance, verify_shift_relation)
-from .oracle import OracleReport, exact_nullspace, oracle_overall, oracle_verify
-from .serialize import (cut_report_to_json, dumps_canonical, dumps_family,
-                        family_from_json, family_to_json, load_family,
-                        oracle_report_to_json, save_family, states_to_json)
-from .states import (Bipartition, GramReport, PhaseStateSet, family_states,
-                     genuine_entanglement_check, gram_check, iter_bipartitions,
-                     schmidt_ranks)
-from .tables import SizeTable, all_comparison_tables, comparison_table, diagonal_table
-from .verifier import (BlockCover, Condition, CutReport, LabelVerdict,
-                       check_connectivity, check_pair_covering,
-                       classify_block_triviality, overall_verdict,
-                       verify_strongest_nonlocality)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# home module -> the names it exports
+_EXPORTS = {
+    "errors": ("FamilyFormatError", "InadmissibleXiError", "InternalConsistencyError",
+               "QnonlocError", "ResourceLimitError"),
+    "lattice": ("EXTRA_LABEL", "ModifiedFamily", "ReferenceSizes", "RowSelection",
+                "SetFamily", "TupleSet", "build_index_family", "build_modified_family",
+                "choose_xi", "construction_size", "cyclic_distance", "diagonal_home",
+                "reference_sizes", "select_rows", "verify_partition",
+                "verify_permutation_invariance", "verify_shift_relation"),
+    "oracle": ("OracleReport", "exact_nullspace", "oracle_overall", "oracle_verify"),
+    "serialize": ("cut_report_to_json", "dumps_canonical", "dumps_family",
+                  "family_from_json", "family_to_json", "load_family",
+                  "oracle_report_to_json", "save_family", "states_to_json"),
+    "states": ("Bipartition", "GramReport", "PhaseStateSet", "family_states",
+               "genuine_entanglement_check", "gram_check", "iter_bipartitions",
+               "schmidt_ranks"),
+    "tables": ("SizeTable", "all_comparison_tables", "comparison_table", "diagonal_table"),
+    "verifier": ("BlockCover", "Condition", "CutReport", "LabelVerdict",
+                 "check_connectivity", "check_pair_covering", "classify_block_triviality",
+                 "overall_verdict", "verify_strongest_nonlocality"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

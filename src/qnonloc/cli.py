@@ -8,6 +8,11 @@ the combinatorial conditions are sufficient but not exhaustive.  The oracle
 compares integers, so verify takes no tolerance.  QNONLOC_CAP is checked
 at the start of every run; a malformed value is reported as an error and
 the run exits 2, like any other invalid input.
+
+Layers load on first use: each command imports the layers it runs inside
+its own function.  `construct`, `import` and `export` load only lattice and
+serialize (states too for `construct --states-out`); `verify` adds verifier,
+plus states and oracle unless --combinatorial-only; `tables` adds tables.
 """
 
 from __future__ import annotations
@@ -19,16 +24,10 @@ from pathlib import Path
 
 from . import caps
 from .errors import QnonlocError
-from .lattice import ModifiedFamily
-from .oracle import oracle_verify
+from .lattice import ModifiedFamily, build_modified_family
 from .serialize import (cut_report_to_json, dumps_canonical, dumps_family,
                         load_family, oracle_report_to_json, save_family,
                         states_to_json)
-from .states import family_states
-from .tables import (all_comparison_tables, comparison_to_json,
-                     render_comparison_csv, render_comparison_text,
-                     render_diagonal_csv, render_diagonal_text)
-from .verifier import overall_verdict, verify_strongest_nonlocality
 
 
 def _parse_xi(raw: str) -> int | str:
@@ -87,12 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    from .lattice import build_modified_family
-
     fam = build_modified_family(args.d, args.n, xi=args.xi)
     if args.out:
         save_family(fam, args.out)
     if args.states_out:
+        from .states import family_states
+
         Path(args.states_out).write_text(
             dumps_canonical(states_to_json(family_states(fam.family))))
     summary = {
@@ -121,6 +120,8 @@ def _selected_cuts(cut: str, n: int) -> list[int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verifier import overall_verdict, verify_strongest_nonlocality
+
     fam = load_family(args.family)
     base = fam.family if isinstance(fam, ModifiedFamily) else fam
     cuts = _selected_cuts(args.cut, len(base.radix))
@@ -135,6 +136,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     oracle_reports = None
     disagreements: list[str] = []
     if not args.combinatorial_only:
+        from .oracle import oracle_verify
+        from .states import family_states
+
         state_sets = family_states(base)
         oracle_reports = oracle_verify(state_sets, cuts=cuts)
         doc["oracle"] = [oracle_report_to_json(r) for r in oracle_reports]
@@ -170,6 +174,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    from .tables import (all_comparison_tables, comparison_to_json, diagonal_table,
+                         render_comparison_csv, render_comparison_text,
+                         render_diagonal_csv, render_diagonal_text)
+
     tables = all_comparison_tables()
     out_dir = Path(args.out) if args.out else None
     if out_dir:
@@ -178,7 +186,6 @@ def cmd_tables(args: argparse.Namespace) -> int:
     if args.fmt == "json":
         doc = {"comparison": [comparison_to_json(t) for t in tables]}
         if args.diagonal is not None:
-            from .tables import diagonal_table
             doc["diagonal"] = {"d": args.diagonal,
                                "grid": diagonal_table(args.diagonal).tolist()}
         text = dumps_canonical(doc)

@@ -59,6 +59,25 @@ def _encode(digits: np.ndarray, radix: Sequence[int]) -> np.ndarray:
     return digits.astype(np.int64) @ _weights(radix)
 
 
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-d array, ascending, by one sort.
+
+    Works on any sortable dtype, packed `np.void` rows included.  Unlike
+    numpy's hash-based `unique`, it never imports `numpy.ma`, and input that
+    is already sorted (as every TupleSet's ranks are) sorts fast.
+    """
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+def has_repeat(a: np.ndarray) -> bool:
+    """True iff some entry of a 1-d array occurs twice."""
+    a = np.sort(a)
+    return bool((a[1:] == a[:-1]).any())
+
+
 def split_at(ranks: np.ndarray, radix: Sequence[int], k: int) -> tuple[np.ndarray, np.ndarray]:
     """Split each rank at position k into (digit at k, rank of the other digits).
 
@@ -84,7 +103,7 @@ class TupleSet:
         total = math.prod(self.radix)
         if len(ranks) and (ranks.min() < 0 or ranks.max() >= total):
             raise ValueError("rank out of range for radix")
-        ranks = np.unique(ranks)
+        ranks = sorted_unique(ranks)
         ranks.setflags(write=False)
         self.ranks = ranks
 
@@ -179,7 +198,7 @@ class SetFamily:
         self._sets = ordered
         if check_disjoint:
             cat = np.concatenate([ts.ranks for ts in ordered.values()])
-            if len(np.unique(cat)) != len(cat):
+            if has_repeat(cat):
                 raise ValueError("member sets are not pairwise disjoint")
 
     @property
@@ -257,7 +276,7 @@ def verify_partition(family: SetFamily) -> bool:
     total = math.prod(family.radix)
     if len(cat) != total:
         return False
-    uniq = np.unique(cat)
+    uniq = sorted_unique(cat)
     return len(uniq) == total and uniq[0] == 0 and uniq[-1] == total - 1
 
 

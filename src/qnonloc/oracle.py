@@ -42,7 +42,7 @@ import numpy as np
 
 from . import caps
 from .errors import InternalConsistencyError, ResourceLimitError
-from .lattice import split_at
+from .lattice import has_repeat, sorted_unique, split_at
 from .states import PhaseStateSet
 
 DEFAULT_RANK_TOL = 1e-9
@@ -120,7 +120,7 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport
     state_sets = list(state_sets)
     radix, d_k, D = _cut_shape(state_sets, k)
     ranks = np.concatenate([ss.support.ranks for ss in state_sets])
-    if len(np.unique(ranks)) != len(ranks):
+    if has_repeat(ranks):
         raise InternalConsistencyError(
             "supports overlap, so states of different sets are not orthogonal")
     sizes = np.array([ss.s for ss in state_sets], dtype=np.int64)
@@ -153,7 +153,7 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport
 
     comp = lab[:zero]
     free = comp != lab[zero]
-    classes = np.unique(comp[free])
+    classes = sorted_unique(comp[free])
     if len(classes) < 2:
         if not (len(classes) == 1 and np.array_equal(np.flatnonzero(free),
                                                      np.arange(D) * (D + 1))):

@@ -22,15 +22,17 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-from typing import Any, NoReturn
+from typing import TYPE_CHECKING, Any, NoReturn
 
 import numpy as np
 
 from .errors import FamilyFormatError, InternalConsistencyError
-from .lattice import Label, ModifiedFamily, SetFamily, TupleSet
-from .oracle import OracleReport
-from .states import PhaseStateSet
-from .verifier import CutReport
+from .lattice import Label, ModifiedFamily, SetFamily, TupleSet, has_repeat
+
+if TYPE_CHECKING:  # annotations only: reading and writing families loads none of these
+    from .oracle import OracleReport
+    from .states import PhaseStateSet
+    from .verifier import CutReport
 
 
 def _radix_out(radix: tuple[int, ...]) -> int | list[int]:
@@ -101,7 +103,7 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily | ModifiedFamily:
     members = [ts.ranks for ts in sets.values() if ts is not None]
     # a set the array checks refused, or a tuple in two sets
     if (len(members) < len(sets)
-            or len(np.unique(np.concatenate(members))) != sum(map(len, members))):
+            or has_repeat(np.concatenate(members))):
         _raise_first_fault(raw_sets, radix)
     family = SetFamily(radix, {_label_in(key): ts for key, ts in sets.items()},
                        check_disjoint=False)

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import Label, SetFamily, TupleSet
+from .lattice import Label, SetFamily, TupleSet, has_repeat
 
 GRAM_TOL = 1e-12     # off-diagonal Gram bound, relative to the largest set
 SCHMIDT_TOL = 1e-9   # singular values at or below this times the largest are 0
@@ -107,7 +107,7 @@ def gram_check(state_sets: Sequence[PhaseStateSet]) -> GramReport:
 
     # each support's ranks are distinct, so a repeat is an overlap of two sets
     ranks = np.concatenate([ss.support.ranks for ss in state_sets])
-    if len(np.unique(ranks)) != len(ranks):
+    if has_repeat(ranks):
         return GramReport(ok=False, structural_overlap=True, max_offdiag=None, tol=None)
 
     max_off = 0.0

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import caps
 from .errors import InternalConsistencyError, ResourceLimitError
-from .lattice import Label, ModifiedFamily, SetFamily, split_at
+from .lattice import Label, ModifiedFamily, SetFamily, sorted_unique, split_at
 
 
 def _label_table(family: SetFamily, k: int) -> np.ndarray:
@@ -174,7 +174,7 @@ def check_pair_covering(family: SetFamily, k: int) -> bool:
 def _pair_covering(table: np.ndarray) -> bool:
     has = np.ascontiguousarray(table.T >= 0)
     packed = np.packbits(has, axis=1)
-    rows = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
+    rows = sorted_unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
     ext = np.unpackbits(rows.view(np.uint8).reshape(len(rows), -1), axis=1).astype(np.float32)
     return bool((ext @ ext.T > 0).all())
 

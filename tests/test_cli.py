@@ -65,7 +65,7 @@ def test_verify_flags_oracle_trivial_on_combinatorial_nontrivial(
     def all_trivial(state_sets, cuts, **kwargs):
         return [q.OracleReport(k=k, D=2, nullspace_dim=1, verdict="trivial") for k in cuts]
 
-    monkeypatch.setattr("qnonloc.cli.oracle_verify", all_trivial)
+    monkeypatch.setattr("qnonloc.oracle.oracle_verify", all_trivial)
     assert main(["verify", str(path), "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["agreement"] == [f"cut {k}: combinatorial nontrivial but oracle trivial"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import qnonloc as q
 from qnonloc.errors import InadmissibleXiError, ResourceLimitError
-from qnonloc.lattice import _decode, _encode, split_at
+from qnonloc.lattice import _decode, _encode, has_repeat, sorted_unique, split_at
 
 
 def digit_sum_class(d, n, i):
@@ -41,6 +41,28 @@ def test_tupleset_algebra():
     assert a.difference(a).tuples() == []
     with pytest.raises(ValueError):
         a.difference(q.TupleSet.from_tuples((3, 3), [(0, 0)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-5, 5), max_size=30))
+def test_sort_helpers_match_numpy_unique_on_integers(values):
+    a = np.array(values, dtype=np.int64)
+    uniq = sorted_unique(a)
+    assert uniq.dtype == a.dtype
+    assert np.array_equal(uniq, np.unique(a))
+    assert has_repeat(a) == (len(np.unique(a)) != len(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20), st.lists(st.lists(st.booleans(), min_size=20, max_size=20),
+                                    max_size=12))
+def test_sort_helpers_match_numpy_unique_on_packed_rows(width, rows):
+    # the row view _pair_covering deduplicates: packed bits as one void per row
+    bits = np.array(rows, dtype=bool).reshape(len(rows), 20)[:, :width]
+    packed = np.packbits(bits, axis=1)
+    view = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    assert sorted_unique(view).tolist() == np.unique(view).tolist()
+    assert has_repeat(view) == (len(np.unique(view)) != len(view))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,0 +1,122 @@
+"""The package loads its layers on first use, and each command only its own.
+
+`qnonloc` resolves its exported names through a module `__getattr__`, and
+the `qnonloc` command imports the layers a subcommand runs inside that
+subcommand.  Nothing may import `numpy.ma`, which numpy loads on the first
+call of its hash-based `unique`.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qnonloc as q
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = str(ROOT / "tests" / "data" / "modified_4_3_xi2.json")
+
+# home module -> the names `qnonloc` has always exported from it
+EXPORTS = {
+    "errors": {"FamilyFormatError", "InadmissibleXiError", "InternalConsistencyError",
+               "QnonlocError", "ResourceLimitError"},
+    "lattice": {"EXTRA_LABEL", "ModifiedFamily", "ReferenceSizes", "RowSelection",
+                "SetFamily", "TupleSet", "build_index_family", "build_modified_family",
+                "choose_xi", "construction_size", "cyclic_distance", "diagonal_home",
+                "reference_sizes", "select_rows", "verify_partition",
+                "verify_permutation_invariance", "verify_shift_relation"},
+    "oracle": {"OracleReport", "exact_nullspace", "oracle_overall", "oracle_verify"},
+    "serialize": {"cut_report_to_json", "dumps_canonical", "dumps_family",
+                  "family_from_json", "family_to_json", "load_family",
+                  "oracle_report_to_json", "save_family", "states_to_json"},
+    "states": {"Bipartition", "GramReport", "PhaseStateSet", "family_states",
+               "genuine_entanglement_check", "gram_check", "iter_bipartitions",
+               "schmidt_ranks"},
+    "tables": {"SizeTable", "all_comparison_tables", "comparison_table", "diagonal_table"},
+    "verifier": {"BlockCover", "Condition", "CutReport", "LabelVerdict",
+                 "check_connectivity", "check_pair_covering", "classify_block_triviality",
+                 "overall_verdict", "verify_strongest_nonlocality"},
+}
+
+
+# ------------------------------------------------------------ the package
+
+def test_all_lists_the_exported_names():
+    names = set().union(*EXPORTS.values())
+    assert len(names) == 56
+    assert len(q.__all__) == len(set(q.__all__)) and set(q.__all__) == names
+    assert q.__version__ == "0.1.0"
+    assert names <= set(dir(q))
+
+
+def test_each_name_is_its_home_modules_object():
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"qnonloc.{module}")
+        for name in names:
+            assert getattr(q, name) is getattr(home, name), name
+    # resolved names are not cached, so a patched home attribute shows through
+    assert not set(q.__all__) & set(vars(q))
+
+
+def test_star_import_binds_every_name():
+    ns = {}
+    exec("from qnonloc import *", ns)
+    del ns["__builtins__"]
+    assert set(ns) == set(q.__all__)
+    assert all(ns[name] is getattr(q, name) for name in ns)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        q.no_such_name
+    assert not hasattr(q, "no_such_name")
+
+
+# ---------------------------------------------------- each command's footprint
+
+# runs the command, then writes the qnonloc and numpy.ma modules it loaded
+WRAPPER = """\
+import json, sys
+from qnonloc.cli import main
+out = sys.argv.pop(1)
+code = main(sys.argv[1:])
+with open(out, "w") as f:
+    json.dump([m for m in sys.modules if m.startswith("qnonloc") or m == "numpy.ma"], f)
+sys.exit(code)
+"""
+
+# the layers a command loads only when it runs them
+OPTIONAL = {"oracle", "states", "verifier", "tables"}
+
+# arguments -> the layers among OPTIONAL that the command loads
+COMMANDS = [
+    (["construct", "--d", "4", "--n", "3"], set()),
+    (["construct", "--d", "4", "--n", "3", "--out", "fam.json"], set()),
+    (["construct", "--d", "4", "--n", "3", "--out", "fam.json",
+      "--states-out", "states.json"], {"states"}),
+    (["import", DATA], set()),
+    (["export", DATA, "--out", "fam.json"], set()),
+    (["verify", "--combinatorial-only", "--format", "json", DATA], {"verifier"}),
+    (["verify", "--format", "json", DATA], {"verifier", "states", "oracle"}),
+    (["tables", "--format", "json"], {"tables"}),
+]
+
+
+@pytest.mark.parametrize("argv, layers", COMMANDS,
+                         ids=[" ".join(Path(a).name for a in argv) for argv, _ in COMMANDS])
+def test_command_loads_only_its_layers(tmp_path, argv, layers):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    loaded_path = tmp_path / "modules.json"
+    proc = subprocess.run([sys.executable, "-c", WRAPPER, str(loaded_path), *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(loaded_path.read_text()))
+    assert "numpy.ma" not in loaded
+    assert {m.removeprefix("qnonloc.") for m in loaded} & OPTIONAL == layers
