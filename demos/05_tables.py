@@ -9,14 +9,15 @@ enough the formula is cross-checked by explicit enumeration.
 from qnonloc.tables import (all_comparison_tables, render_comparison_text,
                             render_diagonal_text)
 
-for table in all_comparison_tables():
+tables = all_comparison_tables()
+for table in tables:
     print(render_comparison_text(table))
     checked = [n for n, c in zip(table.n_values, table.enumerated) if c]
     print(f"  enumeration-checked at N = {checked}")
     print(f"  lower bound d**(N-1)+1:   {table.lower_bound}\n")
 
 print("ratio to the reference count at N = 8:")
-for table in all_comparison_tables(check_cap=None):
+for table in tables:
     n_idx = table.n_values.index(8)
     ratio = table.this_work[n_idx] / table.reference[n_idx]
     print(f"  d={table.d}: {ratio:.3f}")

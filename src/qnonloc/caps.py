@@ -1,45 +1,42 @@
-"""Resource caps.
+"""The one resource cap.
 
-Enumeration cap bounds how many tuples a family materializes, and how many
-entries the oracle's dense reference stacks into its row matrix; operator cap
-bounds the Hermitian unknown count D**2 in the oracle.  The QNONLOC_CAP
-environment variable is the only override, read on every call: a single
-integer sets the enumeration cap, a pair "enum,op" sets both.
+Every size check in the package goes through `check`, which raises
+ResourceLimitError before the work it counts is done.  The counts are the
+cube d**n of a family build or a cut's member table, d_k * D**2 for the
+exact oracle on a cut (the slots of its same-digit broadcast),
+N (N - 1) D**2 for the dense reference's row matrix, and the numbers a
+state export (sum of s**2 * n digits) or a verify JSON's witnesses
+(2 * sum of D**2) would write.  The QNONLOC_CAP environment variable, one
+positive integer read on every call, is the only override.
 """
 
 from __future__ import annotations
 
 import os
 
+from .errors import ResourceLimitError
+
 DEFAULT_ENUM_CAP = 10**7
-DEFAULT_OP_CAP = 4096  # D**2 for D = 64
 
 ENV_VAR = "QNONLOC_CAP"
 
 
-def resolve_caps() -> tuple[int, int]:
+def enum_cap() -> int:
     raw = os.environ.get(ENV_VAR)
     if raw is None:
-        return DEFAULT_ENUM_CAP, DEFAULT_OP_CAP
-    parts = [p.strip() for p in raw.split(",")]
+        return DEFAULT_ENUM_CAP
     try:
-        values = [int(p) for p in parts if p]
+        cap = int(raw)
     except ValueError:
-        raise ValueError(f"{ENV_VAR} must be an integer or 'enum,op' pair, got {raw!r}")
-    if len(values) == 1:
-        enum_cap, op_cap = values[0], DEFAULT_OP_CAP
-    elif len(values) == 2:
-        enum_cap, op_cap = values
-    else:
-        raise ValueError(f"{ENV_VAR} accepts at most two integers, got {raw!r}")
-    if enum_cap <= 0 or op_cap <= 0:
-        raise ValueError(f"{ENV_VAR} values must be positive, got {raw!r}")
-    return enum_cap, op_cap
+        cap = 0  # refused below, with the values that are not positive
+    if cap <= 0:
+        raise ValueError(f"{ENV_VAR} must be a positive integer, got {raw!r}")
+    return cap
 
 
-def enum_cap() -> int:
-    return resolve_caps()[0]
-
-
-def op_cap() -> int:
-    return resolve_caps()[1]
+def check(count: int, what: str) -> None:
+    """Raise ResourceLimitError when `count` (of `what`) exceeds the cap."""
+    limit = enum_cap()
+    if count > limit:
+        raise ResourceLimitError(
+            f"{count} {what} exceed enumeration cap {limit} (set {ENV_VAR} to raise it)")

@@ -5,9 +5,10 @@ indices are 0-based everywhere.  The verify exit code is keyed to the
 exact oracle: 0 when every selected cut is trivial, 1 otherwise; with
 --combinatorial-only a completed run exits 0 regardless of verdicts, since
 the combinatorial conditions are sufficient but not exhaustive.  The oracle
-compares integers, so verify takes no tolerance.  QNONLOC_CAP is checked
-at the start of every run; a malformed value is reported as an error and
-the run exits 2, like any other invalid input.
+compares integers, so verify takes no tolerance.  QNONLOC_CAP, the one
+cap (`caps`), is checked at the start of every run; a malformed value, or
+work over the cap (written witnesses and state exports included), is an
+error and the run exits 2, like any other invalid input.
 
 Layers load on first use: each command imports the layers it runs inside
 its own function.  `construct`, `import` and `export` load only lattice and
@@ -87,13 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     fam = build_modified_family(args.d, args.n, xi=args.xi)
-    if args.out:
-        save_family(fam, args.out)
+    states_text = None
     if args.states_out:
         from .states import family_states
 
-        Path(args.states_out).write_text(
-            dumps_canonical(states_to_json(family_states(fam.family))))
+        # before any file is written, so an export over the cap writes none
+        states_text = dumps_canonical(states_to_json(family_states(fam.family)))
+    if args.out:
+        save_family(fam, args.out)
+    if states_text is not None:
+        Path(args.states_out).write_text(states_text)
     summary = {
         "d": fam.d, "n": fam.n, "xi_prime": fam.xi, "case": fam.case,
         "labels": [str(l) for l in fam.labels], "size": fam.total_size(),
@@ -110,28 +114,16 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selected_cuts(cut: str, n: int) -> list[int]:
-    if cut == "all":
-        return list(range(n))
-    k = int(cut)
-    if not 0 <= k < n:
-        raise QnonlocError(f"cut {k} out of range for arity {n}")
-    return [k]
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verifier import overall_verdict, verify_strongest_nonlocality
 
     fam = load_family(args.family)
     base = fam.family if isinstance(fam, ModifiedFamily) else fam
-    cuts = _selected_cuts(args.cut, len(base.radix))
+    # a cut out of range is refused where the cut is laid out
+    cuts = list(range(len(base.radix))) if args.cut == "all" else [int(args.cut)]
 
     reports = verify_strongest_nonlocality(base, cuts=cuts)
-    doc: dict = {
-        "family": args.family,
-        "cuts": [cut_report_to_json(r) for r in reports],
-        "combinatorial_overall": overall_verdict(reports),
-    }
+    comb_overall = overall_verdict(reports)
 
     oracle_reports = None
     disagreements: list[str] = []
@@ -139,27 +131,37 @@ def cmd_verify(args: argparse.Namespace) -> int:
         from .oracle import oracle_verify
         from .states import family_states
 
-        state_sets = family_states(base)
-        oracle_reports = oracle_verify(state_sets, cuts=cuts)
-        doc["oracle"] = [oracle_report_to_json(r) for r in oracle_reports]
+        oracle_reports = oracle_verify(family_states(base), cuts=cuts)
         # both decide when the checker is not inconclusive: they must agree
         for comb, orc in zip(reports, oracle_reports):
             if comb.overall in ("trivial", "nontrivial") and orc.verdict != comb.overall:
                 disagreements.append(
                     f"cut {comb.k}: combinatorial {comb.overall} but oracle {orc.verdict}")
-        doc["agreement"] = disagreements or "consistent"
 
-    if args.out:
-        Path(args.out).write_text(dumps_canonical(doc))
-    if args.fmt == "json":
-        print(dumps_canonical(doc), end="")
-    else:
+    # the JSON report, witnesses included, is built only when it is written
+    if args.out or args.fmt == "json":
+        doc: dict = {
+            "family": args.family,
+            "cuts": [cut_report_to_json(r) for r in reports],
+            "combinatorial_overall": comb_overall,
+        }
+        if oracle_reports is not None:
+            caps.check(2 * sum(r.witness.size for r in oracle_reports if r.witness is not None),
+                       "numbers in the witnesses")
+            doc["oracle"] = [oracle_report_to_json(r) for r in oracle_reports]
+            doc["agreement"] = disagreements or "consistent"
+        text = dumps_canonical(doc)
+        if args.out:
+            Path(args.out).write_text(text)
+        if args.fmt == "json":
+            print(text, end="")
+    if args.fmt == "text":
         for r in reports:
             conds = ", ".join(f"{l}:{v.condition.value}"
                               for l, v in r.conditions.items())
             print(f"cut {r.k}: [{conds}] pair_covering={r.pair_covering} "
                   f"connectivity={r.connectivity} -> {r.overall}")
-        print(f"combinatorial overall: {doc['combinatorial_overall']}")
+        print(f"combinatorial overall: {comb_overall}")
         if oracle_reports is not None:
             for r in oracle_reports:
                 print(f"cut {r.k}: oracle D={r.D} dim={r.nullspace_dim} -> {r.verdict}")
@@ -243,7 +245,7 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        caps.resolve_caps()  # reject a malformed QNONLOC_CAP before any work
+        caps.enum_cap()  # reject a malformed QNONLOC_CAP before any work
         return _DISPATCH[args.command](args)
     except QnonlocError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -6,7 +6,7 @@ class QnonlocError(Exception):
 
 
 class ResourceLimitError(QnonlocError):
-    """Requested enumeration or operator size exceeds the configured cap."""
+    """Requested work exceeds the one cap; raised only by `caps.check`."""
 
 
 class FamilyFormatError(QnonlocError):

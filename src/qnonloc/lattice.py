@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import caps
-from .errors import InadmissibleXiError, InternalConsistencyError, ResourceLimitError
+from .errors import InadmissibleXiError, InternalConsistencyError
 
 EXTRA_LABEL = "extra"
 
@@ -88,6 +88,26 @@ def split_at(ranks: np.ndarray, radix: Sequence[int], k: int) -> tuple[np.ndarra
     low = math.prod(radix[k + 1:])
     high, rest = np.divmod(np.asarray(ranks, dtype=np.int64), low)
     return high % radix[k], high // radix[k] * low + rest
+
+
+def cut_table(radix: tuple[int, ...], sets: Sequence[TupleSet], k: int) -> np.ndarray:
+    """(d_k, D) layout of cut k: entry [g, r] numbers the member (counting
+    through `sets` in order) with digit g at k and rank r for the rest
+    (`split_at`), or is -1 where none sits.  It has an entry per tuple of
+    the cube, which is held to the cap; a tuple in two sets is an
+    InternalConsistencyError."""
+    n = len(radix)
+    if not 0 <= k < n:
+        raise ValueError(f"cut {k} out of range for arity {n}")
+    total = math.prod(radix)
+    caps.check(total, "tuples in the cube")
+    ranks = np.concatenate([ts.ranks for ts in sets])
+    digit, resid = split_at(ranks, radix, k)
+    table = np.full((radix[k], total // radix[k]), -1, dtype=np.int64)
+    table[digit, resid] = np.arange(len(ranks))
+    if np.count_nonzero(table >= 0) != len(ranks):
+        raise InternalConsistencyError("sets overlap: a tuple sits in two of them")
+    return table
 
 
 class TupleSet:
@@ -253,10 +273,7 @@ def build_index_family(d: int, n: int) -> SetFamily:
         raise ValueError("d must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = d**n
-    limit = caps.enum_cap()
-    if total > limit:
-        raise ResourceLimitError(f"{total} tuples exceed enumeration cap {limit}")
+    caps.check(d**n, "tuples in the cube")
 
     level = [np.array([i], dtype=np.int64) for i in range(d)]
     for m in range(2, n + 1):

@@ -13,7 +13,8 @@ invertible, so the constraints reduce to equalities between entries of Pi:
 
 * across sets S != T, <s|E|t> = 0 for every s in S, t in T, so
   Pi[r(s), r(t)] = 0 whenever s and t share their digit at k, where r(s)
-  is the rank of s with position k deleted (`lattice.split_at` gives both);
+  is the rank of s with position k deleted (`lattice.cut_table` lays the
+  members out by both, as it does for the combinatorial checker);
 * within a set, the block B[i, j] = <s_i|E|s_j> must be circulant in the
   bijection order, so entries with the same shift (f_i - f_j) mod s are
   equal, and a shift meeting a pair with different digits at k is 0.
@@ -22,6 +23,8 @@ Connected components of that equality graph are the entry classes; the
 complex solution space has one dimension per class not forced to 0, and
 since it is closed under adjoints this is also the real dimension of its
 Hermitian part.  Everything is integer bookkeeping: there is no tolerance.
+Its work and memory follow the d_k * D**2 slots of the same-digit pair
+broadcast, which is what the one cap (`caps`) bounds on each cut.
 
 The dense route (`assemble_constraints` -> `ConstraintSystem.iter_row_batches`
 -> `hermitian_nullspace`) is a test-only reference for the nullspace
@@ -41,8 +44,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import caps
-from .errors import InternalConsistencyError, ResourceLimitError
-from .lattice import has_repeat, sorted_unique, split_at
+from .errors import InternalConsistencyError
+from .lattice import cut_table, sorted_unique
 from .states import PhaseStateSet
 
 DEFAULT_RANK_TOL = 1e-9
@@ -59,7 +62,7 @@ class OracleReport:
 
 
 def _cut_shape(state_sets: Sequence[PhaseStateSet], k: int) -> tuple[tuple[int, ...], int, int]:
-    """(radix, d_k, D) of cut k, after the input and operator-cap checks."""
+    """(radix, d_k, D) of cut k, after the input checks."""
     if not state_sets:
         raise ValueError("need at least one state set")
     radix = state_sets[0].radix
@@ -70,13 +73,7 @@ def _cut_shape(state_sets: Sequence[PhaseStateSet], k: int) -> tuple[tuple[int, 
         raise ValueError("a cut needs at least two parties")
     if not 0 <= k < n:
         raise ValueError(f"cut {k} out of range for arity {n}")
-    d_k = radix[k]
-    D = math.prod(radix) // d_k
-    limit = caps.op_cap()
-    if D * D > limit:
-        raise ResourceLimitError(
-            f"operator space of {D * D} unknowns exceeds operator cap {limit}")
-    return radix, d_k, D
+    return radix, radix[k], math.prod(radix) // radix[k]
 
 
 def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,32 +109,32 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport
     same-digit joins zero.  The dimension is the number of components that
     hold an entry and not the zero node.
 
-    Overlapping supports or a single free class other than the diagonal
-    mean the states are not mutually orthogonal, and raise
-    InternalConsistencyError.  Each bijection is a permutation, which
-    `PhaseStateSet` checks once and then keeps read-only.
+    The broadcast has d_k * D**2 slots, which are held to the cap before
+    anything is built.  Overlapping supports (`lattice.cut_table`) or a
+    single free class other than the diagonal mean the states are not
+    mutually orthogonal, and raise InternalConsistencyError.  Each bijection
+    is a permutation, which `PhaseStateSet` checks once and then keeps
+    read-only.
     """
     state_sets = list(state_sets)
     radix, d_k, D = _cut_shape(state_sets, k)
-    ranks = np.concatenate([ss.support.ranks for ss in state_sets])
-    if has_repeat(ranks):
-        raise InternalConsistencyError(
-            "supports overlap, so states of different sets are not orthogonal")
+    caps.check(d_k * D * D, "same-digit pair slots")
+    # owner[g, x] is the member with digit g at k and the rest ranked x,
+    # which is row or column x of Pi
+    owner = cut_table(radix, [ss.support for ss in state_sets], k)
     sizes = np.array([ss.s for ss in state_sets], dtype=np.int64)
     size = np.repeat(sizes, sizes)                      # s of each member's set
     set_id = np.repeat(np.arange(len(sizes)), sizes)
     f = np.concatenate([ss.bijection for ss in state_sets])
-    # the digit at k and the rank of the rest, the row or column of Pi
-    digit, resid = split_at(ranks, radix, k)
 
-    # every ordered pair of members with the same digit at k
-    owner = np.full((d_k, D), -1, dtype=np.int64)
-    owner[digit, resid] = np.arange(len(ranks))
-    u = np.broadcast_to(owner[:, :, None], (d_k, D, D))
-    v = np.broadcast_to(owner[:, None, :], (d_k, D, D))
+    # every ordered pair of members with the same digit at k; slot (g, x, y)
+    # meets entry x * D + y of Pi
+    shape = (d_k, D, D)
+    u = np.broadcast_to(owner[:, :, None], shape)
+    v = np.broadcast_to(owner[:, None, :], shape)
     both = (u >= 0) & (v >= 0)
     u, v = u[both], v[both]
-    entry = resid[u] * D + resid[v]
+    entry = np.broadcast_to(np.arange(D * D).reshape(D, D), shape)[both]
     within = set_id[u] == set_id[v]
     first_class = np.cumsum(sizes) - sizes
     cls = first_class[set_id[u]] + (f[u] - f[v]) % size[u]
@@ -240,13 +237,10 @@ def hermitian_nullspace(system: ConstraintSystem) -> NullspaceResult:
     The identity must solve each row: its residual is tr(A_a^H A_b) =
     <a|b>.  The rank is read off the singular values of all N (N - 1) rows
     at the relative threshold DEFAULT_RANK_TOL; rows that are all zero have
-    rank 0.  The row matrix is held to the enumeration cap.
+    rank 0.  The row matrix is held to the cap.
     """
     N, P = len(system.A), system.n_params
-    limit = caps.enum_cap()
-    if N * (N - 1) * P > limit:
-        raise ResourceLimitError(
-            f"{N * (N - 1)} rows of {P} entries exceed enumeration cap {limit}")
+    caps.check(N * (N - 1) * P, "entries in the row matrix")
     rows = np.concatenate(list(system.iter_row_batches()))
     identity_residual = float(np.abs(rows[:, ::system.D + 1].sum(axis=1)).max(initial=0.0))
     if identity_residual > IDENTITY_FEASIBILITY_TOL:

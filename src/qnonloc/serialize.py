@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Any, NoReturn
 
 import numpy as np
 
+from . import caps
 from .errors import FamilyFormatError, InternalConsistencyError
 from .lattice import Label, ModifiedFamily, SetFamily, TupleSet, has_repeat
 
@@ -168,6 +169,9 @@ def _raise_first_fault(raw_sets: dict[str, Any], radix: tuple[int, ...]) -> NoRe
 
 
 def states_to_json(state_sets: list[PhaseStateSet]) -> list[dict[str, Any]]:
+    """One entry per state; each repeats its set's support, so the export
+    holds sum(s**2 * n) digits, which are held to the cap."""
+    caps.check(sum(ss.s**2 * len(ss.radix) for ss in state_sets), "digits in the state export")
     out = []
     for ss in state_sets:
         support = [list(t) for t in ss.support]

@@ -30,8 +30,7 @@ class SizeTable:
     enumerated: tuple[bool, ...]       # True where an explicit build confirmed the formula
 
 
-def comparison_table(d: int, n_values: tuple[int, ...] = DEFAULT_TABLE_N,
-                     check_cap: int | None = TABLES_CHECK_CAP) -> SizeTable:
+def comparison_table(d: int, n_values: tuple[int, ...] = DEFAULT_TABLE_N) -> SizeTable:
     ref, work, low, checked = [], [], [], []
     for n in n_values:
         sizes = reference_sizes(d, n)
@@ -39,7 +38,7 @@ def comparison_table(d: int, n_values: tuple[int, ...] = DEFAULT_TABLE_N,
         low.append(sizes.lower_bound)
         size = construction_size(d, n)
         work.append(size)
-        do_check = check_cap is not None and d**n <= min(check_cap, caps.enum_cap())
+        do_check = d**n <= min(TABLES_CHECK_CAP, caps.enum_cap())
         if do_check:
             built = build_modified_family(d, n)
             if built.total_size() != size:
@@ -53,9 +52,8 @@ def comparison_table(d: int, n_values: tuple[int, ...] = DEFAULT_TABLE_N,
 
 
 def all_comparison_tables(d_values: tuple[int, ...] = DEFAULT_TABLE_D,
-                          n_values: tuple[int, ...] = DEFAULT_TABLE_N,
-                          check_cap: int | None = TABLES_CHECK_CAP) -> list[SizeTable]:
-    return [comparison_table(d, n_values, check_cap) for d in d_values]
+                          n_values: tuple[int, ...] = DEFAULT_TABLE_N) -> list[SizeTable]:
+    return [comparison_table(d, n_values) for d in d_values]
 
 
 def diagonal_table(d: int) -> np.ndarray:

@@ -22,40 +22,21 @@ a connected overlap graph.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from . import caps
-from .errors import InternalConsistencyError, ResourceLimitError
-from .lattice import Label, ModifiedFamily, SetFamily, sorted_unique, split_at
+from .lattice import Label, ModifiedFamily, SetFamily, cut_table, sorted_unique
 
 
 def _label_table(family: SetFamily, k: int) -> np.ndarray:
     """(d_k, D) int32 table: [g, r] is the index of the label holding the
-    tuple with digit g at k and residual r, or -1 where no label does.
-
-    The table has one entry for each tuple of the cube, so the cube is held
-    to the enumeration cap.
-    """
-    radix = family.radix
-    n = len(radix)
-    if not 0 <= k < n:
-        raise ValueError(f"cut {k} out of range for arity {n}")
-    total = math.prod(radix)
-    limit = caps.enum_cap()
-    if total > limit:
-        raise ResourceLimitError(f"cube of {total} tuples exceeds enumeration cap {limit}")
-    table = np.full((radix[k], total // radix[k]), -1, dtype=np.int32)
-    for i, ts in enumerate(family.sets()):
-        digit, resid = split_at(ts.ranks, radix, k)
-        table[digit, resid] = i
-    # a tuple held by two sets fills one entry twice
-    if np.count_nonzero(table >= 0) != family.total_size():
-        raise InternalConsistencyError("sets overlap, so the family is not a partition")
-    return table
+    tuple with digit g at k and residual r, or -1 where no label does."""
+    sizes = [len(ts) for ts in family.sets()]
+    label = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    # an empty entry numbers member -1, which picks the -1 appended last
+    return np.append(label, np.int32(-1))[cut_table(family.radix, family.sets(), k)]
 
 
 @dataclass(frozen=True)
@@ -239,9 +220,6 @@ def verify_strongest_nonlocality(family: SetFamily | ModifiedFamily,
         raise ValueError("verification needs at least two parties")
     if cuts is None:
         cuts = list(range(n))
-    for k in cuts:
-        if not 0 <= k < n:
-            raise ValueError(f"cut {k} out of range for arity {n}")
 
     reports = []
     for k in cuts:

@@ -178,18 +178,52 @@ def test_env_cap_respected(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "cap" in err
 
-    monkeypatch.setenv(caps.ENV_VAR, "100000,16")
     fam_path = tmp_path / "fam.json"
     monkeypatch.delenv(caps.ENV_VAR)
     main(["construct", "--d", "4", "--n", "3", "--out", str(fam_path)])
     capsys.readouterr()
-    monkeypatch.setenv(caps.ENV_VAR, "100000,16")
-    # operator space for d=4, n=3 is 16**2 = 256 > 16: oracle must refuse
+    monkeypatch.setenv(caps.ENV_VAR, "100")
+    # the oracle's d_k * D**2 = 4 * 16**2 = 1024 > 100: it must refuse
     assert main(["verify", str(fam_path)]) == 2
     assert "cap" in capsys.readouterr().err
-    # combinatorial path does not touch the operator cap
+    # the checker's cube of 64 tuples fits
     assert main(["verify", str(fam_path), "--combinatorial-only"]) == 0
     capsys.readouterr()
+
+
+def test_env_cap_bounds_state_export(tmp_path, monkeypatch, capsys):
+    # modified (4,3) exports sum(s**2) * 3 = (15**2 + 16**2 + 15**2 + 2**2) * 3
+    # = 2130 digits; a refused export writes neither file
+    fam_path, states_path = tmp_path / "fam.json", tmp_path / "states.json"
+    argv = ["construct", "--d", "4", "--n", "3", "--out", str(fam_path),
+            "--states-out", str(states_path)]
+    monkeypatch.setenv(caps.ENV_VAR, "2129")
+    assert main(argv) == 2
+    assert "cap" in capsys.readouterr().err
+    assert not fam_path.exists() and not states_path.exists()
+    monkeypatch.setenv(caps.ENV_VAR, "2130")
+    assert main(argv) == 0
+    assert len(json.loads(states_path.read_text())) == 48
+
+
+def test_env_cap_bounds_written_witnesses(tmp_path, monkeypatch, capsys):
+    # a product basis has a 2 x 2 witness on each of its two cuts: 16 numbers,
+    # which bound only a report that is written
+    radix = (2, 2)
+    sets = {i: q.TupleSet.from_tuples(radix, [divmod(i, 2)]) for i in range(4)}
+    path = tmp_path / "prod.json"
+    q.save_family(q.SetFamily(radix, sets), path)
+    monkeypatch.setenv(caps.ENV_VAR, "15")
+    assert main(["verify", str(path)]) == 1
+    assert "oracle D=2 dim=2 -> nontrivial" in capsys.readouterr().out
+    for argv in (["--format", "json"], ["--out", str(tmp_path / "report.json")]):
+        assert main(["verify", str(path), *argv]) == 2
+        assert "cap" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    monkeypatch.setenv(caps.ENV_VAR, "16")
+    assert main(["verify", str(path), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [len(r["witness"]) for r in doc["oracle"]] == [2, 2]
 
 
 def test_env_cap_bounds_tables_enumeration(monkeypatch, capsys):
@@ -201,7 +235,7 @@ def test_env_cap_bounds_tables_enumeration(monkeypatch, capsys):
     assert flags and not any(flags)
 
 
-@pytest.mark.parametrize("raw", ["abc", "5,6,7"])
+@pytest.mark.parametrize("raw", ["abc", "5,6,7", "100000,16"])
 def test_malformed_env_cap_is_an_error(tmp_path, monkeypatch, capsys, raw):
     fam_path = tmp_path / "fam.json"
     main(["construct", "--d", "3", "--n", "3", "--out", str(fam_path)])
@@ -235,3 +269,16 @@ def test_verify_text_output(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[3] == "combinatorial overall: trivial"
     assert lines[4:] == [f"cut {k}: oracle D=16 dim=1 -> trivial" for k in range(3)]
+
+
+@pytest.mark.parametrize("d, n", [(4, 5), (8, 4)])
+def test_verify_decides_past_d64(tmp_path, capsys, d, n):
+    # D = 256 and 512: the exact route needs only d_k * D**2 under the cap
+    fam_path = tmp_path / "fam.json"
+    assert main(["construct", "--d", str(d), "--n", str(n), "--out", str(fam_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--format", "json", str(fam_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["D"] for r in doc["oracle"]] == [d ** (n - 1)] * n
+    assert [r["nullspace_dim"] for r in doc["oracle"]] == [1] * n
+    assert doc["agreement"] == "consistent"

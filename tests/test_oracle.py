@@ -30,14 +30,26 @@ def test_assemble_rejects_mixed_radix():
         assemble_constraints([a], 2)
 
 
-def test_operator_cap_enforced():
-    fam = q.build_modified_family(7, 4)
-    states = q.family_states(fam.family)
-    # environment dimension 7^3 = 343 -> 343^2 parameters > default cap
+def test_exact_route_held_to_cap(bell_family, ex1_family, monkeypatch):
+    # a Bell cut broadcasts d_k * D**2 = 2 * 2**2 = 8 slots
+    states = q.family_states(bell_family)
+    monkeypatch.setenv("QNONLOC_CAP", "8")
+    assert q.exact_nullspace(states, 0).nullspace_dim == 1
+
+    def no_table(*args):
+        raise AssertionError("cut laid out past the cap")
+
+    monkeypatch.setattr("qnonloc.oracle.cut_table", no_table)
+    monkeypatch.setenv("QNONLOC_CAP", "7")
     with pytest.raises(ResourceLimitError):
-        assemble_constraints(states, 0)
+        q.exact_nullspace(states, 0)
+    monkeypatch.undo()
+    # modified (4,3): the checker's cube of 64 fits a cap of 100, the
+    # oracle's 4 * 16**2 = 1024 slots do not
+    monkeypatch.setenv("QNONLOC_CAP", "100")
+    assert [r.overall for r in q.verify_strongest_nonlocality(ex1_family)] == ["trivial"] * 3
     with pytest.raises(ResourceLimitError):
-        q.oracle_verify(states, cuts=[0])
+        q.oracle_verify(q.family_states(ex1_family.family), cuts=[0])
 
 
 def test_bell_cut_is_trivial(bell_family):
@@ -213,6 +225,12 @@ def test_index_3_3_dims_pinned():
     """Lexicographic phase order breaks the party symmetry of the supports."""
     states = q.family_states(q.build_index_family(3, 3))
     assert [rep.nullspace_dim for rep in q.oracle_verify(states)] == [1, 3, 1]
+
+
+def test_index_4_5_dims_past_d64():
+    """D = 256: the exact route needs only its 4 * 256**2 slots under the cap."""
+    states = q.family_states(q.build_index_family(4, 5))
+    assert [rep.nullspace_dim for rep in q.oracle_verify(states)] == [1, 4, 16, 64, 1]
 
 
 def test_exact_route_rejects_non_orthogonal_input():

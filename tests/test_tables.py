@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from qnonloc import tables
 from qnonloc.tables import (all_comparison_tables, comparison_table,
                             comparison_to_json, diagonal_table,
                             render_comparison_csv, render_comparison_text,
@@ -41,18 +40,15 @@ def test_enumerated_flags():
     table7 = comparison_table(7)
     # 7^n <= 10^5 only for n <= 5
     assert table7.enumerated == (True, True, True, False, False, False)
-    unchecked = comparison_table(4, check_cap=None)
-    assert unchecked.enumerated == (False,) * 6
-    assert unchecked.this_work == FROZEN_THIS_WORK[4]
 
 
 def test_all_comparison_tables():
-    got = all_comparison_tables(check_cap=None)
+    got = all_comparison_tables()
     assert [t.d for t in got] == [4, 5, 6, 7]
 
 
 def test_exact_csv_d4():
-    table = comparison_table(4, check_cap=None)
+    table = comparison_table(4)
     expected = (
         "d=4,N=3,N=4,N=5,N=6,N=7,N=8\n"
         "Ref.,38,176,782,3368,14198,58976\n"
@@ -62,7 +58,7 @@ def test_exact_csv_d4():
 
 
 def test_text_render_alignment():
-    out = render_comparison_text(comparison_table(5, check_cap=None))
+    out = render_comparison_text(comparison_table(5))
     lines = out.splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("d=5") or lines[0].lstrip().startswith("d=5")
@@ -70,7 +66,7 @@ def test_text_render_alignment():
 
 
 def test_json_render_round_trips():
-    doc = comparison_to_json(comparison_table(6, check_cap=None))
+    doc = comparison_to_json(comparison_table(6))
     text = json.dumps(doc)
     back = json.loads(text)
     assert back["d"] == 6
@@ -113,7 +109,7 @@ def test_diagonal_rejects_small_d():
 
 def test_enumeration_cross_check_runs():
     # d=3 is below the guaranteed dimension range but still enumerates
-    table = comparison_table(3, n_values=(3, 4), check_cap=10**5)
+    table = comparison_table(3, n_values=(3, 4))
     assert table.enumerated == (True, True)
     assert table.this_work == (18, 54)
 
@@ -121,5 +117,5 @@ def test_enumeration_cross_check_runs():
 def test_tables_fast():
     import time
     t0 = time.perf_counter()
-    all_comparison_tables(check_cap=tables.TABLES_CHECK_CAP)
+    all_comparison_tables()
     assert time.perf_counter() - t0 < 1.0
