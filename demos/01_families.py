@@ -19,13 +19,12 @@ for label in fam.labels:
     print(f"  set {label}: {len(members)} tuples, digit sums mod {d} = {digit_sums}")
     print(f"    first three: {members[:3]}")
 
-print("\npartition of the full cube:", q.verify_partition(fam))
-print("each set permutation-invariant:",
-      all(q.verify_permutation_invariance(fam[i]) for i in range(d)))
-
-prev = q.build_index_family(d, n - 1)
-print("one-level recursion (with all cyclic label shifts):",
-      q.verify_shift_relation(fam, prev))
+# set t is exactly the tuples with digit sum t mod d, which makes the sets a
+# partition of the cube, each invariant under permuting the positions
+ranks = np.sort(np.concatenate([fam[t].ranks for t in fam.labels]))
+print("\nsets cover the cube once:", np.array_equal(ranks, np.arange(d**n)))
+print("set t = digit sums t mod d:",
+      all((fam[t].members().sum(axis=1) % d == t).all() for t in fam.labels))
 
 print("\nwhere does the constant tuple (xi,)*n live?")
 print("rows = n mod d, columns = xi, entry = set label")

@@ -3,10 +3,11 @@
 A support set of size s yields s states: member j of state k carries the
 phase exp(2 pi i k f(j) / s).  Orthogonality within a set is a root-of-unity
 cancellation that holds as soon as f is a permutation, which PhaseStateSet
-checks when it is built; the Gram matrix confirms it numerically.
+checks when it is built, and across sets it holds because the supports are
+disjoint.  Genuine entanglement is decided from the supports too: a state
+set fails only if, across some split of the parties, a support is a product
+set S_A x S_B.
 """
-
-import numpy as np
 
 import qnonloc as q
 
@@ -18,20 +19,19 @@ print(f"labels: {fam.labels}, total support size {fam.total_size()}")
 state_sets = q.family_states(fam.family)
 print("\nper-set state counts:")
 for ss in state_sets:
-    print(f"  set {ss.label!r}: {ss.s} states on {len(ss.support)} tuples, "
-          f"Gram ok: {q.gram_check([ss]).ok}")
+    print(f"  set {ss.label!r}: {ss.s} states on {len(ss.support)} tuples")
 
 report = q.gram_check(state_sets)
-print(f"\nGram check of the whole family: ok={report.ok}, "
-      f"max off-diagonal {report.max_offdiag:.2e}")
+print(f"\northogonality of the whole family: ok={report.ok}, "
+      f"overlapping supports: {report.structural_overlap}")
 
-print("\nevery state is entangled across every bipartition:")
-cuts = q.iter_bipartitions(3)
-ranks = np.vstack([q.schmidt_ranks(ss, cuts) for ss in state_sets])
-print(f"  {ranks.shape[0]} states x {ranks.shape[1]} cuts, "
-      f"Schmidt ranks range [{ranks.min()}, {ranks.max()}]")
-assert ranks.min() >= 2
+n = len(fam.family.radix)
+entangled = q.genuine_entanglement_check(state_sets)
+print(f"\ngenuinely entangled: {entangled} "
+      f"({len(state_sets)} sets x {2 ** (n - 1) - 1} splits of {n} parties, "
+      "no support a product set)")
+assert entangled
 
-print("\ncontrast: a product state has rank 1 on its separating cut")
-single = q.PhaseStateSet(q.TupleSet.from_tuples((2, 2), [(0, 1)]), "p")
-print("  rank:", q.schmidt_ranks(single, [q.Bipartition((0,), 2)])[0, 0])
+print("\ncontrast: a product support {0,1} x {0,1} on the split 0|1")
+product = q.TupleSet.from_tuples((2, 2), [(0, 0), (0, 1), (1, 0), (1, 1)])
+print("  genuinely entangled:", q.genuine_entanglement_check([q.PhaseStateSet(product)]))

@@ -2,12 +2,14 @@
 
 The lattice layer builds recursive circulant set families over Z_d**N and the
 modified families obtained by rehoming two constant tuples.  The states layer
-attaches phase states to each set.  Triviality of orthogonality-preserving
-measurements on every all-but-one cut is decided twice: combinatorially
-(verifier) and by an exact oracle (oracle) that counts the classes of
-operator entries left free.  The oracle module also keeps a dense SVD
-reference of the same dimension, which tests import from `qnonloc.oracle`.
-Party and cut indices are 0-based throughout.
+attaches phase states to each set and decides, from the supports alone,
+whether they are mutually orthogonal and genuinely entangled.  Triviality of
+orthogonality-preserving measurements on every all-but-one cut is decided
+twice: combinatorially (verifier) and by an exact oracle (oracle) that counts
+the classes of operator entries left free.  The oracle module also keeps a
+dense SVD reference of the same dimension, which tests import from
+`qnonloc.oracle`; no other module calls `numpy.linalg`.  Party and cut
+indices are 0-based throughout.
 
 Layers load on first use: `import qnonloc` imports none of them, and reading
 an exported name imports its home module (PEP 562).  The names are not
@@ -25,15 +27,13 @@ _EXPORTS = {
     "lattice": ("EXTRA_LABEL", "ModifiedFamily", "ReferenceSizes", "RowSelection",
                 "SetFamily", "TupleSet", "build_index_family", "build_modified_family",
                 "choose_xi", "construction_size", "cyclic_distance", "diagonal_home",
-                "reference_sizes", "select_rows", "verify_partition",
-                "verify_permutation_invariance", "verify_shift_relation"),
+                "reference_sizes", "select_rows"),
     "oracle": ("OracleReport", "exact_nullspace", "oracle_overall", "oracle_verify"),
     "serialize": ("cut_report_to_json", "dumps_canonical", "dumps_family",
                   "family_from_json", "family_to_json", "load_family",
                   "oracle_report_to_json", "save_family", "states_to_json"),
-    "states": ("Bipartition", "GramReport", "PhaseStateSet", "family_states",
-               "genuine_entanglement_check", "gram_check", "iter_bipartitions",
-               "schmidt_ranks"),
+    "states": ("GramReport", "PhaseStateSet", "family_states",
+               "genuine_entanglement_check", "gram_check"),
     "tables": ("SizeTable", "all_comparison_tables", "comparison_table", "diagonal_table"),
     "verifier": ("BlockCover", "Condition", "CutReport", "LabelVerdict",
                  "check_connectivity", "check_pair_covering", "classify_block_triviality",

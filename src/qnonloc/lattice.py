@@ -267,7 +267,9 @@ def build_index_family(d: int, n: int) -> SetFamily:
     """The d sets of n-digit tuples generated by the circulant recursion.
 
     Level 1 puts digit i in set i; level n prepends digit (i - j) mod d to every
-    level n-1 tuple of set j.  The result partitions the full cube Z_d**n.
+    level n-1 tuple of set j.  The result partitions the full cube Z_d**n:
+    set i holds exactly the tuples whose digit sum is i mod d, so each set is
+    invariant under every permutation of the positions.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -285,63 +287,6 @@ def build_index_family(d: int, n: int) -> SetFamily:
     radix = (d,) * n
     return SetFamily(radix, {i: TupleSet(radix, level[i]) for i in range(d)},
                      check_disjoint=False)
-
-
-def verify_partition(family: SetFamily) -> bool:
-    """True iff the member sets are pairwise disjoint and cover the full cube."""
-    cat = np.concatenate([ts.ranks for ts in family.sets()])
-    total = math.prod(family.radix)
-    if len(cat) != total:
-        return False
-    uniq = sorted_unique(cat)
-    return len(uniq) == total and uniq[0] == 0 and uniq[-1] == total - 1
-
-
-def verify_permutation_invariance(tset: TupleSet) -> bool:
-    """True iff the set is invariant under every transposition of positions.
-
-    Adjacent transpositions generate the full symmetric group, so only those
-    are checked.  Requires a uniform radix.
-    """
-    radix = tset.radix
-    if len(set(radix)) != 1:
-        raise ValueError("permutation invariance needs a uniform radix")
-    n = len(radix)
-    if n == 1 or len(tset) == 0:
-        return True
-    digits = tset.members()
-    for p in range(n - 1):
-        swapped = digits.copy()
-        swapped[:, [p, p + 1]] = swapped[:, [p + 1, p]]
-        ranks = np.sort(_encode(swapped, radix))
-        if not np.array_equal(ranks, tset.ranks):
-            return False
-    return True
-
-
-def verify_shift_relation(fam_n: SetFamily, fam_n1: SetFamily) -> bool:
-    """Check the one-level recursion between families of arity n and n-1.
-
-    Set i at arity n must equal the union over j of {(i - j) mod d} x (set j at
-    arity n-1), and the same must hold after cyclically shifting both label
-    vectors by any amount.
-    """
-    radix_n, radix_n1 = fam_n.radix, fam_n1.radix
-    if len(set(radix_n)) != 1 or len(set(radix_n1)) != 1 or radix_n[0] != radix_n1[0]:
-        raise ValueError("both families must share one uniform radix")
-    d = radix_n[0]
-    if len(radix_n) != len(radix_n1) + 1:
-        raise ValueError("arities must differ by exactly one")
-    if fam_n.labels != list(range(d)) or fam_n1.labels != list(range(d)):
-        raise ValueError("families must carry labels 0..d-1")
-    block = d ** len(radix_n1)
-    for shift in range(d):
-        for i in range(d):
-            parts = [((i - j) % d) * block + fam_n1[(j - shift) % d].ranks for j in range(d)]
-            built = np.sort(np.concatenate(parts))
-            if not np.array_equal(built, fam_n[(i - shift) % d].ranks):
-                return False
-    return True
 
 
 # ====================================================================

@@ -46,7 +46,7 @@ import numpy as np
 from . import caps
 from .errors import InternalConsistencyError
 from .lattice import cut_table, sorted_unique
-from .states import PhaseStateSet
+from .states import PhaseStateSet, shared_radix
 
 DEFAULT_RANK_TOL = 1e-9
 IDENTITY_FEASIBILITY_TOL = 1e-12
@@ -63,11 +63,7 @@ class OracleReport:
 
 def _cut_shape(state_sets: Sequence[PhaseStateSet], k: int) -> tuple[tuple[int, ...], int, int]:
     """(radix, d_k, D) of cut k, after the input checks."""
-    if not state_sets:
-        raise ValueError("need at least one state set")
-    radix = state_sets[0].radix
-    if any(ss.radix != radix for ss in state_sets):
-        raise ValueError("state sets must share one radix")
+    radix = shared_radix(state_sets)
     n = len(radix)
     if n < 2:
         raise ValueError("a cut needs at least two parties")
@@ -177,10 +173,9 @@ def oracle_verify(state_sets: Sequence[PhaseStateSet],
                   cuts: list[int] | None = None) -> list[OracleReport]:
     """Decide triviality of every requested cut by the exact route."""
     state_sets = list(state_sets)
-    if not state_sets:
-        raise ValueError("need at least one state set")
+    radix = shared_radix(state_sets)
     if cuts is None:
-        cuts = list(range(len(state_sets[0].radix)))
+        cuts = list(range(len(radix)))
     return [exact_nullspace(state_sets, k) for k in cuts]
 
 

@@ -7,8 +7,11 @@ bijection.  Squared norm is exactly s; states of one support are mutually
 orthogonal by the geometric series, and states over disjoint supports are
 orthogonal term by term.
 
-Each set holds its states as one matrix, `dense_all()`; the Gram
-cross-check, the Schmidt ranks and the oracle's dense reference all read it.
+Both questions asked of the states are decided from the supports, with no
+floating point: orthogonality (`gram_check`) from disjointness and the
+permutation check, genuine entanglement (`genuine_entanglement_check`) by
+the product-set test.  `dense_all()` holds a set's states as one matrix; only
+the oracle's dense reference and the tests read it.
 """
 
 from __future__ import annotations
@@ -20,10 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import Label, SetFamily, TupleSet, has_repeat
-
-GRAM_TOL = 1e-12     # off-diagonal Gram bound, relative to the largest set
-SCHMIDT_TOL = 1e-9   # singular values at or below this times the largest are 0
+from .lattice import Label, SetFamily, TupleSet, _encode, has_repeat, sorted_unique
 
 
 class PhaseStateSet:
@@ -80,111 +80,72 @@ def family_states(family: SetFamily) -> list[PhaseStateSet]:
     return [PhaseStateSet(ts, label=l) for l, ts in family.items()]
 
 
-@dataclass(frozen=True)
-class GramReport:
-    ok: bool
-    structural_overlap: bool
-    max_offdiag: float | None
-    tol: float | None
-
-
-def gram_check(state_sets: Sequence[PhaseStateSet]) -> GramReport:
-    """Mutual orthogonality of every state across the given sets.
-
-    Exact path: supports must be pairwise disjoint (cross-set inner products
-    vanish term by term); within a set, orthogonality follows from the
-    bijection being a permutation (`PhaseStateSet`).  Overlapping supports
-    are a structural failure, reported before any numerics.  Past that the
-    cross-set blocks of the Gram matrix are exact zeros, so only each set's
-    own Gram is formed, and the largest off-diagonal entry over all of them
-    is compared against GRAM_TOL * max(s).
-    """
+def shared_radix(state_sets: Sequence[PhaseStateSet]) -> tuple[int, ...]:
+    """The one radix of the given state sets; none, or two radices, is a ValueError."""
     if not state_sets:
         raise ValueError("need at least one state set")
     radix = state_sets[0].radix
     if any(ss.radix != radix for ss in state_sets):
         raise ValueError("state sets must share one radix")
-
-    # each support's ranks are distinct, so a repeat is an overlap of two sets
-    ranks = np.concatenate([ss.support.ranks for ss in state_sets])
-    if has_repeat(ranks):
-        return GramReport(ok=False, structural_overlap=True, max_offdiag=None, tol=None)
-
-    max_off = 0.0
-    for ss in state_sets:
-        V = ss.dense_all()
-        gram = V @ V.conj().T
-        np.fill_diagonal(gram, 0.0)
-        max_off = max(max_off, float(np.abs(gram).max()))
-    tol = GRAM_TOL * max(ss.s for ss in state_sets)
-    return GramReport(ok=max_off <= tol, structural_overlap=False,
-                      max_offdiag=max_off, tol=tol)
+    return radix
 
 
 @dataclass(frozen=True)
-class Bipartition:
-    """Split of parties {0..n-1} into two nonempty groups."""
-
-    left: frozenset[int]
-    n_parties: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "left", frozenset(self.left))
-        if not self.left or not all(0 <= p < self.n_parties for p in self.left):
-            raise ValueError("left side must be a nonempty subset of the parties")
-        if len(self.left) >= self.n_parties:
-            raise ValueError("right side must be nonempty")
-
-    @property
-    def right(self) -> frozenset[int]:
-        return frozenset(range(self.n_parties)) - self.left
-
-    def __repr__(self) -> str:
-        return f"Bipartition({sorted(self.left)}|{sorted(self.right)})"
+class GramReport:
+    ok: bool
+    structural_overlap: bool
 
 
-def iter_bipartitions(n_parties: int) -> list[Bipartition]:
-    """One representative per unordered bipartition: party 0 stays on the left."""
-    if n_parties < 2:
-        raise ValueError("need at least two parties")
-    rest = list(range(1, n_parties))
-    out = []
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            left = frozenset({0, *extra})
-            if len(left) < n_parties:
-                out.append(Bipartition(left, n_parties))
-    return out
+def gram_check(state_sets: Sequence[PhaseStateSet]) -> GramReport:
+    """Mutual orthogonality of every state across the given sets, decided exactly.
 
-
-def schmidt_ranks(state_set: PhaseStateSet, cuts: Sequence[Bipartition]) -> np.ndarray:
-    """(s, len(cuts)) Schmidt ranks of every state of the set on each cut.
-
-    One batched SVD per cut of the amplitude matrix, each state reshaped to
-    left parties x right parties; singular values at or below SCHMIDT_TOL
-    times a state's largest count as zero.
+    Within a set, orthogonality follows from the bijection being a
+    permutation (`PhaseStateSet`).  Across sets it holds iff the supports are
+    pairwise disjoint: disjoint supports give zero term by term, and a shared
+    tuple never cancels, since summed over all k, k' the squared inner
+    products of sets S and T come to |S| |T| times the number of shared
+    tuples.  So `ok` is exactly the absence of a structural overlap.
     """
-    s, radix = state_set.s, state_set.radix
-    V = state_set.dense_all().reshape((s,) + radix)
-    out = np.empty((s, len(cuts)), dtype=np.int64)
-    for i, cut in enumerate(cuts):
-        if cut.n_parties != len(radix):
-            raise ValueError("cut does not match the state arity")
-        left = sorted(cut.left)
-        order = [0] + [p + 1 for p in left + sorted(cut.right)]
-        mats = V.transpose(order).reshape(s, math.prod(radix[p] for p in left), -1)
-        sv = np.linalg.svd(mats, compute_uv=False)
-        out[:, i] = np.count_nonzero(sv > SCHMIDT_TOL * sv[:, :1], axis=1)
-    return out
+    shared_radix(state_sets)
+    # each support's ranks are distinct, so a repeat is an overlap of two sets
+    overlap = has_repeat(np.concatenate([ss.support.ranks for ss in state_sets]))
+    return GramReport(ok=not overlap, structural_overlap=overlap)
 
 
 def genuine_entanglement_check(state_sets: Iterable[PhaseStateSet]) -> bool:
-    """True iff every state has Schmidt rank >= 2 across every bipartition."""
+    """True iff every state has Schmidt rank >= 2 across every bipartition.
+
+    Decided from each support S alone, whatever the bijection.  Split the
+    parties into A, which holds party 0, and B (2**(n-1) - 1 splits), and let
+    S_A and S_B be the A-digit and B-digit strings that occur in S, so that
+    S lies inside S_A x S_B.
+      * If S = S_A x S_B, the k = 0 state (every phase 1) is the uniform
+        state on S_A times the uniform state on S_B: Schmidt rank 1.
+      * Otherwise some (a, b') of S_A x S_B is missing from S, while some
+        (a, b) and (a', b') lie in S, with a != a' and b != b'.  In the
+        amplitude matrix of any state of the set, rows a, a' and columns
+        b, b' form a 2x2 minor with exactly one nonzero term,
+        amp(a, b) * amp(a', b'), so every state has rank >= 2 on this split.
+    So the sets fail iff some split makes some support a product set, that
+    is iff |S_A| * |S_B| == |S|; each side's count is one `sorted_unique` of
+    the members' ranks on that side's positions.
+    """
     state_sets = list(state_sets)
-    if not state_sets:
-        raise ValueError("need at least one state set")
-    n = len(state_sets[0].radix)
+    radix = shared_radix(state_sets)
+    n = len(radix)
     if n < 2:
         raise ValueError("entanglement needs at least two parties")
-    cuts = iter_bipartitions(n)
-    return all((schmidt_ranks(ss, cuts) >= 2).all() for ss in state_sets)
+    splits = []
+    for r in range(n - 1):
+        for extra in itertools.combinations(range(1, n), r):
+            left = [0, *extra]
+            right = [p for p in range(1, n) if p not in extra]
+            splits.append((left, right))
+    for ss in state_sets:
+        digits = ss.support.members()
+        for left, right in splits:
+            a = _encode(digits[:, left], [radix[p] for p in left])
+            b = _encode(digits[:, right], [radix[p] for p in right])
+            if len(sorted_unique(a)) * len(sorted_unique(b)) == ss.s:
+                return False
+    return True

@@ -44,21 +44,25 @@ def test_acceptance_1_size_tables_exact():
     _report(1, f"size tables exact in {elapsed:.2f}s", ok)
 
 
+def _digit_sum_rule(fam, d):
+    """Set t holds exactly the tuples whose digit sum is t mod d.  That rule
+    partitions the cube, is invariant under permuting positions, and gives
+    the one-level recursion set t = U_j {(t - j) mod d} x (set j at n - 1)."""
+    ranks = np.concatenate([fam[t].ranks for t in range(d)])
+    return (fam.labels == list(range(d))
+            and np.array_equal(np.sort(ranks), np.arange(d ** len(fam.radix)))
+            and all((fam[t].members().sum(axis=1) % d == t).all() for t in range(d)))
+
+
 def test_acceptance_2_partition_and_invariance():
     t0 = time.perf_counter()
     ok = True
     for d in range(2, 7):
         for n in range(1, 6):
-            fam = q.build_index_family(d, n)
-            ok &= q.verify_partition(fam)
-            ok &= all(q.verify_permutation_invariance(fam[i]) for i in range(d))
-    for d in range(2, 6):
-        for n in range(2, 5):
-            ok &= q.verify_shift_relation(q.build_index_family(d, n),
-                                          q.build_index_family(d, n - 1))
+            ok &= _digit_sum_rule(q.build_index_family(d, n), d)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30.0
-    _report(2, f"partition/permutation/shift in {elapsed:.1f}s", ok)
+    _report(2, f"digit-sum partition in {elapsed:.1f}s", ok)
 
 
 def test_acceptance_3_oracle_trivial_on_flagship():
@@ -135,23 +139,44 @@ def test_acceptance_5_checker_oracle_agreement():
     _report(5, "combinatorial verdicts never contradict the oracle", ok)
 
 
+def _dense_gram_ok(ss):
+    """The dense Gram of the set's states is s times the identity, within 1e-12 * s."""
+    V = ss.dense_all()
+    return float(np.abs(V @ V.conj().T - ss.s * np.eye(ss.s)).max()) <= 1e-12 * ss.s
+
+
+def _min_schmidt_rank(ss):
+    """Smallest Schmidt rank of any state on any split (party 0 on the left),
+    one matrix_rank each."""
+    n = len(ss.radix)
+    tensors = ss.dense_all().reshape((ss.s,) + ss.radix)
+    ranks = []
+    for r in range(n - 1):
+        for extra in itertools.combinations(range(1, n), r):
+            left = [0, *extra]
+            right = [p for p in range(1, n) if p not in extra]
+            rows = int(np.prod([ss.radix[p] for p in left]))
+            for tensor in tensors:
+                mat = np.transpose(tensor, left + right).reshape(rows, -1)
+                ranks.append(np.linalg.matrix_rank(mat, tol=1e-9 * np.linalg.norm(mat, 2)))
+    return min(ranks)
+
+
 def test_acceptance_6_orthogonality_and_entanglement():
     ok = True
     for d in range(2, 8):
-        for n in range(1, 5):
-            for ss in q.family_states(q.build_index_family(d, n)):
-                ok &= q.gram_check([ss]).ok
-        for n in (3, 4):
-            fam = q.build_modified_family(d, n)
-            for ss in q.family_states(fam.family):
-                ok &= q.gram_check([ss]).ok
+        families = [q.build_index_family(d, n) for n in range(1, 5)]
+        families += [q.build_modified_family(d, n).family for n in (3, 4)]
+        for fam in families:
+            states = q.family_states(fam)
+            ok &= q.gram_check(states).ok
+            ok &= all(_dense_gram_ok(ss) for ss in states)
 
-    # every state of the flagship family is entangled across every cut
-    fam = q.build_modified_family(4, 3)
-    cuts = list(q.iter_bipartitions(3))
-    for ss in q.family_states(fam.family):
-        ok &= bool((q.schmidt_ranks(ss, cuts) >= 2).all())
-    _report(6, "orthogonality (Gram) + genuine entanglement", ok)
+    # every state of the flagship family is entangled across every split
+    states = q.family_states(q.build_modified_family(4, 3).family)
+    ok &= q.genuine_entanglement_check(states)
+    ok &= min(_min_schmidt_rank(ss) for ss in states) >= 2
+    _report(6, "orthogonality (exact + dense Gram) + genuine entanglement", ok)
 
 
 def test_acceptance_7_diagonal_home_formula():

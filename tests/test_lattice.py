@@ -98,31 +98,21 @@ def test_family_matches_digit_sum_oracle(d, n):
 
 @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 4), (7, 3)])
 def test_partition_and_permutation(d, n):
+    # the digit-sum classes partition the cube, and a digit sum does not
+    # change when positions are permuted
     fam = q.build_index_family(d, n)
-    assert q.verify_partition(fam)
+    assert fam.labels == list(range(d))
     for i in range(d):
-        assert q.verify_permutation_invariance(fam[i])
+        assert set(fam[i]) == digit_sum_class(d, n, i)
 
 
-def test_partition_detects_missing_and_overlap():
-    fam = q.build_index_family(3, 2)
-    partial = q.SetFamily((3, 3), {0: fam[0], 1: fam[1]})
-    assert not q.verify_partition(partial)
-    dup = q.SetFamily((3, 3), {0: fam[0], 1: fam[1], 2: fam[2], 3: fam[0]},
-                      check_disjoint=False)
-    assert not q.verify_partition(dup)
-
-
-def test_shift_relation_and_its_failure():
+def test_shift_relation():
+    # set i at arity n is the union over j of {(i - j) mod d} x set j at arity n-1
     for d, n in [(2, 2), (3, 3), (4, 2), (5, 3)]:
-        assert q.verify_shift_relation(q.build_index_family(d, n),
-                                       q.build_index_family(d, n - 1))
-    fam3 = q.build_index_family(3, 3)
-    fam2 = q.build_index_family(3, 2)
-    swapped = q.SetFamily((3, 3, 3), {0: fam3[1], 1: fam3[0], 2: fam3[2]})
-    assert not q.verify_shift_relation(swapped, fam2)
-    with pytest.raises(ValueError):
-        q.verify_shift_relation(fam3, fam3)
+        fam, prev = q.build_index_family(d, n), q.build_index_family(d, n - 1)
+        for i in range(d):
+            built = {((i - j) % d, *t) for j in range(d) for t in prev[j]}
+            assert set(fam[i]) == built == digit_sum_class(d, n, i)
 
 
 def test_family_cap():
@@ -134,9 +124,9 @@ def test_family_cap():
 @given(st.integers(2, 5), st.integers(1, 4))
 def test_family_properties_random(d, n):
     fam = q.build_index_family(d, n)
-    assert q.verify_partition(fam)
-    i = (d * n) % d
-    assert set(fam[i]) == digit_sum_class(d, n, i)
+    assert fam.labels == list(range(d))
+    for i in range(d):
+        assert set(fam[i]) == digit_sum_class(d, n, i)
 
 
 # -------------------------------------------------- labels, homes, choices
@@ -255,10 +245,13 @@ def test_modified_family_is_disjoint_partition_piece(d, n):
     ranks = np.concatenate([fam[l].ranks for l in fam.labels])
     assert len(np.unique(ranks)) == len(ranks)
     assert len(ranks) == q.construction_size(d, n)
-    # every member set stays permutation invariant except the punctured ones,
-    # whose removals are themselves constant tuples, so invariance survives
-    for l in fam.labels:
-        assert q.verify_permutation_invariance(fam[l])
+    # each kept set is its digit-sum class less the constant tuples removed
+    # from it, so it stays permutation invariant; the constant tuples go to
+    # the extra set
+    for l in (l for l in fam.labels if l != q.EXTRA_LABEL):
+        removed = {t for home, t in fam.removed if home == l}
+        assert set(fam[l]) == digit_sum_class(d, n, l) - removed
+    assert set(fam[q.EXTRA_LABEL]) == {(0,) * n, (fam.xi,) * n}
 
 
 # -------------------------------------------------------------- size rows

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qnonloc as q
+
+
+def _gram_offset(V, norms):
+    """Largest |G - diag(norms)| of the dense Gram G of the rows of V."""
+    return float(np.abs(V @ V.conj().T - np.diag(norms)).max())
 
 
 def test_bell_states_frozen():
@@ -43,6 +50,7 @@ def test_shuffled_bijection_states_orthogonal(s, rng):
     ss = q.PhaseStateSet(support, bijection=perm)
     assert ss.bijection.tolist() == perm
     assert q.gram_check([ss]).ok
+    assert _gram_offset(ss.dense_all(), [s] * s) <= 1e-12 * s
 
 
 def test_bijection_is_read_only():
@@ -61,10 +69,14 @@ def test_bijection_is_read_only():
 
 
 def test_gram_dense_and_symbolic_agree(ex1_family):
-    # each set is orthogonal by its permutation (PhaseStateSet); the dense Gram agrees
-    rep = q.gram_check(q.family_states(ex1_family.family))
+    # each set is orthogonal by its permutation (PhaseStateSet) and the sets are
+    # disjoint; the dense Gram of every state of the family agrees
+    states = q.family_states(ex1_family.family)
+    rep = q.gram_check(states)
     assert rep.ok and not rep.structural_overlap
-    assert rep.max_offdiag < rep.tol
+    V = np.vstack([ss.dense_all() for ss in states])
+    norms = [ss.s for ss in states for _ in range(ss.s)]
+    assert _gram_offset(V, norms) <= 1e-12 * max(norms)
 
 
 @pytest.mark.parametrize("supports", [
@@ -75,7 +87,10 @@ def test_gram_structural_overlap_detected(supports):
     states = [q.PhaseStateSet(q.TupleSet.from_tuples((2, 2), s)) for s in supports]
     rep = q.gram_check(states)
     assert not rep.ok and rep.structural_overlap
-    assert rep.max_offdiag is None  # numerics never ran
+    # a shared tuple never cancels: some cross-set inner product is nonzero
+    V = np.vstack([ss.dense_all() for ss in states])
+    norms = [ss.s for ss in states for _ in range(ss.s)]
+    assert _gram_offset(V, norms) > 0.5
 
 
 def test_gram_radix_mismatch():
@@ -83,6 +98,18 @@ def test_gram_radix_mismatch():
     b = q.PhaseStateSet(q.TupleSet.from_tuples((3, 3), [(0, 0)]))
     with pytest.raises(ValueError):
         q.gram_check([a, b])
+
+
+@pytest.mark.parametrize("check", [
+    q.gram_check, q.genuine_entanglement_check, lambda sets: q.exact_nullspace(sets, 0),
+], ids=["gram", "entanglement", "oracle"])
+def test_state_set_input_checked_once(check):
+    a = q.PhaseStateSet(q.TupleSet.from_tuples((2, 2), [(0, 0)]))
+    b = q.PhaseStateSet(q.TupleSet.from_tuples((3, 3), [(0, 0)]))
+    with pytest.raises(ValueError, match="share one radix"):
+        check([a, b])
+    with pytest.raises(ValueError, match="at least one state set"):
+        check([])
 
 
 def test_bad_bijection_rejected():
@@ -93,37 +120,20 @@ def test_bad_bijection_rejected():
         q.PhaseStateSet(support, bijection=[0, 1, 2])
 
 
-# ------------------------------------------------------------ bipartitions
-
-def test_iter_bipartitions_counts():
-    assert len(q.iter_bipartitions(2)) == 1
-    assert len(q.iter_bipartitions(3)) == 3
-    assert len(q.iter_bipartitions(4)) == 7
-    for cut in q.iter_bipartitions(4):
-        assert 0 in cut.left and cut.right
-
-
-def test_bipartition_validation():
-    with pytest.raises(ValueError):
-        q.Bipartition(frozenset(), 2)
-    with pytest.raises(ValueError):
-        q.Bipartition(frozenset({0, 1}), 2)
-    with pytest.raises(ValueError):
-        q.Bipartition(frozenset({3}), 2)
-    # any iterable of party indices is accepted for the left side
-    cut = q.Bipartition((0,), 3)
-    assert cut.left == frozenset({0}) and cut.right == frozenset({1, 2})
-
-
 # ------------------------------------------------------------ schmidt rank
 
-def _reference_ranks(ss, cuts):
-    """One np.linalg.matrix_rank per state and cut, relative threshold 1e-9."""
+def _splits(n):
+    """Every bipartition of n parties once, party 0 on the left."""
+    return [([0, *extra], [p for p in range(1, n) if p not in extra])
+            for r in range(n - 1) for extra in itertools.combinations(range(1, n), r)]
+
+
+def _reference_ranks(ss, splits):
+    """One np.linalg.matrix_rank per state and split, relative threshold 1e-9."""
     tensors = ss.dense_all().reshape((ss.s,) + ss.radix)
-    out = np.empty((ss.s, len(cuts)), dtype=np.int64)
+    out = np.empty((ss.s, len(splits)), dtype=np.int64)
     for j, tensor in enumerate(tensors):
-        for i, cut in enumerate(cuts):
-            left, right = sorted(cut.left), sorted(cut.right)
+        for i, (left, right) in enumerate(splits):
             mat = np.transpose(tensor, left + right).reshape(
                 math.prod(ss.radix[p] for p in left), -1)
             sv_max = np.linalg.norm(mat, 2)
@@ -131,25 +141,31 @@ def _reference_ranks(ss, cuts):
     return out
 
 
+def _reference_entangled(states):
+    splits = _splits(len(states[0].radix))
+    return all((_reference_ranks(ss, splits) >= 2).all() for ss in states)
+
+
+def test_splits_count():
+    assert [len(_splits(n)) for n in (2, 3, 4, 5)] == [1, 3, 7, 15]
+    assert _splits(3) == [([0], [1, 2]), ([0, 1], [2]), ([0, 2], [1])]
+
+
 def test_schmidt_rank_product_and_bell():
     prod = q.PhaseStateSet(q.TupleSet.from_tuples((2, 2), [(0, 1)]))
-    cut = q.Bipartition(frozenset({0}), 2)
-    assert q.schmidt_ranks(prod, [cut]).tolist() == [[1]]
+    assert _reference_ranks(prod, _splits(2)).tolist() == [[1]]
+    assert not q.genuine_entanglement_check([prod])
     bell = q.PhaseStateSet(q.build_index_family(2, 2)[0])
-    assert q.schmidt_ranks(bell, [cut]).tolist() == [[2], [2]]
+    assert _reference_ranks(bell, _splits(2)).tolist() == [[2], [2]]
+    assert q.genuine_entanglement_check([bell])
 
 
 def test_schmidt_rank_ghz_like():
-    # equal-weight states on {(0,0,0), (1,1,1)}: rank 2 on every cut
-    supp = q.TupleSet.from_tuples((2, 2, 2), [(0, 0, 0), (1, 1, 1)])
-    ranks = q.schmidt_ranks(q.PhaseStateSet(supp), q.iter_bipartitions(3))
-    assert ranks.shape == (2, 3) and (ranks == 2).all()
-
-
-def test_schmidt_ranks_reject_wrong_arity():
+    # equal-weight states on {(0,0,0), (1,1,1)}: rank 2 on every split
     ss = q.PhaseStateSet(q.TupleSet.from_tuples((2, 2, 2), [(0, 0, 0), (1, 1, 1)]))
-    with pytest.raises(ValueError):
-        q.schmidt_ranks(ss, [q.Bipartition(frozenset({0}), 2)])
+    ranks = _reference_ranks(ss, _splits(3))
+    assert ranks.shape == (2, 3) and (ranks == 2).all()
+    assert q.genuine_entanglement_check([ss])
 
 
 def test_genuine_entanglement_small():
@@ -157,10 +173,11 @@ def test_genuine_entanglement_small():
     singles = [q.PhaseStateSet(q.TupleSet.from_tuples((2, 2), [t]))
                for t in [(0, 0), (0, 1), (1, 0), (1, 1)]]
     assert not q.genuine_entanglement_check(singles)
+    with pytest.raises(ValueError, match="two parties"):
+        q.genuine_entanglement_check(q.family_states(q.build_index_family(3, 1)))
 
 
 def test_genuine_entanglement_matches_per_state_ranks():
-    # the batched ranks against one matrix_rank per state and bipartition
     flagship = q.build_modified_family(4, 3).family
     families = [q.build_index_family(2, 2), q.build_index_family(3, 3), flagship]
     families += [flagship.drop(l) for l in flagship.labels]
@@ -171,13 +188,66 @@ def test_genuine_entanglement_matches_per_state_ranks():
     }))
     for fam in families:
         states = q.family_states(fam)
-        cuts = q.iter_bipartitions(len(fam.radix))
-        expected = True
-        for ss in states:
-            ranks = _reference_ranks(ss, cuts)
-            assert np.array_equal(q.schmidt_ranks(ss, cuts), ranks)
-            expected &= bool((ranks >= 2).all())
-        assert q.genuine_entanglement_check(states) == expected
+        assert q.genuine_entanglement_check(states) == _reference_entangled(states)
+
+
+def _random_support(rng, radix, kind):
+    """A support of the given kind: a product set across a random split, a
+    singleton, a GHZ-like pair, or a random subset of the cube."""
+    n, total = len(radix), math.prod(radix)
+    if kind == "singleton":
+        return [tuple(int(rng.integers(d)) for d in radix)]
+    if kind == "ghz":
+        a = [int(rng.integers(d)) for d in radix]
+        return [tuple(a), tuple((x + 1 + int(rng.integers(d - 1))) % d
+                                for x, d in zip(a, radix))]
+    if kind == "product":
+        left = [0, *(p for p in range(1, n) if rng.random() < 0.5)]
+        if len(left) == n:
+            left.pop()
+        right = [p for p in range(n) if p not in left]
+        sides = []
+        for side in (left, right):
+            cube = list(itertools.product(*(range(radix[p]) for p in side)))
+            pick = rng.choice(len(cube), size=int(rng.integers(1, min(len(cube), 3) + 1)),
+                              replace=False)
+            sides.append([cube[i] for i in pick])
+        out = []
+        for a, b in itertools.product(*sides):
+            t = [0] * n
+            for p, x in zip(left + right, a + b):
+                t[p] = x
+            out.append(tuple(t))
+        return out
+    ranks = rng.choice(total, size=int(rng.integers(2, min(total, 10) + 1)), replace=False)
+    return [tuple(int(x) for x in np.unravel_index(r, radix)) for r in ranks]
+
+
+def test_genuine_entanglement_matches_reference_on_random_supports():
+    rng = np.random.default_rng(20241018)
+    kinds = ["product", "singleton", "ghz", "random", "random", "random"]
+    seen = {kind: [0, 0] for kind in kinds}
+    for i in range(300):
+        n = int(rng.integers(2, 5))
+        radix = tuple(int(x) for x in rng.integers(2, 4, size=n))
+        kind = kinds[i % len(kinds)]
+        support = q.TupleSet.from_tuples(radix, _random_support(rng, radix, kind))
+        ss = q.PhaseStateSet(support, bijection=rng.permutation(len(support)))
+        expected = _reference_entangled([ss])
+        assert q.genuine_entanglement_check([ss]) == expected, (radix, support.tuples())
+        seen[kind][expected] += 1
+    # products and singletons never pass, GHZ-like pairs always do, and the
+    # random subsets land on both sides
+    assert seen["product"][1] == seen["singleton"][1] == seen["ghz"][0] == 0
+    assert min(seen["random"]) > 0
+
+
+@pytest.mark.parametrize("d,n", [(4, 6), (3, 7)])
+def test_genuine_entanglement_large_modified(d, n):
+    states = q.family_states(q.build_modified_family(d, n).family)
+    t0 = time.perf_counter()
+    assert q.genuine_entanglement_check(states)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_genuine_entanglement_d3_minimal(d3_minimal_family):
