@@ -8,7 +8,9 @@ the combinatorial conditions are sufficient but not exhaustive.  The oracle
 compares integers, so verify takes no tolerance.  QNONLOC_CAP, the one
 cap (`caps`), is checked at the start of every run; a malformed value, or
 work over the cap (written witnesses and state exports included), is an
-error and the run exits 2, like any other invalid input.
+error and the run exits 2, like any other invalid input.  A written report
+decides the cuts one at a time and stops at the first whose witness takes
+the written numbers over the cap.
 
 Layers load on first use: each command imports the layers it runs inside
 its own function.  `construct`, `import` and `export` load only lattice and
@@ -127,11 +129,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     oracle_reports = None
     disagreements: list[str] = []
+    writes = bool(args.out) or args.fmt == "json"
     if not args.combinatorial_only:
         from .oracle import oracle_verify
         from .states import family_states
 
-        oracle_reports = oracle_verify(family_states(base), cuts=cuts)
+        states = family_states(base)
+        oracle_reports, witness_numbers = [], 0
+        # one cut at a time, so a written report stops at the cut whose
+        # witness takes the written numbers over the cap
+        for k in cuts:
+            [report] = oracle_verify(states, cuts=[k])
+            if writes and report.witness is not None:
+                witness_numbers += 2 * report.witness.size
+                caps.check(witness_numbers, "numbers in the witnesses")
+            oracle_reports.append(report)
         # both decide when the checker is not inconclusive: they must agree
         for comb, orc in zip(reports, oracle_reports):
             if comb.overall in ("trivial", "nontrivial") and orc.verdict != comb.overall:
@@ -139,15 +151,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     f"cut {comb.k}: combinatorial {comb.overall} but oracle {orc.verdict}")
 
     # the JSON report, witnesses included, is built only when it is written
-    if args.out or args.fmt == "json":
+    if writes:
         doc: dict = {
             "family": args.family,
             "cuts": [cut_report_to_json(r) for r in reports],
             "combinatorial_overall": comb_overall,
         }
         if oracle_reports is not None:
-            caps.check(2 * sum(r.witness.size for r in oracle_reports if r.witness is not None),
-                       "numbers in the witnesses")
             doc["oracle"] = [oracle_report_to_json(r) for r in oracle_reports]
             doc["agreement"] = disagreements or "consistent"
         text = dumps_canonical(doc)

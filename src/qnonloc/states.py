@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import Label, SetFamily, TupleSet, _encode, has_repeat, sorted_unique
+from .lattice import Label, SetFamily, TupleSet, _decode, _encode, has_repeat
 
 
 class PhaseStateSet:
@@ -127,25 +127,31 @@ def genuine_entanglement_check(state_sets: Iterable[PhaseStateSet]) -> bool:
         b, b' form a 2x2 minor with exactly one nonzero term,
         amp(a, b) * amp(a', b'), so every state has rank >= 2 on this split.
     So the sets fail iff some split makes some support a product set, that
-    is iff |S_A| * |S_B| == |S|; each side's count is one `sorted_unique` of
-    the members' ranks on that side's positions.
+    is iff |S_A| * |S_B| == |S|.  Per split, each side ranks its digits for
+    the members of every set with one `_encode`, and one lexsort by (set,
+    rank) counts the distinct ranks of each set.
     """
     state_sets = list(state_sets)
     radix = shared_radix(state_sets)
     n = len(radix)
     if n < 2:
         raise ValueError("entanglement needs at least two parties")
-    splits = []
+    sizes = np.array([ss.s for ss in state_sets])
+    set_id = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.ones(len(set_id), dtype=bool)
+    starts[1:] = set_id[1:] != set_id[:-1]
+    digits = _decode(np.concatenate([ss.support.ranks for ss in state_sets]), radix)
     for r in range(n - 1):
         for extra in itertools.combinations(range(1, n), r):
             left = [0, *extra]
             right = [p for p in range(1, n) if p not in extra]
-            splits.append((left, right))
-    for ss in state_sets:
-        digits = ss.support.members()
-        for left, right in splits:
-            a = _encode(digits[:, left], [radix[p] for p in left])
-            b = _encode(digits[:, right], [radix[p] for p in right])
-            if len(sorted_unique(a)) * len(sorted_unique(b)) == ss.s:
+            distinct = []
+            for side in (left, right):
+                rank = _encode(digits[:, side], [radix[p] for p in side])
+                rank = rank[np.lexsort((rank, set_id))]  # set_id is already ascending
+                new = starts.copy()
+                new[1:] |= rank[1:] != rank[:-1]
+                distinct.append(np.bincount(set_id[new], minlength=len(sizes)))
+            if (distinct[0] * distinct[1] == sizes).any():
                 return False
     return True

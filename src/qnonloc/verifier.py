@@ -13,11 +13,14 @@ A label is "resolved" when one of three sufficient conditions forces any
 orthogonality-preserving operator to be proportional to the identity on that
 label's classes: a singleton class, a tight cover of one of its classes by
 same-digit classes of other labels, or a cover contributed entirely by
-already-resolved labels (iterated to a fixed point).  With every label
-resolved, triviality of the whole measurement reduces to two global
-conditions: every pair of residuals must admit a common extension digit
-inside the family union, and the residual footprints of the labels must form
-a connected overlap graph.
+already-resolved labels (iterated to a fixed point).  Both covers read one
+co-occurrence count per cut over the U labels with no singleton class:
+[j, tau, g, v] counts the columns where row tau holds the j-th of them and
+row g holds label v (v = L: empty), d_k**2 * U * (L + 1) entries held to
+the cap (`caps`).  With every label resolved, triviality of the whole
+measurement reduces to two global conditions: every pair of residuals must
+admit a common extension digit inside the family union, and the residual
+footprints of the labels must form a connected overlap graph.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import caps
 from .lattice import Label, ModifiedFamily, SetFamily, cut_table, sorted_unique
 
 
@@ -49,29 +53,6 @@ class BlockCover:
     contributor_labels: tuple[Label, ...]
     tight: bool
     tight_label: Label | None = None
-
-
-def _find_cover(table: np.ndarray, present: np.ndarray, labels: list[Label], i: int,
-                tau: int, admit: np.ndarray, require_tight: bool) -> BlockCover | None:
-    """First cover of class (i, tau) in ascending common digit, or None.
-
-    admit[v] says whether label v may contribute; its last entry is False,
-    so the -1 of an empty entry never counts as covered.  The cover at digit
-    g holds when every column of the class holds an admitted label in row g;
-    it is tight when some contributor fills exactly one of those entries.
-    """
-    cols = np.flatnonzero(table[tau] == i)
-    covered = admit[table[:, cols]].all(axis=1)  # False at tau, where l itself sits
-    for g in np.flatnonzero(covered).tolist():
-        once = np.flatnonzero(np.bincount(table[g, cols], minlength=len(labels)) == 1)
-        if require_tight and len(once) == 0:
-            continue
-        tight_label = labels[once[0]] if len(once) else None
-        contributors = np.flatnonzero(admit[:-1] & present[g])
-        return BlockCover(target_label=labels[i], target_digit=tau, common_digit=g,
-                          contributor_labels=tuple(labels[v] for v in contributors),
-                          tight=tight_label is not None, tight_label=tight_label)
-    return None
 
 
 class Condition(str, Enum):
@@ -106,40 +87,59 @@ def classify_block_triviality(family: SetFamily, k: int) -> dict[Label, LabelVer
 
 
 def _classify(table: np.ndarray, labels: list[Label]) -> dict[Label, LabelVerdict]:
-    L = len(labels)
-    rows, resid = np.nonzero(table >= 0)
-    sizes = np.bincount(rows * L + table[rows, resid],
-                        minlength=table.shape[0] * L).reshape(-1, L)
+    L, d_k = len(labels), table.shape[0]
+    lab = table % (L + 1)  # an empty entry reads as label L, which nothing admits
+    sizes = np.bincount((lab + np.arange(0, d_k * (L + 1), L + 1)[:, None]).ravel(),
+                        minlength=d_k * (L + 1)).reshape(d_k, L + 1)[:, :L]
     present = sizes > 0
-    verdicts: dict[Label, LabelVerdict] = {}
-    resolved = np.zeros(L + 1, dtype=bool)
+    single = sizes == 1
+    resolved = np.append(single.any(axis=0), False)
+    first = single.argmax(axis=0).tolist()
+    verdicts = {labels[i]: LabelVerdict(Condition.SINGLETON, target_digit=first[i])
+                for i in resolved.nonzero()[0].tolist()}
+    U = (~resolved[:L]).nonzero()[0]
 
-    for i, l in enumerate(labels):
-        single = np.flatnonzero(sizes[:, i] == 1)
-        if len(single):
-            verdicts[l] = LabelVerdict(Condition.SINGLETON, target_digit=int(single[0]))
-            resolved[i] = True
+    # one bincount per row g keeps the index within the size of the table
+    caps.check(d_k * d_k * len(U) * (L + 1), "co-occurrence counts")
+    slot = np.full(L + 1, -1)
+    slot[U] = np.arange(len(U))
+    u = slot[lab]
+    rows, cols = (u >= 0).nonzero()
+    key = (u[rows, cols] * d_k + rows) * (L + 1)
+    count = np.empty((len(U), d_k, d_k, L + 1), dtype=np.int64)
+    for g in range(d_k):
+        count[:, :, g] = np.bincount(key + lab[g, cols], minlength=len(U) * d_k * (L + 1)
+                                     ).reshape(len(U), d_k, L + 1)
+    # class (tau, U[j]), where present, is covered at g when row g holds only
+    # admitted labels there, so never at g == tau, where the target sits
+    target = present[:, U].T[:, :, None]
 
-    def resolve(condition: Condition) -> bool:
-        tight = condition is Condition.TIGHT_COVER
+    def resolve(condition: Condition, j: int, found: np.ndarray, admit: np.ndarray) -> None:
+        tau, g = divmod(int(found.argmax()), d_k)
+        once = (count[j, tau, g, :L] == 1).nonzero()[0]
+        tight_label = labels[once[0]] if len(once) else None
+        i = U[j]
+        verdicts[labels[i]] = LabelVerdict(condition, target_digit=tau, cover=BlockCover(
+            target_label=labels[i], target_digit=tau, common_digit=g,
+            contributor_labels=tuple(labels[v] for v in (admit & present[g]).nonzero()[0]),
+            tight=tight_label is not None, tight_label=tight_label))
+        resolved[i] = True
+
+    # tight: every label but the target is admitted, whatever resolves first
+    own = count[np.arange(len(U)), :, :, U]
+    tight = target & (own + count[..., L] == 0) & (count[..., :L] == 1).any(axis=3)
+    for j in tight.any(axis=(1, 2)).nonzero()[0].tolist():
+        resolve(Condition.TIGHT_COVER, j, tight[j].ravel(), np.arange(L) != U[j])
+
+    # chained: only resolved labels are admitted, so labels go in order
+    grew = True
+    while grew:
         grew = False
-        for i, l in enumerate(labels):
-            if resolved[i]:
-                continue
-            admit = np.ones(L + 1, dtype=bool) if tight else resolved.copy()
-            admit[[i, L]] = False
-            for tau in np.flatnonzero(present[:, i]).tolist():
-                cover = _find_cover(table, present, labels, i, tau, admit,
-                                    require_tight=tight)
-                if cover is not None:
-                    verdicts[l] = LabelVerdict(condition, target_digit=tau, cover=cover)
-                    resolved[i] = grew = True
-                    break
-        return grew
-
-    resolve(Condition.TIGHT_COVER)
-    while resolve(Condition.CHAINED_COVER):
-        pass
+        for j in (~resolved[U]).nonzero()[0].tolist():
+            found = (target[j] & (count[j] @ ~resolved == 0)).ravel()
+            if found.any():
+                resolve(Condition.CHAINED_COVER, j, found, resolved[:L])
+                grew = True
     return {l: verdicts.get(l, LabelVerdict(Condition.UNRESOLVED)) for l in labels}
 
 

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import qnonloc as q
@@ -35,3 +36,32 @@ def product_family():
     sets = {i: q.TupleSet.from_tuples(radix, [t])
             for i, t in enumerate(itertools.product(range(2), repeat=2))}
     return q.SetFamily(radix, sets)
+
+
+def _sub_family(fam, rng, share=0.7):
+    """Each set cut to a seeded random `share` of its members, at least one."""
+    sets = {}
+    for l, ts in fam.items():
+        keep = rng.choice(len(ts), size=max(1, round(share * len(ts))), replace=False)
+        sets[l] = q.TupleSet(fam.radix, np.sort(ts.ranks[keep]))
+    return q.SetFamily(fam.radix, sets, check_disjoint=False)
+
+
+@pytest.fixture(scope="session")
+def built_slice():
+    """(name, family) for the index families at d = 2..6, n = 2..4 and the
+    modified ones at n = 3, 4, with d**n <= 1296; each of their one-set
+    ablations; and four seeded 70% sub-families of each of those."""
+    rng = np.random.default_rng(20261018)
+    bases = []
+    for d, n in itertools.product(range(2, 7), range(2, 5)):
+        if d**n <= 1296:
+            bases.append((f"index({d},{n})", q.build_index_family(d, n)))
+            if n >= 3:
+                bases.append((f"modified({d},{n})", q.build_modified_family(d, n).family))
+    out = []
+    for name, fam in bases:
+        for tag, var in [("", fam)] + [(f"-{l}", fam.drop(l)) for l in fam.labels]:
+            out.append((name + tag, var))
+            out += [(f"{name}{tag}~{i}", _sub_family(var, rng)) for i in range(4)]
+    return out

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import qnonloc as q
-from qnonloc import caps
+from qnonloc import caps, oracle
 from qnonloc.cli import main
 
 
@@ -182,11 +182,12 @@ def test_env_cap_respected(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(caps.ENV_VAR)
     main(["construct", "--d", "4", "--n", "3", "--out", str(fam_path)])
     capsys.readouterr()
-    monkeypatch.setenv(caps.ENV_VAR, "100")
-    # the oracle's d_k * D**2 = 4 * 16**2 = 1024 > 100: it must refuse
+    monkeypatch.setenv(caps.ENV_VAR, "240")
+    # the oracle's d_k * D**2 = 4 * 16**2 = 1024 > 240: it must refuse
     assert main(["verify", str(fam_path)]) == 2
     assert "cap" in capsys.readouterr().err
-    # the checker's cube of 64 tuples fits
+    # the checker's cube of 64 tuples and its 4**2 * 3 * 5 = 240
+    # co-occurrence counts fit
     assert main(["verify", str(fam_path), "--combinatorial-only"]) == 0
     capsys.readouterr()
 
@@ -224,6 +225,53 @@ def test_env_cap_bounds_written_witnesses(tmp_path, monkeypatch, capsys):
     assert main(["verify", str(path), "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert [len(r["witness"]) for r in doc["oracle"]] == [2, 2]
+
+
+def test_written_report_stops_at_the_cut_over_the_witness_cap(tmp_path, monkeypatch, capsys):
+    # index (2,4) is nontrivial at cuts 1 and 2, each with an 8 x 8 witness of
+    # 128 numbers: under a cap of 200 a written report is refused at cut 2,
+    # and cut 3 is never decided
+    path = tmp_path / "idx.json"
+    q.save_family(q.build_index_family(2, 4), path)
+    decided = []
+    exact_nullspace = oracle.exact_nullspace
+
+    def counted(state_sets, k):
+        decided.append(k)
+        return exact_nullspace(state_sets, k)
+
+    monkeypatch.setattr(oracle, "exact_nullspace", counted)
+    monkeypatch.setenv(caps.ENV_VAR, "200")
+    for argv in (["--format", "json"], ["--out", str(tmp_path / "report.json")]):
+        decided.clear()
+        assert main(["verify", str(path), *argv]) == 2
+        assert "witnesses" in capsys.readouterr().err
+        assert decided == [0, 1, 2]
+    assert not (tmp_path / "report.json").exists()
+    # text output writes no witness, so every cut is decided
+    decided.clear()
+    assert main(["verify", str(path)]) == 1
+    assert decided == [0, 1, 2, 3]
+    capsys.readouterr()
+
+
+def test_env_cap_bounds_cover_counts(tmp_path, monkeypatch, capsys):
+    # index (3,3) has a cube of 27 tuples, but no singleton class in any of
+    # its 3 sets: its cover search counts 3**2 * 3 * 4 = 108 co-occurrences
+    path = tmp_path / "idx.json"
+    q.save_family(q.build_index_family(3, 3), path)
+    monkeypatch.setenv(caps.ENV_VAR, "100")
+    assert main(["verify", str(path), "--combinatorial-only"]) == 2
+    assert "co-occurrence counts" in capsys.readouterr().err
+    monkeypatch.setenv(caps.ENV_VAR, "108")
+    assert main(["verify", str(path), "--combinatorial-only"]) == 0
+    capsys.readouterr()
+    # modified (4,3) counts 4**2 * 3 * 5 = 240: its singleton "extra" set
+    # is left out of the count's targets
+    q.save_family(q.build_modified_family(4, 3), path)
+    monkeypatch.setenv(caps.ENV_VAR, "239")
+    assert main(["verify", str(path), "--combinatorial-only"]) == 2
+    assert "240 co-occurrence counts" in capsys.readouterr().err
 
 
 def test_env_cap_bounds_tables_enumeration(monkeypatch, capsys):

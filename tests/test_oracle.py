@@ -44,9 +44,9 @@ def test_exact_route_held_to_cap(bell_family, ex1_family, monkeypatch):
     with pytest.raises(ResourceLimitError):
         q.exact_nullspace(states, 0)
     monkeypatch.undo()
-    # modified (4,3): the checker's cube of 64 fits a cap of 100, the
-    # oracle's 4 * 16**2 = 1024 slots do not
-    monkeypatch.setenv("QNONLOC_CAP", "100")
+    # modified (4,3): the checker's cube of 64 and its 240 co-occurrence
+    # counts fit a cap of 240, the oracle's 4 * 16**2 = 1024 slots do not
+    monkeypatch.setenv("QNONLOC_CAP", "240")
     assert [r.overall for r in q.verify_strongest_nonlocality(ex1_family)] == ["trivial"] * 3
     with pytest.raises(ResourceLimitError):
         q.oracle_verify(q.family_states(ex1_family.family), cuts=[0])

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,7 +294,34 @@ def test_verify_mixed_radix_family():
     assert all(r.all_resolved for r in reports)
 
 
+def test_cover_count_leaves_out_singleton_labels(monkeypatch):
+    # a product basis of Z_2^8 has 256 singleton sets and nothing to count,
+    # where a count with every label as a target would be 2**2 * 256 * 257
+    radix = (2,) * 8
+    fam = q.SetFamily(radix, {r: q.TupleSet(radix, np.array([r])) for r in range(256)})
+    monkeypatch.setenv("QNONLOC_CAP", "100000")
+    reports = q.verify_strongest_nonlocality(fam)
+    assert all(r.all_resolved and r.overall == "nontrivial" for r in reports)
+
+
 def test_verify_rejects_single_party():
     fam = q.SetFamily((3,), {0: q.TupleSet.from_tuples((3,), [(0,)])})
     with pytest.raises(ValueError):
         q.verify_strongest_nonlocality(fam)
+
+
+def test_checks_match_reference_on_built_families(built_slice):
+    """The built families, their ablations and seeded sub-families, on every
+    cut; between them they reach all four conditions."""
+    seen = set()
+    for name, fam in built_slice:
+        for k in range(len(fam.radix)):
+            conditions, pair, conn = reference_checks(fam, k)
+            verdicts = q.classify_block_triviality(fam, k)
+            assert list(verdicts) == list(conditions)
+            for l, v in verdicts.items():
+                assert (v.condition, v.target_digit, v.cover) == conditions[l], (name, k, l)
+            assert q.check_pair_covering(fam, k) == pair, (name, k)
+            assert q.check_connectivity(fam, k) == conn, (name, k)
+            seen.update(c for c, _, _ in conditions.values())
+    assert seen == set(Condition)
