@@ -6,7 +6,8 @@ From that table each set is resolved if it can be: a singleton class, a
 tightly covered class, or a cover built from already-resolved sets.  Pair
 covering and connectivity of the sets' footprints finish the argument.  The
 verdict is conservative: "trivial" is a proof, "inconclusive" only means
-these sufficient conditions did not fire.
+these sufficient conditions did not fire.  `verify_strongest_nonlocality`
+runs all of it and returns one report per cut; `cuts=[k]` asks for one.
 """
 
 import qnonloc as q
@@ -16,7 +17,8 @@ fam = q.build_modified_family(4, 3)
 base = fam.family
 
 print("how each set is resolved at cut k=0:")
-for label, verdict in q.classify_block_triviality(base, 0).items():
+[cut0] = q.verify_strongest_nonlocality(fam, cuts=[0])
+for label, verdict in cut0.conditions.items():
     line = f"  set {label!r}: {verdict.condition.value}"
     if verdict.condition is not Condition.UNRESOLVED:
         line += f" via its digit-{verdict.target_digit} class"

@@ -5,11 +5,13 @@ modified families obtained by rehoming two constant tuples.  The states layer
 attaches phase states to each set and decides, from the supports alone,
 whether they are mutually orthogonal and genuinely entangled.  Triviality of
 orthogonality-preserving measurements on every all-but-one cut is decided
-twice: combinatorially (verifier) and by an exact oracle (oracle) that counts
-the classes of operator entries left free.  The oracle module also keeps a
-dense SVD reference of the same dimension, which tests import from
-`qnonloc.oracle`; no other module calls `numpy.linalg`.  Party and cut
-indices are 0-based throughout.
+twice: combinatorially (verifier, whose one entry point is
+`verify_strongest_nonlocality`) and by an exact oracle (oracle) that counts
+the classes of operator entries left free.  Both lay out a cut with
+`lattice.cut_table` and label connected components with one union-find.
+The oracle module also keeps a dense SVD reference of the same dimension,
+which tests import from `qnonloc.oracle`; no other module calls
+`numpy.linalg`.  Party and cut indices are 0-based throughout.
 
 Layers load on first use: `import qnonloc` imports none of them, and reading
 an exported name imports its home module (PEP 562).  The names are not
@@ -36,7 +38,6 @@ _EXPORTS = {
                "genuine_entanglement_check", "gram_check"),
     "tables": ("SizeTable", "all_comparison_tables", "comparison_table", "diagonal_table"),
     "verifier": ("BlockCover", "Condition", "CutReport", "LabelVerdict",
-                 "check_connectivity", "check_pair_covering", "classify_block_triviality",
                  "overall_verdict", "verify_strongest_nonlocality"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -2,7 +2,8 @@
 
 Tuples over Z_{d_1} x ... x Z_{d_N} are stored by their mixed-radix rank
 (position 0 most significant), which keeps set algebra, membership and
-serialization order all on sorted int64 vectors.
+serialization order all on sorted int64 vectors.  The checker and the
+exact oracle share the cut layout `cut_table` and the union-find `_components`.
 """
 
 from __future__ import annotations
@@ -76,6 +77,29 @@ def has_repeat(a: np.ndarray) -> bool:
     """True iff some entry of a 1-d array occurs twice."""
     a = np.sort(a)
     return bool((a[1:] == a[:-1]).any())
+
+
+def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smallest node of each node's connected component under edges (a, b).
+
+    Hook and compress: every root adopts the smallest root across its
+    edges, then pointer jumping flattens the forest to stars.  Pointers only
+    ever decrease, so no cycle forms; every root with an edge to another
+    root merges each round, so such roots at least halve per round.
+    """
+    lab = np.arange(n_nodes, dtype=np.int64)
+    while True:
+        la, lb = lab[a], lab[b]
+        if np.array_equal(la, lb):
+            return lab
+        low = np.minimum(la, lb)
+        np.minimum.at(lab, la, low)
+        np.minimum.at(lab, lb, low)
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
 
 
 def split_at(ranks: np.ndarray, radix: Sequence[int], k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -19,10 +19,11 @@ invertible, so the constraints reduce to equalities between entries of Pi:
   bijection order, so entries with the same shift (f_i - f_j) mod s are
   equal, and a shift meeting a pair with different digits at k is 0.
 
-Connected components of that equality graph are the entry classes; the
-complex solution space has one dimension per class not forced to 0, and
-since it is closed under adjoints this is also the real dimension of its
-Hermitian part.  Everything is integer bookkeeping: there is no tolerance.
+Connected components of that equality graph are the entry classes
+(`lattice._components`, the union-find the checker's connectivity test
+also runs); the complex solution space has one dimension per class not
+forced to 0, and since it is closed under adjoints this is also the real
+dimension of its Hermitian part.  Everything is integer bookkeeping: there is no tolerance.
 Its work and memory follow the d_k * D**2 slots of the same-digit pair
 broadcast, which is what the one cap (`caps`) bounds on each cut.
 
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import caps
 from .errors import InternalConsistencyError
-from .lattice import cut_table, sorted_unique
+from .lattice import _components, cut_table, sorted_unique
 from .states import PhaseStateSet, shared_radix
 
 DEFAULT_RANK_TOL = 1e-9
@@ -70,29 +71,6 @@ def _cut_shape(state_sets: Sequence[PhaseStateSet], k: int) -> tuple[tuple[int, 
     if not 0 <= k < n:
         raise ValueError(f"cut {k} out of range for arity {n}")
     return radix, radix[k], math.prod(radix) // radix[k]
-
-
-def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Smallest node of each node's connected component under edges (a, b).
-
-    Hook and compress: every root adopts the smallest root across its
-    edges, then pointer jumping flattens the forest to stars.  Pointers only
-    ever decrease, so no cycle forms; every root with an edge to another
-    root merges each round, so such roots at least halve per round.
-    """
-    lab = np.arange(n_nodes, dtype=np.int64)
-    while True:
-        la, lb = lab[a], lab[b]
-        if np.array_equal(la, lb):
-            return lab
-        low = np.minimum(la, lb)
-        np.minimum.at(lab, la, low)
-        np.minimum.at(lab, lb, low)
-        while True:
-            jumped = lab[lab]
-            if np.array_equal(jumped, lab):
-                break
-            lab = jumped
 
 
 def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport:

@@ -118,10 +118,18 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily | ModifiedFamily:
                 raise FamilyFormatError(f"meta: modified families need {key!r}")
         if len(set(radix)) != 1:
             raise FamilyFormatError("meta: modified families need a uniform radix")
-        removed = [(_label_in(str(l)), tuple(t)) for l, t in meta.get("removed", [])]
+        xi = meta["xi_prime"]
+        if not isinstance(xi, int):
+            raise FamilyFormatError(f"meta.xi_prime: expected an integer, got {xi!r}")
+        removed = meta.get("removed", [])
+        if not (isinstance(removed, list) and all(
+                isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], (int, str)) and isinstance(pair[1], list)
+                and all(isinstance(x, int) for x in pair[1]) for pair in removed)):
+            raise FamilyFormatError("meta.removed: expected a list of [label, digit list] pairs")
         return ModifiedFamily(
-            family=family, d=radix[0], n=n, xi=int(meta["xi_prime"]),
-            case=str(meta["case"]), removed=removed,
+            family=family, d=radix[0], n=n, xi=int(xi),
+            case=str(meta["case"]), removed=[(_label_in(str(l)), tuple(t)) for l, t in removed],
             beyond_guarantee=bool(meta.get("beyond_guarantee", False)))
     return family
 

@@ -20,7 +20,9 @@ row g holds label v (v = L: empty), d_k**2 * U * (L + 1) entries held to
 the cap (`caps`).  With every label resolved, triviality of the whole
 measurement reduces to two global conditions: every pair of residuals must
 admit a common extension digit inside the family union, and the residual
-footprints of the labels must form a connected overlap graph.
+footprints of the labels must form a connected overlap graph, whose
+components the oracle's union-find (`lattice._components`) labels.  The one entry point,
+`verify_strongest_nonlocality`, returns one `CutReport` per cut.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from . import caps
-from .lattice import Label, ModifiedFamily, SetFamily, cut_table, sorted_unique
+from .lattice import Label, ModifiedFamily, SetFamily, _components, cut_table, sorted_unique
 
 
 def _label_table(family: SetFamily, k: int) -> np.ndarray:
@@ -72,7 +74,7 @@ class LabelVerdict:
     cover: BlockCover | None = None
 
 
-def classify_block_triviality(family: SetFamily, k: int) -> dict[Label, LabelVerdict]:
+def _classify(table: np.ndarray, labels: list[Label]) -> dict[Label, LabelVerdict]:
     """Assign each label the first sufficient condition that resolves it.
 
     Singleton classes are claimed first, then tight covers with unrestricted
@@ -83,10 +85,6 @@ def classify_block_triviality(family: SetFamily, k: int) -> dict[Label, LabelVer
     class at the common digit.  The final resolved set does not depend on
     label order: each pass only grows it monotonically.
     """
-    return _classify(_label_table(family, k), family.labels)
-
-
-def _classify(table: np.ndarray, labels: list[Label]) -> dict[Label, LabelVerdict]:
     L, d_k = len(labels), table.shape[0]
     lab = table % (L + 1)  # an empty entry reads as label L, which nothing admits
     sizes = np.bincount((lab + np.arange(0, d_k * (L + 1), L + 1)[:, None]).ravel(),
@@ -143,44 +141,31 @@ def _classify(table: np.ndarray, labels: list[Label]) -> dict[Label, LabelVerdic
     return {l: verdicts.get(l, LabelVerdict(Condition.UNRESOLVED)) for l in labels}
 
 
-def check_pair_covering(family: SetFamily, k: int) -> bool:
+def _pair_covering(table: np.ndarray) -> bool:
     """Every two residual tuples must share an extension digit whose
     insertions at k both land inside the family union.
 
-    Residual tuples with the same digit set are one row after deduplication.
+    Residual tuples with the same digit set are one row after
+    deduplication; the R x R product of those rows is held to the cap.
     """
-    return _pair_covering(_label_table(family, k))
-
-
-def _pair_covering(table: np.ndarray) -> bool:
     has = np.ascontiguousarray(table.T >= 0)
     packed = np.packbits(has, axis=1)
     rows = sorted_unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
+    caps.check(len(rows) ** 2, "residual row pairs")
     ext = np.unpackbits(rows.view(np.uint8).reshape(len(rows), -1), axis=1).astype(np.float32)
     return bool((ext @ ext.T > 0).all())
 
 
-def check_connectivity(family: SetFamily, k: int) -> bool:
+def _connectivity(table: np.ndarray, n_labels: int) -> bool:
     """Labels form one component under "residual footprints intersect".
 
     Each nonempty column of the label table links every label in it to the
-    largest one there, which keeps the components of the overlap graph; the
-    L x L link matrix is then closed by squaring.
+    largest one there, which keeps the components of the overlap graph;
+    connected means every label lies in the component of label 0.
     """
-    return _connectivity(_label_table(family, k), len(family))
-
-
-def _connectivity(table: np.ndarray, n_labels: int) -> bool:
     hit = table >= 0
     hub = np.broadcast_to(table.max(axis=0), table.shape)
-    link = np.eye(n_labels, dtype=np.float32)
-    link[table[hit], hub[hit]] = 1.0
-    link = np.maximum(link, link.T)
-    while True:
-        closed = np.minimum(link @ link, 1.0)
-        if (closed == link).all():
-            return bool(link.all())
-        link = closed
+    return not _components(n_labels, table[hit], hub[hit]).any()
 
 
 @dataclass
@@ -192,10 +177,6 @@ class CutReport:
     pair_covering: bool
     connectivity: bool
     overall: str
-
-    @property
-    def all_resolved(self) -> bool:
-        return all(v.condition.resolved() for v in self.conditions.values())
 
 
 def _cut_overall(conditions: dict[Label, LabelVerdict], pair: bool, conn: bool) -> str:

@@ -274,6 +274,25 @@ def test_env_cap_bounds_cover_counts(tmp_path, monkeypatch, capsys):
     assert "240 co-occurrence counts" in capsys.readouterr().err
 
 
+def test_env_cap_bounds_pair_covering_rows(tmp_path, monkeypatch, capsys):
+    # on the (4, 16) cube, column r holds a singleton set at each digit g
+    # where bit g of r is set: 32 sets, no cover search, and at cut 0 all
+    # 16 columns differ, so pair covering multiplies 16**2 = 256 row pairs
+    # (cut 1 has 4 distinct rows), above the cube's 64 tuples
+    radix = (4, 16)
+    tuples = [(g, r) for r in range(16) for g in range(4) if r >> g & 1]
+    fam = q.SetFamily(radix, {i: q.TupleSet.from_tuples(radix, [t])
+                              for i, t in enumerate(tuples)})
+    path = tmp_path / "bits.json"
+    q.save_family(fam, path)
+    monkeypatch.setenv(caps.ENV_VAR, "255")
+    assert main(["verify", str(path), "--combinatorial-only"]) == 2
+    assert "256 residual row pairs" in capsys.readouterr().err
+    monkeypatch.setenv(caps.ENV_VAR, "256")
+    assert main(["verify", str(path), "--combinatorial-only"]) == 0
+    assert "pair_covering=False" in capsys.readouterr().out
+
+
 def test_env_cap_bounds_tables_enumeration(monkeypatch, capsys):
     # the tables cross-check enumerates nothing the cap forbids `construct`
     monkeypatch.setenv(caps.ENV_VAR, "10")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import qnonloc as q
 from qnonloc.errors import InadmissibleXiError, ResourceLimitError
-from qnonloc.lattice import _decode, _encode, has_repeat, sorted_unique, split_at
+from qnonloc.lattice import _components, _decode, _encode, has_repeat, sorted_unique, split_at
 
 
 def digit_sum_class(d, n, i):
@@ -78,6 +78,40 @@ def test_split_at_matches_digit_deletion(radix, data):
         assert np.array_equal(digit, digits[:, k])
         assert np.array_equal(resid, _encode(np.delete(digits, k, axis=1), reduced))
         assert (resid < math.prod(reduced)).all()
+
+
+def bfs_components(n_nodes, a, b):
+    """Smallest node of each node's component, by a plain breadth-first search."""
+    adj = [[] for _ in range(n_nodes)]
+    for x, y in zip(a.tolist(), b.tolist()):
+        adj[x].append(y)
+        adj[y].append(x)
+    out = [-1] * n_nodes
+    for root in range(n_nodes):  # ascending, so each component's first node is its smallest
+        if out[root] >= 0:
+            continue
+        out[root], queue = root, [root]
+        for x in queue:  # the queue grows while it is read
+            for y in adj[x]:
+                if out[y] < 0:
+                    out[y] = root
+                    queue.append(y)
+    return out
+
+
+def test_components_match_bfs():
+    # the shared labelling of the checker's connectivity and the oracle's
+    # entry classes, on seeded random graphs: every eighth has no edges; in
+    # the others every fifth edge is a self-loop and the first third repeat
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n_nodes = int(rng.integers(1, 60))
+        n_edges = 0 if seed % 8 == 0 else int(rng.integers(3, 2 * n_nodes + 3))
+        a = rng.integers(0, n_nodes, n_edges)
+        b = rng.integers(0, n_nodes, n_edges)
+        b[::5] = a[::5]
+        a, b = np.concatenate([a, a[:n_edges // 3]]), np.concatenate([b, b[:n_edges // 3]])
+        assert _components(n_nodes, a, b).tolist() == bfs_components(n_nodes, a, b), seed
 
 
 # ------------------------------------------------------- recursive families

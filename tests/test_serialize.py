@@ -96,6 +96,14 @@ def test_mixed_radix_document():
      "modified families need 'case'"),
     ({"d": [2, 3], "n": 2, "sets": {"0": [[0, 0]]},
       "meta": {"xi_prime": 1, "case": "I"}}, "uniform radix"),
+    ({"d": 3, "n": 2, "sets": {"0": [[0, 0]]},
+      "meta": {"xi_prime": None, "case": "I"}}, "meta.xi_prime"),
+    ({"d": 3, "n": 2, "sets": {"0": [[0, 0]]},
+      "meta": {"xi_prime": "abc", "case": "I"}}, "meta.xi_prime"),
+    ({"d": 3, "n": 2, "sets": {"0": [[0, 0]]},
+      "meta": {"xi_prime": 1, "case": "I", "removed": 5}}, "meta.removed"),
+    ({"d": 3, "n": 2, "sets": {"0": [[0, 0]]},
+      "meta": {"xi_prime": 1, "case": "I", "removed": [[1]]}}, "meta.removed"),
 ])
 def test_validation_errors(doc, fragment):
     with pytest.raises(FamilyFormatError) as exc:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,11 @@ from qnonloc.errors import InternalConsistencyError
 from qnonloc.verifier import BlockCover, Condition
 
 
+def cut(fam, k):
+    """The checker's report on cut k alone."""
+    return q.verify_strongest_nonlocality(fam, cuts=[k])[0]
+
+
 # ------------------------------------------------------------- block cover
 
 def test_cover_spec_shape_d4_n5():
@@ -19,7 +25,7 @@ def test_cover_spec_shape_d4_n5():
     set plus the all-zeros tuple sitting in the extra set."""
     fam = q.build_modified_family(4, 5, xi="structured")
     assert fam.xi == 2
-    verdict = q.classify_block_triviality(fam.family, 0)[1]
+    verdict = cut(fam, 0).conditions[1]
     assert verdict.condition is Condition.TIGHT_COVER
     assert verdict.target_digit == 1
     cover = verdict.cover
@@ -33,7 +39,7 @@ def test_cover_spec_shape_d4_n5():
 
 def test_classify_example_family(ex1_family):
     for k in range(3):
-        verdicts = q.classify_block_triviality(ex1_family.family, k)
+        verdicts = cut(ex1_family, k).conditions
         assert list(verdicts) == [0, 1, 2, "extra"]  # canonical order
         assert verdicts["extra"].condition is Condition.SINGLETON
         assert all(v.condition.resolved() for v in verdicts.values())
@@ -41,7 +47,7 @@ def test_classify_example_family(ex1_family):
 
 
 def test_classify_d3_minimal(d3_minimal_family):
-    verdicts = q.classify_block_triviality(d3_minimal_family.family, 0)
+    verdicts = cut(d3_minimal_family, 0).conditions
     assert verdicts["extra"].condition is Condition.SINGLETON
     assert verdicts[1].condition is Condition.TIGHT_COVER
     assert verdicts[0].condition is Condition.CHAINED_COVER
@@ -49,12 +55,12 @@ def test_classify_d3_minimal(d3_minimal_family):
 
 def test_classify_unresolved_full_family():
     fam = q.build_index_family(2, 3)
-    verdicts = q.classify_block_triviality(fam, 0)
+    verdicts = cut(fam, 0).conditions
     assert all(v.condition is Condition.UNRESOLVED for v in verdicts.values())
 
 
 def test_classify_singletons(product_family):
-    verdicts = q.classify_block_triviality(product_family, 0)
+    verdicts = cut(product_family, 0).conditions
     assert all(v.condition is Condition.SINGLETON for v in verdicts.values())
 
 
@@ -67,7 +73,7 @@ def test_classify_chained_cover_in_second_pass():
         1: q.TupleSet.from_tuples(radix, [(0, 0), (0, 1), (1, 2), (1, 3)]),
         2: q.TupleSet.from_tuples(radix, [(1, 0), (1, 1), (2, 0)]),
     })
-    verdicts = q.classify_block_triviality(fam, 0)
+    verdicts = cut(fam, 0).conditions
     assert [v.condition for v in verdicts.values()] == [
         Condition.CHAINED_COVER, Condition.CHAINED_COVER, Condition.SINGLETON]
     assert verdicts[0].cover == BlockCover(0, 0, 1, (1, 2), False, None)
@@ -78,9 +84,9 @@ def test_classify_chained_cover_in_second_pass():
 
 def test_pair_covering_holds(ex1_family, product_family):
     for k in range(3):
-        assert q.check_pair_covering(ex1_family.family, k)
+        assert cut(ex1_family, k).pair_covering
     for k in range(2):
-        assert q.check_pair_covering(product_family, k)
+        assert cut(product_family, k).pair_covering
 
 
 def test_pair_covering_fails_for_split_supports():
@@ -89,42 +95,40 @@ def test_pair_covering_fails_for_split_supports():
         0: q.TupleSet.from_tuples(radix, [(0, 0)]),
         1: q.TupleSet.from_tuples(radix, [(1, 1)]),
     })
-    assert not q.check_pair_covering(fam, 0)
+    assert not cut(fam, 0).pair_covering
 
 
 def test_pair_covering_fails_after_ablation(ex1_family):
     sub = ex1_family.family.drop(1)
     for k in range(3):
-        assert not q.check_pair_covering(sub, k)
+        assert not cut(sub, k).pair_covering
 
 
 def test_pair_covering_wide_digit_range():
     # more than 64 digits at the cut: one extension bit per digit still decides
-    assert q.check_pair_covering(q.build_index_family(64, 2), 0)
+    assert cut(q.build_index_family(64, 2), 0).pair_covering
     radix = (70, 2)
     fam = q.SetFamily(radix, {
         0: q.TupleSet.from_tuples(radix, [(0, 0)]),
         1: q.TupleSet.from_tuples(radix, [(1, 1)]),
     })
-    assert not q.check_pair_covering(fam, 0)
+    assert not cut(fam, 0).pair_covering
 
 
 def test_connectivity(ex1_family, product_family):
     for k in range(3):
-        assert q.check_connectivity(ex1_family.family, k)
+        assert cut(ex1_family, k).connectivity
     for k in range(2):
-        assert not q.check_connectivity(product_family, k)
+        assert not cut(product_family, k).connectivity
     solo = q.SetFamily((3, 3), {0: q.build_index_family(3, 2)[0]})
-    assert q.check_connectivity(solo, 0)
+    assert cut(solo, 0).connectivity
 
 
 @pytest.mark.parametrize("k", [-1, 3])
 def test_checks_reject_cut_out_of_range(k):
-    fam = q.build_modified_family(4, 3).family
-    for check in (q.classify_block_triviality, q.check_pair_covering,
-                  q.check_connectivity):
-        with pytest.raises(ValueError, match="out of range"):
-            check(fam, k)
+    fam = q.build_modified_family(4, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        cut(fam, k)
 
 
 def test_checks_reject_overlapping_sets():
@@ -134,12 +138,8 @@ def test_checks_reject_overlapping_sets():
     assert q.gram_check(q.family_states(fam)).structural_overlap
     with pytest.raises(InternalConsistencyError):
         q.oracle_verify(q.family_states(fam))
-    for check in (q.classify_block_triviality, q.check_pair_covering,
-                  q.check_connectivity):
-        with pytest.raises(InternalConsistencyError):
-            check(fam, 0)
     with pytest.raises(InternalConsistencyError):
-        q.verify_strongest_nonlocality(fam)
+        cut(fam, 0)
 
 
 # ------------------------------------------------- plain-Python reference
@@ -215,10 +215,11 @@ def reference_checks(fam, k):
 
 @st.composite
 def small_families(draw):
-    """Random labelings of a small mixed-radix cube.  Half of them label by
-    a weighted digit sum, then move a few tuples to the last label and drop
-    a few more, as the modified construction does; that gives covers."""
-    radix = draw(st.lists(st.sampled_from([1, 1, 2, 3, 4, 9, 10]), min_size=1, max_size=4)
+    """Random labelings of a small mixed-radix cube of two to four parties
+    (the checker refuses one).  Half of them label by a weighted digit sum,
+    then move a few tuples to the last label and drop a few more, as the
+    modified construction does; that gives covers."""
+    radix = draw(st.lists(st.sampled_from([1, 1, 2, 3, 4, 9, 10]), min_size=2, max_size=4)
                  .filter(lambda r: math.prod(r) <= 200))
     labels = draw(st.lists(st.one_of(st.integers(0, 6), st.sampled_from(["extra", "a"])),
                            min_size=1, max_size=5, unique=True))
@@ -244,12 +245,12 @@ def small_families(draw):
 def test_checks_match_reference(fam, data):
     k = data.draw(st.integers(0, len(fam.radix) - 1))
     conditions, pair, conn = reference_checks(fam, k)
-    verdicts = q.classify_block_triviality(fam, k)
-    assert list(verdicts) == list(conditions)
-    for l, v in verdicts.items():
+    report = cut(fam, k)
+    assert list(report.conditions) == list(conditions)
+    for l, v in report.conditions.items():
         assert (v.condition, v.target_digit, v.cover) == conditions[l]
-    assert q.check_pair_covering(fam, k) == pair
-    assert q.check_connectivity(fam, k) == conn
+    assert report.pair_covering == pair
+    assert report.connectivity == conn
 
 
 # ------------------------------------------------------------ full verdicts
@@ -265,7 +266,6 @@ def test_verify_example_families(ex1_family, ex2_family, d3_minimal_family):
 def test_verify_product_basis(product_family):
     reports = q.verify_strongest_nonlocality(product_family)
     for r in reports:
-        assert r.all_resolved
         assert r.pair_covering and not r.connectivity
         assert r.overall == "nontrivial"
     assert q.overall_verdict(reports) == "nontrivial"
@@ -291,7 +291,7 @@ def test_verify_mixed_radix_family():
     fam = q.SetFamily(radix, sets)
     reports = q.verify_strongest_nonlocality(fam)
     assert len(reports) == 2
-    assert all(r.all_resolved for r in reports)
+    assert all(r.overall != "inconclusive" for r in reports)
 
 
 def test_cover_count_leaves_out_singleton_labels(monkeypatch):
@@ -301,7 +301,23 @@ def test_cover_count_leaves_out_singleton_labels(monkeypatch):
     fam = q.SetFamily(radix, {r: q.TupleSet(radix, np.array([r])) for r in range(256)})
     monkeypatch.setenv("QNONLOC_CAP", "100000")
     reports = q.verify_strongest_nonlocality(fam)
-    assert all(r.all_resolved and r.overall == "nontrivial" for r in reports)
+    assert all(r.overall == "nontrivial" for r in reports)
+
+
+def test_connectivity_of_many_labels_stays_small():
+    # a product basis of Z_2^12: 4096 singleton sets whose footprints never
+    # meet at cut 0, labelled by the union-find in memory linear in the table
+    radix = (2,) * 12
+    fam = q.SetFamily(radix, {r: q.TupleSet(radix, np.array([r])) for r in range(4096)})
+    tracemalloc.start()
+    try:
+        report = cut(fam, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.pair_covering and not report.connectivity
+    assert report.overall == "nontrivial"
+    assert peak < 16 * 2**20
 
 
 def test_verify_rejects_single_party():
@@ -317,11 +333,11 @@ def test_checks_match_reference_on_built_families(built_slice):
     for name, fam in built_slice:
         for k in range(len(fam.radix)):
             conditions, pair, conn = reference_checks(fam, k)
-            verdicts = q.classify_block_triviality(fam, k)
-            assert list(verdicts) == list(conditions)
-            for l, v in verdicts.items():
+            report = cut(fam, k)
+            assert list(report.conditions) == list(conditions)
+            for l, v in report.conditions.items():
                 assert (v.condition, v.target_digit, v.cover) == conditions[l], (name, k, l)
-            assert q.check_pair_covering(fam, k) == pair, (name, k)
-            assert q.check_connectivity(fam, k) == conn, (name, k)
+            assert report.pair_covering == pair, (name, k)
+            assert report.connectivity == conn, (name, k)
             seen.update(c for c, _, _ in conditions.values())
     assert seen == set(Condition)
