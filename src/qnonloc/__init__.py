@@ -7,8 +7,9 @@ whether they are mutually orthogonal and genuinely entangled.  Triviality of
 orthogonality-preserving measurements on every all-but-one cut is decided
 twice: combinatorially (verifier, whose one entry point is
 `verify_strongest_nonlocality`) and by an exact oracle (oracle) that counts
-the classes of operator entries left free.  Both lay out a cut with
-`lattice.cut_table` and label connected components with one union-find.
+the classes of operator entries left free.  Both lay a family out as one
+`lattice.member_cube`, read each cut as a transposed copy of it
+(`lattice.cut_table`), and label connected components with one union-find.
 The oracle module also keeps a dense SVD reference of the same dimension,
 which tests import from `qnonloc.oracle`; no other module calls
 `numpy.linalg`.  Party and cut indices are 0-based throughout.

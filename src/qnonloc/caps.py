@@ -2,7 +2,8 @@
 
 Every size check in the package goes through `check`, which raises
 ResourceLimitError before the work it counts is done.  The counts are the
-cube d**n of a family build or a cut's member table, d_k**2 * U * (L + 1)
+cube d**n of a family build or of the member cube both routes lay out,
+d_k**2 * U * (L + 1)
 for the checker's cover search on a cut (co-occurrence counts, U the sets
 with no singleton class out of L), R**2 for its pair covering on a cut
 (residual row pairs, R the distinct extension rows), d_k * D**2 for the

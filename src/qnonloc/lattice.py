@@ -2,8 +2,8 @@
 
 Tuples over Z_{d_1} x ... x Z_{d_N} are stored by their mixed-radix rank
 (position 0 most significant), which keeps set algebra, membership and
-serialization order all on sorted int64 vectors.  The checker and the
-exact oracle share the cut layout `cut_table` and the union-find `_components`.
+serialization order all on sorted int64 vectors.  Both routes read each
+cut from one `member_cube` (`cut_table`) and share the union-find `_components`.
 """
 
 from __future__ import annotations
@@ -90,48 +90,41 @@ def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lab = np.arange(n_nodes, dtype=np.int64)
     while True:
         la, lb = lab[a], lab[b]
-        if np.array_equal(la, lb):
+        if (la == lb).all():
             return lab
         low = np.minimum(la, lb)
         np.minimum.at(lab, la, low)
         np.minimum.at(lab, lb, low)
         while True:
             jumped = lab[lab]
-            if np.array_equal(jumped, lab):
+            if (jumped == lab).all():
                 break
             lab = jumped
 
 
-def split_at(ranks: np.ndarray, radix: Sequence[int], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split each rank at position k into (digit at k, rank of the other digits).
-
-    The second rank is over the radix with position k deleted and keeps the
-    order of the remaining positions, so a TupleSet's canonical order
-    survives inside every digit class.
-    """
-    low = math.prod(radix[k + 1:])
-    high, rest = np.divmod(np.asarray(ranks, dtype=np.int64), low)
-    return high % radix[k], high // radix[k] * low + rest
-
-
-def cut_table(radix: tuple[int, ...], sets: Sequence[TupleSet], k: int) -> np.ndarray:
-    """(d_k, D) layout of cut k: entry [g, r] numbers the member (counting
-    through `sets` in order) with digit g at k and rank r for the rest
-    (`split_at`), or is -1 where none sits.  It has an entry per tuple of
+def member_cube(radix: tuple[int, ...], sets: Sequence[TupleSet]) -> np.ndarray:
+    """Radix-shaped array numbering each tuple's member (counting through
+    `sets` in order), or -1 where none sits.  It has an entry per tuple of
     the cube, which is held to the cap; a tuple in two sets is an
     InternalConsistencyError."""
-    n = len(radix)
-    if not 0 <= k < n:
-        raise ValueError(f"cut {k} out of range for arity {n}")
     total = math.prod(radix)
     caps.check(total, "tuples in the cube")
     ranks = np.concatenate([ts.ranks for ts in sets])
-    digit, resid = split_at(ranks, radix, k)
-    table = np.full((radix[k], total // radix[k]), -1, dtype=np.int64)
-    table[digit, resid] = np.arange(len(ranks))
-    if np.count_nonzero(table >= 0) != len(ranks):
+    cube = np.full(total, -1, dtype=np.int64)
+    cube[ranks] = np.arange(len(ranks))
+    if np.count_nonzero(cube >= 0) != len(ranks):
         raise InternalConsistencyError("sets overlap: a tuple sits in two of them")
-    return table
+    return cube.reshape(radix)
+
+
+def cut_table(cube: np.ndarray, k: int) -> np.ndarray:
+    """(d_k, D) layout of cut k: entry [g, r] is the cube's entry with digit
+    g at k and rank r for the other digits, in their order, so a TupleSet's
+    canonical order survives inside every digit class."""
+    if not 0 <= k < cube.ndim:
+        raise ValueError(f"cut {k} out of range for arity {cube.ndim}")
+    d_k, lo = cube.shape[k], math.prod(cube.shape[k + 1:])
+    return cube.reshape(-1, d_k, lo).transpose(1, 0, 2).reshape(d_k, -1)
 
 
 class TupleSet:

@@ -14,7 +14,7 @@ invertible, so the constraints reduce to equalities between entries of Pi:
 * across sets S != T, <s|E|t> = 0 for every s in S, t in T, so
   Pi[r(s), r(t)] = 0 whenever s and t share their digit at k, where r(s)
   is the rank of s with position k deleted (`lattice.cut_table` lays the
-  members out by both, as it does for the combinatorial checker);
+  members out by both from one member cube, as it does for the checker);
 * within a set, the block B[i, j] = <s_i|E|s_j> must be circulant in the
   bijection order, so entries with the same shift (f_i - f_j) mod s are
   equal, and a shift meeting a pair with different digits at k is 0.
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import caps
 from .errors import InternalConsistencyError
-from .lattice import _components, cut_table, sorted_unique
+from .lattice import _components, cut_table, member_cube
 from .states import PhaseStateSet, shared_radix
 
 DEFAULT_RANK_TOL = 1e-9
@@ -84,7 +84,7 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport
     hold an entry and not the zero node.
 
     The broadcast has d_k * D**2 slots, which are held to the cap before
-    anything is built.  Overlapping supports (`lattice.cut_table`) or a
+    anything is built.  Overlapping supports (`lattice.member_cube`) or a
     single free class other than the diagonal mean the states are not
     mutually orthogonal, and raise InternalConsistencyError.  Each bijection
     is a permutation, which `PhaseStateSet` checks once and then keeps
@@ -95,39 +95,40 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport
     caps.check(d_k * D * D, "same-digit pair slots")
     # owner[g, x] is the member with digit g at k and the rest ranked x,
     # which is row or column x of Pi
-    owner = cut_table(radix, [ss.support for ss in state_sets], k)
+    owner = cut_table(member_cube(radix, [ss.support for ss in state_sets]), k)
     sizes = np.array([ss.s for ss in state_sets], dtype=np.int64)
-    size = np.repeat(sizes, sizes)                      # s of each member's set
-    set_id = np.repeat(np.arange(len(sizes)), sizes)
+    size = sizes.repeat(sizes)                          # s of each member's set
+    base = (sizes.cumsum() - sizes).repeat(sizes)       # first class node of its set
     f = np.concatenate([ss.bijection for ss in state_sets])
 
     # every ordered pair of members with the same digit at k; slot (g, x, y)
     # meets entry x * D + y of Pi
     shape = (d_k, D, D)
-    u = np.broadcast_to(owner[:, :, None], shape)
-    v = np.broadcast_to(owner[:, None, :], shape)
-    both = (u >= 0) & (v >= 0)
-    u, v = u[both], v[both]
+    hit = owner >= 0
+    both = hit[:, :, None] & hit[:, None, :]
+    u = np.broadcast_to(owner[:, :, None], shape)[both]
+    v = np.broadcast_to(owner[:, None, :], shape)[both]
     entry = np.broadcast_to(np.arange(D * D).reshape(D, D), shape)[both]
-    within = set_id[u] == set_id[v]
-    first_class = np.cumsum(sizes) - sizes
-    cls = first_class[set_id[u]] + (f[u] - f[v]) % size[u]
+    within = base[u] == base[v]
+    u, v = u[within], v[within]
+    cls = base[u] + (f[u] - f[v]) % size[u]
 
     # a class meets s pairs in all; fewer same-digit ones means a zero pair
-    hits = np.bincount(cls[within], minlength=len(size))
+    hits = np.bincount(cls, minlength=len(size))
     zero = D * D
-    a = np.concatenate([zero + 1 + cls[within], entry[~within],
-                        zero + 1 + np.flatnonzero(hits < size)])
-    b = np.concatenate([entry[within], np.full(len(a) - int(within.sum()), zero)])
+    a = np.concatenate([zero + 1 + cls, entry[~within],
+                        zero + 1 + (hits < size).nonzero()[0]])
+    b = np.concatenate([entry[within], np.full(len(a) - len(cls), zero)])
     n_nodes = zero + 1 + len(size)
     lab = _components(n_nodes, a, b)
 
+    # a component is labelled by its smallest node, an entry if it holds one
     comp = lab[:zero]
     free = comp != lab[zero]
-    classes = sorted_unique(comp[free])
+    classes = (free & (comp == np.arange(zero))).nonzero()[0]
     if len(classes) < 2:
-        if not (len(classes) == 1 and np.array_equal(np.flatnonzero(free),
-                                                     np.arange(D) * (D + 1))):
+        if not (len(classes) == 1 and free[::D + 1].all()
+                and np.count_nonzero(free) == D):
             raise InternalConsistencyError(
                 f"{len(classes)}-dimensional solution space is not the identity line; "
                 "input states cannot have been orthogonal")

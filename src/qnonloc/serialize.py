@@ -14,7 +14,10 @@ because the rows hold only integers; `d`, `n` and `meta` go through
 Reading validates each set's rows as one integer array: shape, digit range
 against the radix, and duplicates within and across sets.  Only a document
 that fails those checks is scanned row by row, to name the first offending
-field in document order.
+field in document order.  A modified family's `meta` is checked field by
+field: `case` is "I", "II" or "III", `xi_prime` lies in 1..d-1, each
+`removed` tuple has n digits inside the radix, and `beyond_guarantee` is a
+JSON boolean.
 """
 
 from __future__ import annotations
@@ -118,19 +121,32 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily | ModifiedFamily:
                 raise FamilyFormatError(f"meta: modified families need {key!r}")
         if len(set(radix)) != 1:
             raise FamilyFormatError("meta: modified families need a uniform radix")
+        d = radix[0]
+        case = meta["case"]
+        if case not in ("I", "II", "III"):
+            raise FamilyFormatError(f"meta.case: expected 'I', 'II' or 'III', got {case!r}")
         xi = meta["xi_prime"]
-        if not isinstance(xi, int):
-            raise FamilyFormatError(f"meta.xi_prime: expected an integer, got {xi!r}")
+        if not isinstance(xi, int) or not 1 <= xi < d:
+            raise FamilyFormatError(f"meta.xi_prime: expected an integer in 1..{d - 1}, "
+                                    f"got {xi!r}")
         removed = meta.get("removed", [])
         if not (isinstance(removed, list) and all(
                 isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], (int, str)) and isinstance(pair[1], list)
                 and all(isinstance(x, int) for x in pair[1]) for pair in removed)):
             raise FamilyFormatError("meta.removed: expected a list of [label, digit list] pairs")
+        for i, (_, t) in enumerate(removed):
+            if len(t) != n or not all(0 <= x < d for x in t):
+                raise FamilyFormatError(
+                    f"meta.removed[{i}]: expected {n} digits in 0..{d - 1}, got {t}")
+        beyond = meta.get("beyond_guarantee", False)
+        if not isinstance(beyond, bool):
+            raise FamilyFormatError(
+                f"meta.beyond_guarantee: expected a JSON boolean, got {beyond!r}")
         return ModifiedFamily(
-            family=family, d=radix[0], n=n, xi=int(xi),
-            case=str(meta["case"]), removed=[(_label_in(str(l)), tuple(t)) for l, t in removed],
-            beyond_guarantee=bool(meta.get("beyond_guarantee", False)))
+            family=family, d=d, n=n, xi=int(xi), case=case,
+            removed=[(_label_in(str(l)), tuple(t)) for l, t in removed],
+            beyond_guarantee=beyond)
     return family
 
 

@@ -4,10 +4,10 @@ Everything here works on one "cut": a single kept party k, with the
 measurement acting jointly on all remaining parties.  Each tuple splits at k
 into its digit there and the rank of its other digits (its residual), and
 the residuals index the operator space the measurement sees.  The three
-checks read one label table of the cut: entry [g, r] names the label whose
-set holds the tuple with digit g at k and residual r, or -1 where no set
-does.  The class of label l at digit g is the set of columns where row g
-holds l.
+checks read one label table of the cut, a transposed copy of the family's
+label cube (`lattice.cut_table`): entry [g, r] names the label whose set
+holds the tuple with digit g at k and residual r, or -1 where no set does.
+The class of label l at digit g is the set of columns where row g holds l.
 
 A label is "resolved" when one of three sufficient conditions forces any
 orthogonality-preserving operator to be proportional to the identity on that
@@ -33,16 +33,8 @@ from enum import Enum
 import numpy as np
 
 from . import caps
-from .lattice import Label, ModifiedFamily, SetFamily, _components, cut_table, sorted_unique
-
-
-def _label_table(family: SetFamily, k: int) -> np.ndarray:
-    """(d_k, D) int32 table: [g, r] is the index of the label holding the
-    tuple with digit g at k and residual r, or -1 where no label does."""
-    sizes = [len(ts) for ts in family.sets()]
-    label = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-    # an empty entry numbers member -1, which picks the -1 appended last
-    return np.append(label, np.int32(-1))[cut_table(family.radix, family.sets(), k)]
+from .lattice import (Label, ModifiedFamily, SetFamily, _components, cut_table, member_cube,
+                      sorted_unique)
 
 
 @dataclass(frozen=True)
@@ -74,6 +66,9 @@ class LabelVerdict:
     cover: BlockCover | None = None
 
 
+_UNRESOLVED = LabelVerdict(Condition.UNRESOLVED)
+
+
 def _classify(table: np.ndarray, labels: list[Label]) -> dict[Label, LabelVerdict]:
     """Assign each label the first sufficient condition that resolves it.
 
@@ -88,10 +83,11 @@ def _classify(table: np.ndarray, labels: list[Label]) -> dict[Label, LabelVerdic
     L, d_k = len(labels), table.shape[0]
     lab = table % (L + 1)  # an empty entry reads as label L, which nothing admits
     sizes = np.bincount((lab + np.arange(0, d_k * (L + 1), L + 1)[:, None]).ravel(),
-                        minlength=d_k * (L + 1)).reshape(d_k, L + 1)[:, :L]
+                        minlength=d_k * (L + 1)).reshape(d_k, L + 1)
+    sizes[:, L] = 0  # so label L is never present, single or resolved
     present = sizes > 0
     single = sizes == 1
-    resolved = np.append(single.any(axis=0), False)
+    resolved = single.any(axis=0)
     first = single.argmax(axis=0).tolist()
     verdicts = {labels[i]: LabelVerdict(Condition.SINGLETON, target_digit=first[i])
                 for i in resolved.nonzero()[0].tolist()}
@@ -114,12 +110,13 @@ def _classify(table: np.ndarray, labels: list[Label]) -> dict[Label, LabelVerdic
 
     def resolve(condition: Condition, j: int, found: np.ndarray, admit: np.ndarray) -> None:
         tau, g = divmod(int(found.argmax()), d_k)
-        once = (count[j, tau, g, :L] == 1).nonzero()[0]
-        tight_label = labels[once[0]] if len(once) else None
-        i = U[j]
+        once = (count[j, tau, g, :L] == 1).nonzero()[0].tolist()
+        tight_label = labels[once[0]] if once else None
+        i = int(U[j])
+        contributors = (admit & present[g]).nonzero()[0].tolist()
         verdicts[labels[i]] = LabelVerdict(condition, target_digit=tau, cover=BlockCover(
             target_label=labels[i], target_digit=tau, common_digit=g,
-            contributor_labels=tuple(labels[v] for v in (admit & present[g]).nonzero()[0]),
+            contributor_labels=tuple(labels[v] for v in contributors),
             tight=tight_label is not None, tight_label=tight_label))
         resolved[i] = True
 
@@ -127,7 +124,7 @@ def _classify(table: np.ndarray, labels: list[Label]) -> dict[Label, LabelVerdic
     own = count[np.arange(len(U)), :, :, U]
     tight = target & (own + count[..., L] == 0) & (count[..., :L] == 1).any(axis=3)
     for j in tight.any(axis=(1, 2)).nonzero()[0].tolist():
-        resolve(Condition.TIGHT_COVER, j, tight[j].ravel(), np.arange(L) != U[j])
+        resolve(Condition.TIGHT_COVER, j, tight[j].ravel(), np.arange(L + 1) != U[j])
 
     # chained: only resolved labels are admitted, so labels go in order
     grew = True
@@ -136,9 +133,9 @@ def _classify(table: np.ndarray, labels: list[Label]) -> dict[Label, LabelVerdic
         for j in (~resolved[U]).nonzero()[0].tolist():
             found = (target[j] & (count[j] @ ~resolved == 0)).ravel()
             if found.any():
-                resolve(Condition.CHAINED_COVER, j, found, resolved[:L])
+                resolve(Condition.CHAINED_COVER, j, found, resolved)
                 grew = True
-    return {l: verdicts.get(l, LabelVerdict(Condition.UNRESOLVED)) for l in labels}
+    return {l: verdicts.get(l, _UNRESOLVED) for l in labels}
 
 
 def _pair_covering(table: np.ndarray) -> bool:
@@ -163,9 +160,9 @@ def _connectivity(table: np.ndarray, n_labels: int) -> bool:
     largest one there, which keeps the components of the overlap graph;
     connected means every label lies in the component of label 0.
     """
-    hit = table >= 0
-    hub = np.broadcast_to(table.max(axis=0), table.shape)
-    return not _components(n_labels, table[hit], hub[hit]).any()
+    hit = table >= 0  # read column by column, so each column's hub repeats
+    hub = table.max(axis=0).repeat(hit.sum(axis=0))
+    return not _components(n_labels, table.T[hit.T], hub).any()
 
 
 @dataclass
@@ -192,7 +189,8 @@ def verify_strongest_nonlocality(family: SetFamily | ModifiedFamily,
     "trivial" needs every label resolved plus pair covering plus
     connectivity; with all labels resolved and a global condition failing the
     cut is "nontrivial"; any unresolved label leaves it "inconclusive".
-    Each cut's label table is built once and read by all three checks.
+    The family is laid out once, as each tuple's label index; each cut's
+    table is a transposed copy of that cube, read by all three checks.
     """
     if isinstance(family, ModifiedFamily):
         family = family.family
@@ -202,9 +200,13 @@ def verify_strongest_nonlocality(family: SetFamily | ModifiedFamily,
     if cuts is None:
         cuts = list(range(n))
 
+    sizes = [len(ts) for ts in family.sets()]
+    label = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    # an empty entry numbers member -1, which picks the -1 appended last
+    cube = np.append(label, np.int32(-1))[member_cube(family.radix, family.sets())]
     reports = []
     for k in cuts:
-        table = _label_table(family, k)
+        table = cut_table(cube, k)
         conditions = _classify(table, family.labels)
         pair = _pair_covering(table)
         conn = _connectivity(table, len(family))

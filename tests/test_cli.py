@@ -165,6 +165,13 @@ def test_import_valid_and_invalid(tmp_path, capsys):
     assert main(["import", str(bad)]) == 1
     assert "out of range" in capsys.readouterr().err
 
+    doc = json.loads(good.read_text())
+    doc["meta"]["case"] = [1]
+    bad.write_text(json.dumps(doc))
+    assert main(["import", str(bad)]) == 1
+    assert main(["verify", "--combinatorial-only", str(bad)]) == 2
+    assert capsys.readouterr().err.count("error: meta.case:") == 2
+
 
 def test_missing_file_is_an_error(capsys):
     assert main(["verify", "/nonexistent/family.json"]) == 2

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qnonloc as q
-from qnonloc.errors import InadmissibleXiError, ResourceLimitError
-from qnonloc.lattice import _components, _decode, _encode, has_repeat, sorted_unique, split_at
+from qnonloc.errors import InadmissibleXiError, InternalConsistencyError, ResourceLimitError
+from qnonloc.lattice import (_components, _decode, _encode, cut_table, has_repeat, member_cube,
+                             sorted_unique)
 
 
 def digit_sum_class(d, n, i):
@@ -67,17 +68,35 @@ def test_sort_helpers_match_numpy_unique_on_packed_rows(width, rows):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=5), st.data())
-def test_split_at_matches_digit_deletion(radix, data):
+def test_cut_table_matches_digit_deletion(radix, data):
     total = math.prod(radix)
     ranks = np.array(sorted(data.draw(st.sets(st.integers(0, total - 1), max_size=40))),
                      dtype=np.int64)
     digits = _decode(ranks, radix)
+    cube = member_cube(tuple(radix), [q.TupleSet(radix, ranks)])
+    assert cube.shape == tuple(radix)
     for k in range(len(radix)):
-        digit, resid = split_at(ranks, radix, k)
+        table = cut_table(cube, k)
         reduced = tuple(radix[:k] + radix[k + 1:])
-        assert np.array_equal(digit, digits[:, k])
-        assert np.array_equal(resid, _encode(np.delete(digits, k, axis=1), reduced))
-        assert (resid < math.prod(reduced)).all()
+        assert table.shape == (radix[k], math.prod(reduced))
+        # member i sits at [its digit at k, rank of its other digits]
+        resid = _encode(np.delete(digits, k, axis=1), reduced)
+        assert table[digits[:, k], resid].tolist() == list(range(len(ranks)))
+        empty = np.ones(table.shape, dtype=bool)
+        empty[digits[:, k], resid] = False
+        assert (table[empty] == -1).all()
+
+
+def test_member_cube_refuses_overlap_and_held_to_cap(monkeypatch):
+    radix = (2, 3)
+    a = q.TupleSet.from_tuples(radix, [(0, 0), (1, 2)])
+    b = q.TupleSet.from_tuples(radix, [(0, 1)])
+    assert member_cube(radix, [a, b]).tolist() == [[0, 2, -1], [-1, -1, 1]]
+    with pytest.raises(InternalConsistencyError):
+        member_cube(radix, [a, b, a])
+    monkeypatch.setenv("QNONLOC_CAP", "5")
+    with pytest.raises(ResourceLimitError):
+        member_cube(radix, [a, b])
 
 
 def bfs_components(n_nodes, a, b):

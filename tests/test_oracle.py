@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,20 @@ def test_exact_route_held_to_cap(bell_family, ex1_family, monkeypatch):
     assert [r.overall for r in q.verify_strongest_nonlocality(ex1_family)] == ["trivial"] * 3
     with pytest.raises(ResourceLimitError):
         q.oracle_verify(q.family_states(ex1_family.family), cuts=[0])
+
+
+def test_exact_route_memory_stays_small():
+    # index (2,9), cut 1: the pair broadcast has 2 * 256**2 slots; the shift
+    # arithmetic runs on within-set pairs only, from boolean-mask gathers
+    states = q.family_states(q.build_index_family(2, 9))
+    tracemalloc.start()
+    try:
+        report = q.exact_nullspace(states, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.nullspace_dim, report.verdict) == (2, "nontrivial")
+    assert peak < 14 * 2**20
 
 
 def test_bell_cut_is_trivial(bell_family):

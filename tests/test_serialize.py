@@ -104,6 +104,21 @@ def test_mixed_radix_document():
       "meta": {"xi_prime": 1, "case": "I", "removed": 5}}, "meta.removed"),
     ({"d": 3, "n": 2, "sets": {"0": [[0, 0]]},
       "meta": {"xi_prime": 1, "case": "I", "removed": [[1]]}}, "meta.removed"),
+    ({"d": 4, "n": 3, "sets": {"0": [[0, 0, 1]]}, "meta": {"xi_prime": 2, "case": [1]}},
+     "meta.case"),
+    ({"d": 4, "n": 3, "sets": {"0": [[0, 0, 1]]},
+      "meta": {"xi_prime": 2, "case": "I", "beyond_guarantee": "no"}},
+     "meta.beyond_guarantee"),
+    ({"d": 4, "n": 3, "sets": {"0": [[0, 0, 1]]},
+      "meta": {"xi_prime": 2, "case": "I", "removed": [[0, [9, 9, 9, 9, 9]]]}},
+     "meta.removed[0]"),
+    ({"d": 4, "n": 3, "sets": {"0": [[0, 0, 1]]},
+      "meta": {"xi_prime": 2, "case": "I", "removed": [[0, [0, 0, 0]], [1, [2, 2, 4]]]}},
+     "meta.removed[1]"),
+    ({"d": 4, "n": 3, "sets": {"0": [[0, 0, 1]]}, "meta": {"xi_prime": 0, "case": "I"}},
+     "meta.xi_prime"),
+    ({"d": 4, "n": 3, "sets": {"0": [[0, 0, 1]]}, "meta": {"xi_prime": 4, "case": "I"}},
+     "meta.xi_prime"),
 ])
 def test_validation_errors(doc, fragment):
     with pytest.raises(FamilyFormatError) as exc:

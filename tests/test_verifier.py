@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import qnonloc as q
 from qnonloc.errors import InternalConsistencyError
+from qnonloc.lattice import member_cube
 from qnonloc.verifier import BlockCover, Condition
 
 
@@ -318,6 +319,21 @@ def test_connectivity_of_many_labels_stays_small():
     assert report.pair_covering and not report.connectivity
     assert report.overall == "nontrivial"
     assert peak < 16 * 2**20
+
+
+def test_family_laid_out_once_per_call(ex1_family, monkeypatch):
+    # every cut's table is a transposed copy of one member cube
+    from qnonloc import verifier
+    calls = []
+
+    def counting(radix, sets):
+        calls.append(radix)
+        return member_cube(radix, sets)
+
+    monkeypatch.setattr(verifier, "member_cube", counting)
+    reports = q.verify_strongest_nonlocality(ex1_family)
+    assert [r.overall for r in reports] == ["trivial"] * 3
+    assert calls == [(4, 4, 4)]
 
 
 def test_verify_rejects_single_party():
