@@ -22,10 +22,9 @@ for label, verdict in cut0.conditions.items():
     line = f"  set {label!r}: {verdict.condition.value}"
     if verdict.condition is not Condition.UNRESOLVED:
         line += f" via its digit-{verdict.target_digit} class"
-    cover = verdict.cover
-    if cover is not None:
-        line += (f", covered at common digit {cover.common_digit} by "
-                 f"{cover.contributor_labels}, tight via {cover.tight_label!r}")
+    if verdict.common_digit is not None:
+        line += (f", covered at common digit {verdict.common_digit} by "
+                 f"{verdict.contributor_labels}, tight via {verdict.tight_label!r}")
     print(line)
 
 print("\nfull verdicts per cut:")

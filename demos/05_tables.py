@@ -6,12 +6,11 @@ staying well above the d**(n-1) + 1 lower bound.  Where the cube is small
 enough the formula is cross-checked by explicit enumeration.
 """
 
-from qnonloc.tables import (all_comparison_tables, render_comparison_text,
-                            render_diagonal_text)
+from qnonloc.tables import all_comparison_tables, render_comparison, render_diagonal
 
 tables = all_comparison_tables()
 for table in tables:
-    print(render_comparison_text(table))
+    print(render_comparison(table, "text"))
     checked = [n for n, c in zip(table.n_values, table.enumerated) if c]
     print(f"  enumeration-checked at N = {checked}")
     print(f"  lower bound d**(N-1)+1:   {table.lower_bound}\n")
@@ -23,4 +22,4 @@ for table in tables:
     print(f"  d={table.d}: {ratio:.3f}")
 
 print("\ndiagonal-home grid for d = 4 (rows: n mod d, columns: xi):")
-print(render_diagonal_text(4))
+print(render_diagonal(4, "text"))

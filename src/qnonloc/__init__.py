@@ -38,8 +38,8 @@ _EXPORTS = {
     "states": ("GramReport", "PhaseStateSet", "family_states",
                "genuine_entanglement_check", "gram_check"),
     "tables": ("SizeTable", "all_comparison_tables", "comparison_table", "diagonal_table"),
-    "verifier": ("BlockCover", "Condition", "CutReport", "LabelVerdict",
-                 "overall_verdict", "verify_strongest_nonlocality"),
+    "verifier": ("Condition", "CutReport", "LabelVerdict", "overall_verdict",
+                 "verify_strongest_nonlocality"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

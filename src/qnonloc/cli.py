@@ -132,7 +132,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     disagreements: list[str] = []
     writes = bool(args.out) or args.fmt == "json"
     if not args.combinatorial_only:
-        from .oracle import oracle_verify
+        from .oracle import oracle_overall, oracle_verify
         from .states import family_states
 
         states = family_states(base)
@@ -184,46 +184,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 1
     if args.combinatorial_only:
         return 0
-    return 0 if all(r.verdict == "trivial" for r in oracle_reports) else 1
+    return 0 if oracle_overall(oracle_reports) == "trivial" else 1
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
     from .tables import (all_comparison_tables, comparison_to_json, diagonal_table,
-                         render_comparison_csv, render_comparison_text,
-                         render_diagonal_csv, render_diagonal_text)
+                         render_comparison, render_diagonal)
 
+    # every file is rendered before any is written or printed, so a refused
+    # run leaves no output
     tables = all_comparison_tables()
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.fmt == "json":
         doc = {"comparison": [comparison_to_json(t) for t in tables]}
         if args.diagonal is not None:
             doc["diagonal"] = {"d": args.diagonal,
                                "grid": diagonal_table(args.diagonal).tolist()}
-        text = dumps_canonical(doc)
-        if out_dir:
-            (out_dir / "tables.json").write_text(text)
-        else:
-            print(text, end="")
-        return 0
+        files = {"tables.json": dumps_canonical(doc)}
+    else:
+        ext = "csv" if args.fmt == "csv" else "txt"
+        files = {f"comparison_d{t.d}.{ext}": render_comparison(t, args.fmt) for t in tables}
+        if args.diagonal is not None:
+            files[f"diagonal_d{args.diagonal}.{ext}"] = render_diagonal(args.diagonal, args.fmt)
 
-    render = render_comparison_csv if args.fmt == "csv" else render_comparison_text
-    ext = "csv" if args.fmt == "csv" else "txt"
-    for t in tables:
-        text = render(t)
-        if out_dir:
-            (out_dir / f"comparison_d{t.d}.{ext}").write_text(text)
-        else:
-            print(text)
-    if args.diagonal is not None:
-        text = (render_diagonal_csv if args.fmt == "csv"
-                else render_diagonal_text)(args.diagonal)
-        if out_dir:
-            (out_dir / f"diagonal_d{args.diagonal}.{ext}").write_text(text)
-        else:
-            print(text)
+    if args.out:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out_dir / name).write_text(text)
+    else:
+        for text in files.values():
+            print(text, end="" if args.fmt == "json" else "\n")
     return 0
 
 

@@ -219,7 +219,7 @@ def cut_report_to_json(report: CutReport) -> dict[str, Any]:
 def _complex_matrix_out(mat: np.ndarray | None) -> list | None:
     if mat is None:
         return None
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
+    return np.stack((np.real(mat), np.imag(mat)), axis=-1).tolist()
 
 
 def oracle_report_to_json(report: OracleReport) -> dict[str, Any]:

@@ -37,18 +37,6 @@ from .lattice import (Label, ModifiedFamily, SetFamily, _components, cut_table, 
                       sorted_unique)
 
 
-@dataclass(frozen=True)
-class BlockCover:
-    """One residual class covered by same-digit classes of other labels."""
-
-    target_label: Label
-    target_digit: int
-    common_digit: int
-    contributor_labels: tuple[Label, ...]
-    tight: bool
-    tight_label: Label | None = None
-
-
 class Condition(str, Enum):
     SINGLETON = "singleton"
     TIGHT_COVER = "tight_cover"
@@ -61,9 +49,16 @@ class Condition(str, Enum):
 
 @dataclass(frozen=True)
 class LabelVerdict:
+    """How one label is resolved: the digit of its deciding class and, for a
+    cover of that class, the common digit, the labels whose classes there
+    contribute, and the first of them meeting the class in one column, if
+    any (the cover is then tight)."""
+
     condition: Condition
     target_digit: int | None = None
-    cover: BlockCover | None = None
+    common_digit: int | None = None
+    contributor_labels: tuple[Label, ...] = ()
+    tight_label: Label | None = None
 
 
 _UNRESOLVED = LabelVerdict(Condition.UNRESOLVED)
@@ -114,10 +109,8 @@ def _classify(table: np.ndarray, labels: list[Label]) -> dict[Label, LabelVerdic
         tight_label = labels[once[0]] if once else None
         i = int(U[j])
         contributors = (admit & present[g]).nonzero()[0].tolist()
-        verdicts[labels[i]] = LabelVerdict(condition, target_digit=tau, cover=BlockCover(
-            target_label=labels[i], target_digit=tau, common_digit=g,
-            contributor_labels=tuple(labels[v] for v in contributors),
-            tight=tight_label is not None, tight_label=tight_label))
+        verdicts[labels[i]] = LabelVerdict(condition, tau, g,
+                                           tuple(labels[v] for v in contributors), tight_label)
         resolved[i] = True
 
     # tight: every label but the target is admitted, whatever resolves first

@@ -107,6 +107,74 @@ def test_tables_directory(tmp_path):
     assert grid[3] == "2,0,2,0,2"
 
 
+TABLES_TEXT = (
+    "      d=4  N=3  N=4  N=5   N=6    N=7    N=8\n"
+    "     Ref.   38  176  782  3368  14198  58976\n"
+    "This work   48  192  768  3072  12288  49152\n"
+    "\n"
+    "      d=5  N=3  N=4   N=5    N=6    N=7     N=8\n"
+    "     Ref.   62  370  2102  11530  61742  325090\n"
+    "This work   75  375  1875   9375  46875  234375\n"
+    "\n"
+    "      d=6  N=3  N=4   N=5    N=6     N=7      N=8\n"
+    "     Ref.   92  672  4652  31032  201812  1288992\n"
+    "This work  108  648  3888  23328  139968   839808\n"
+    "\n"
+    "      d=7  N=3   N=4   N=5    N=6     N=7      N=8\n"
+    "     Ref.  128  1106  9032  70994  543608  4085186\n"
+    "This work  147  1029  7203  50421  352947  2470629\n"
+    "\n"
+)
+
+TABLES_CSV_DIAGONAL_4 = (
+    "d=4,N=3,N=4,N=5,N=6,N=7,N=8\n"
+    "Ref.,38,176,782,3368,14198,58976\n"
+    "This work,48,192,768,3072,12288,49152\n"
+    "\n"
+    "d=5,N=3,N=4,N=5,N=6,N=7,N=8\n"
+    "Ref.,62,370,2102,11530,61742,325090\n"
+    "This work,75,375,1875,9375,46875,234375\n"
+    "\n"
+    "d=6,N=3,N=4,N=5,N=6,N=7,N=8\n"
+    "Ref.,92,672,4652,31032,201812,1288992\n"
+    "This work,108,648,3888,23328,139968,839808\n"
+    "\n"
+    "d=7,N=3,N=4,N=5,N=6,N=7,N=8\n"
+    "Ref.,128,1106,9032,70994,543608,4085186\n"
+    "This work,147,1029,7203,50421,352947,2470629\n"
+    "\n"
+    "n mod d,xi=0,xi=1,xi=2,xi=3\n"
+    "0,0,0,0,0\n"
+    "1,0,1,2,3\n"
+    "2,0,2,0,2\n"
+    "3,0,3,2,1\n"
+    "\n"
+)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["tables"], TABLES_TEXT),
+    (["tables", "--format", "csv", "--diagonal", "4"], TABLES_CSV_DIAGONAL_4),
+], ids=["text", "csv-diagonal"])
+def test_tables_stdout_golden(capsys, argv, expected):
+    # each table is followed by one blank line
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected and captured.err == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_tables_refused_diagonal_writes_nothing(tmp_path, capsys, fmt):
+    # every table is rendered before any is printed or written
+    assert main(["tables", "--format", fmt, "--diagonal", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: d must be >= 2\n"
+    out = tmp_path / "tables"
+    assert main(["tables", "--format", fmt, "--out", str(out), "--diagonal", "1"]) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 def test_tables_json(capsys):
     assert main(["tables", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

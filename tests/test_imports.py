@@ -1,4 +1,5 @@
-"""No module imports a name it never uses (no linter is declared, so this is it)."""
+"""No module imports a name it never uses, and no private module-level name
+of the package goes unreferenced (no linter is declared, so this is it)."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "qnonloc").glob("*.py"))
 MODULES = sorted(
     [p for p in (ROOT / "src" / "qnonloc").glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py")) + list((ROOT / "demos").glob("*.py")))
@@ -56,3 +58,47 @@ def test_scan_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Any, Sequence\n"
                      "def f(x: 'Sequence[int]') -> None:\n    return os.sep\n")
     assert set(_imported(tree)) - _used(tree) == {"Any"}
+
+
+def _referenced(node):
+    """Names a statement reads: loaded names, attributes and imported names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _unreferenced_private(trees):
+    """Module-level `_name`s (dunders aside) that no other top-level statement
+    of any of the trees reads."""
+    defined, reads = [], []
+    for tree in trees:
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                names = set()
+            defined.append({n for n in names if n.startswith("_") and not n.endswith("__")})
+            reads.append(_referenced(stmt))
+    return {name for i, names in enumerate(defined) for name in names
+            if not any(name in r for j, r in enumerate(reads) if j != i)}
+
+
+def test_no_unreferenced_private_names():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE]
+    assert not _unreferenced_private(trees)
+
+
+def test_scan_sees_an_unreferenced_private_name():
+    used = ast.parse("_LIMIT = 3\ndef _twice(x):\n    return 2 * x\n")
+    user = ast.parse("from m import _twice\ndef _dead(n):\n    return _dead(n - 1)\n"
+                     "def f():\n    return _LIMIT\n")
+    assert _unreferenced_private([used, user]) == {"_dead"}

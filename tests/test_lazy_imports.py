@@ -35,8 +35,8 @@ EXPORTS = {
     "states": {"GramReport", "PhaseStateSet", "family_states",
                "genuine_entanglement_check", "gram_check"},
     "tables": {"SizeTable", "all_comparison_tables", "comparison_table", "diagonal_table"},
-    "verifier": {"BlockCover", "Condition", "CutReport", "LabelVerdict",
-                 "overall_verdict", "verify_strongest_nonlocality"},
+    "verifier": {"Condition", "CutReport", "LabelVerdict", "overall_verdict",
+                 "verify_strongest_nonlocality"},
 }
 
 
@@ -44,7 +44,7 @@ EXPORTS = {
 
 def test_all_lists_the_exported_names():
     names = set().union(*EXPORTS.values())
-    assert len(names) == 47
+    assert len(names) == 46
     assert len(q.__all__) == len(set(q.__all__)) and set(q.__all__) == names
     assert q.__version__ == "0.1.0"
     assert names <= set(dir(q))

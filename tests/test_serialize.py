@@ -2,6 +2,7 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +162,17 @@ def test_oracle_report_json_shape(product_family):
     w = doc["witness"]
     assert len(w) == 2 and len(w[0]) == 2 and len(w[0][0]) == 2
     json.dumps(doc)
+
+
+def test_oracle_report_witness_keeps_imaginary_parts():
+    # exact-route witnesses are real, so a hand-made one carries the imaginary parts
+    w = np.array([[0.5, 0.25 - 0.5j], [0.25 + 0.5j, complex(-0.5, -0.0)]])
+    doc = q.oracle_report_to_json(q.OracleReport(k=1, D=2, nullspace_dim=2,
+                                                 verdict="nontrivial", witness=w))
+    assert doc["witness"] == [[[0.5, 0.0], [0.25, -0.5]], [[0.25, 0.5], [-0.5, 0.0]]]
+    assert json.dumps(doc["witness"]) == (
+        "[[[0.5, 0.0], [0.25, -0.5]], [[0.25, 0.5], [-0.5, -0.0]]]")
+    assert all(type(x) is float for row in doc["witness"] for z in row for x in z)
 
 
 def test_oracle_report_trivial_witness_null(bell_family):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import qnonloc as q
 from qnonloc.errors import InternalConsistencyError
 from qnonloc.lattice import member_cube
-from qnonloc.verifier import BlockCover, Condition
+from qnonloc.verifier import Condition, LabelVerdict
 
 
 def cut(fam, k):
@@ -29,11 +29,10 @@ def test_cover_spec_shape_d4_n5():
     verdict = cut(fam, 0).conditions[1]
     assert verdict.condition is Condition.TIGHT_COVER
     assert verdict.target_digit == 1
-    cover = verdict.cover
-    assert cover.common_digit == 0
-    assert cover.tight and cover.tight_label == "extra"
-    assert {0, "extra"} <= set(cover.contributor_labels)
-    assert 1 not in cover.contributor_labels
+    assert verdict.common_digit == 0
+    assert verdict.tight_label == "extra"
+    assert {0, "extra"} <= set(verdict.contributor_labels)
+    assert 1 not in verdict.contributor_labels
 
 
 # ----------------------------------------------------------- classification
@@ -77,8 +76,8 @@ def test_classify_chained_cover_in_second_pass():
     verdicts = cut(fam, 0).conditions
     assert [v.condition for v in verdicts.values()] == [
         Condition.CHAINED_COVER, Condition.CHAINED_COVER, Condition.SINGLETON]
-    assert verdicts[0].cover == BlockCover(0, 0, 1, (1, 2), False, None)
-    assert verdicts[1].cover == BlockCover(1, 0, 1, (2,), False, None)
+    assert verdicts[0] == LabelVerdict(Condition.CHAINED_COVER, 0, 1, (1, 2), None)
+    assert verdicts[1] == LabelVerdict(Condition.CHAINED_COVER, 0, 1, (2,), None)
 
 
 # ------------------------------------------------- pair covering and graph
@@ -168,14 +167,14 @@ def reference_checks(fam, k):
             tight = next((v for v in contrib if len(classes[v][g] & target) == 1), None)
             if require_tight and tight is None:
                 continue
-            return BlockCover(l, tau, g, tuple(contrib), tight is not None, tight)
+            return g, tuple(contrib), tight
         return None
 
     verdicts, resolved = {}, set()
     for l in order:
         single = [g for g in sorted(classes[l]) if len(classes[l][g]) == 1]
         if single:
-            verdicts[l] = (Condition.SINGLETON, single[0], None)
+            verdicts[l] = LabelVerdict(Condition.SINGLETON, single[0])
             resolved.add(l)
 
     def resolve(condition, allowed, require_tight):
@@ -186,7 +185,7 @@ def reference_checks(fam, k):
             for tau in sorted(classes[l]):
                 cover = find_cover(l, tau, allowed, require_tight)
                 if cover is not None:
-                    verdicts[l] = (condition, tau, cover)
+                    verdicts[l] = LabelVerdict(condition, tau, *cover)
                     resolved.add(l)
                     grew = True
                     break
@@ -195,7 +194,7 @@ def reference_checks(fam, k):
     resolve(Condition.TIGHT_COVER, None, True)
     while resolve(Condition.CHAINED_COVER, resolved, False):
         pass
-    conditions = {l: verdicts.get(l, (Condition.UNRESOLVED, None, None)) for l in order}
+    conditions = {l: verdicts.get(l, LabelVerdict(Condition.UNRESOLVED)) for l in order}
 
     union = set().union(*(set(ts) for ts in fam.sets()))
     reduced = fam.radix[:k] + fam.radix[k + 1:]
@@ -248,8 +247,7 @@ def test_checks_match_reference(fam, data):
     conditions, pair, conn = reference_checks(fam, k)
     report = cut(fam, k)
     assert list(report.conditions) == list(conditions)
-    for l, v in report.conditions.items():
-        assert (v.condition, v.target_digit, v.cover) == conditions[l]
+    assert report.conditions == conditions
     assert report.pair_covering == pair
     assert report.connectivity == conn
 
@@ -352,8 +350,8 @@ def test_checks_match_reference_on_built_families(built_slice):
             report = cut(fam, k)
             assert list(report.conditions) == list(conditions)
             for l, v in report.conditions.items():
-                assert (v.condition, v.target_digit, v.cover) == conditions[l], (name, k, l)
+                assert v == conditions[l], (name, k, l)
             assert report.pair_covering == pair, (name, k)
             assert report.connectivity == conn, (name, k)
-            seen.update(c for c, _, _ in conditions.values())
+            seen.update(v.condition for v in conditions.values())
     assert seen == set(Condition)
