@@ -16,7 +16,7 @@ print(f"modified family: d=4, n=3, case {fam.case}, xi'={fam.xi}")
 print(f"removed diagonal tuples: {fam.removed}")
 print(f"labels: {fam.labels}, total support size {fam.total_size()}")
 
-state_sets = q.family_states(fam.family)
+state_sets = q.family_states(fam)
 print("\nper-set state counts:")
 for ss in state_sets:
     print(f"  set {ss.label!r}: {ss.s} states on {len(ss.support)} tuples")
@@ -25,7 +25,7 @@ report = q.gram_check(state_sets)
 print(f"\northogonality of the whole family: ok={report.ok}, "
       f"overlapping supports: {report.structural_overlap}")
 
-n = len(fam.family.radix)
+n = len(fam.radix)
 entangled = q.genuine_entanglement_check(state_sets)
 print(f"\ngenuinely entangled: {entangled} "
       f"({len(state_sets)} sets x {2 ** (n - 1) - 1} splits of {n} parties, "

@@ -14,7 +14,6 @@ import qnonloc as q
 from qnonloc.verifier import Condition
 
 fam = q.build_modified_family(4, 3)
-base = fam.family
 
 print("how each set is resolved at cut k=0:")
 [cut0] = q.verify_strongest_nonlocality(fam, cuts=[0])
@@ -35,8 +34,8 @@ for rep in q.verify_strongest_nonlocality(fam):
           f"-> {rep.overall}")
 
 print("\nwhat breaks when a set is removed?")
-for label in base.labels:
-    sub = base.drop(label)
+for label in fam.labels:
+    sub = fam.drop(label)
     reports = q.verify_strongest_nonlocality(sub)
     overalls = {r.overall for r in reports}
     print(f"  without {label!r}: cut verdicts {sorted(overalls)}")

@@ -18,7 +18,7 @@ import qnonloc as q
 from qnonloc.oracle import assemble_constraints, hermitian_nullspace
 
 fam = q.build_modified_family(4, 3)
-states = q.family_states(fam.family)
+states = q.family_states(fam)
 
 print("flagship family, all three cuts:")
 for rep in q.oracle_verify(states):
@@ -34,17 +34,17 @@ prod = q.SetFamily(radix, {i: q.TupleSet.from_tuples(radix, [t])
                            for i, t in enumerate(itertools.product((0, 1), (0, 1)))})
 for rep in q.oracle_verify(q.family_states(prod), cuts=[0]):
     print(f"  cut {rep.k}: nullspace dim={rep.nullspace_dim} -> {rep.verdict}")
-    print("  witness operator (traceless, Hermitian):")
+    print("  witness operator (traceless, real symmetric):")
     print(np.array2string(np.asarray(rep.witness), precision=3, suppress_small=True))
 
 print("\nnegative control: drop one set from the flagship family")
-sub = fam.family.drop(1)
+sub = fam.drop(1)
 for rep in q.oracle_verify(q.family_states(sub), cuts=[0]):
     print(f"  cut {rep.k}: nullspace dim={rep.nullspace_dim} -> {rep.verdict}")
 
 print("\nagreement: wherever the combinatorial checker decides, the oracle "
       "gives the same verdict")
-for name, family in [("flagship", fam.family), ("ablated", sub), ("product", prod)]:
+for name, family in [("flagship", fam), ("ablated", sub), ("product", prod)]:
     comb = q.overall_verdict(q.verify_strongest_nonlocality(family))
     orc = q.oracle_overall(q.oracle_verify(q.family_states(family)))
     print(f"  {name}: combinatorial={comb}, oracle={orc}")

@@ -3,16 +3,15 @@
 Every size check in the package goes through `check`, which raises
 ResourceLimitError before the work it counts is done.  The counts are the
 cube d**n of a family build or of the member cube both routes lay out,
-d_k**2 * U * (L + 1)
-for the checker's cover search on a cut (co-occurrence counts, U the sets
-with no singleton class out of L), R**2 for its pair covering on a cut
-(residual row pairs, R the distinct extension rows), d_k * D**2 for the
-exact oracle on a cut (the slots of its same-digit broadcast),
-N (N - 1) D**2 for the dense reference's row matrix, and the numbers a
-state export (sum of s**2 * n digits) or a verify JSON's witnesses
-(2 * sum of D**2, checked after each cut) would write.  The QNONLOC_CAP
-environment variable, one positive integer read on every call, is the only
-override.
+d_k**2 * U * (L + 1) for the checker's cover search on a cut (co-occurrence
+counts, U the sets with no singleton class out of L), R**2 for its pair
+covering on a cut (residual row pairs, R the distinct extension rows),
+d_k * D**2 for the exact oracle on a cut (the slots of its same-digit
+broadcast), N (N - 1) D**2 for the dense reference's row matrix, the d**2
+cells of the diagonal-home grid, and the numbers a state export (sum of
+s**2 * n digits) or a verify JSON's witnesses (2 * sum of D**2, checked
+after each cut) would write.  The QNONLOC_CAP environment variable, one
+positive integer read on every call, is the only override.
 """
 
 from __future__ import annotations

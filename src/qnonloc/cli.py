@@ -96,13 +96,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
         from .states import family_states
 
         # before any file is written, so an export over the cap writes none
-        states_text = dumps_canonical(states_to_json(family_states(fam.family)))
+        states_text = dumps_canonical(states_to_json(family_states(fam)))
     if args.out:
         save_family(fam, args.out)
     if states_text is not None:
         Path(args.states_out).write_text(states_text)
     summary = {
-        "d": fam.d, "n": fam.n, "xi_prime": fam.xi, "case": fam.case,
+        "d": args.d, "n": args.n, "xi_prime": fam.xi, "case": fam.case,
         "labels": [str(l) for l in fam.labels], "size": fam.total_size(),
         "beyond_guarantee": fam.beyond_guarantee,
     }
@@ -110,8 +110,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         print(dumps_canonical(summary), end="")
     else:
         flag = "  [beyond the d >= 4 guarantee]" if fam.beyond_guarantee else ""
-        print(f"built d={fam.d} n={fam.n} family: {fam.total_size()} tuples in "
-              f"{len(fam.labels)} sets, case {fam.case}, xi'={fam.xi}{flag}")
+        print(f"built d={args.d} n={args.n} family: {fam.total_size()} tuples in "
+              f"{len(fam)} sets, case {fam.case}, xi'={fam.xi}{flag}")
         if not args.out:
             print(dumps_family(fam), end="")
     return 0
@@ -121,11 +121,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .verifier import overall_verdict, verify_strongest_nonlocality
 
     fam = load_family(args.family)
-    base = fam.family if isinstance(fam, ModifiedFamily) else fam
     # a cut out of range is refused where the cut is laid out
-    cuts = list(range(len(base.radix))) if args.cut == "all" else [int(args.cut)]
+    cuts = list(range(len(fam.radix))) if args.cut == "all" else [int(args.cut)]
 
-    reports = verify_strongest_nonlocality(base, cuts=cuts)
+    reports = verify_strongest_nonlocality(fam, cuts=cuts)
     comb_overall = overall_verdict(reports)
 
     oracle_reports = None
@@ -135,7 +134,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         from .oracle import oracle_overall, oracle_verify
         from .states import family_states
 
-        states = family_states(base)
+        states = family_states(fam)
         oracle_reports, witness_numbers = [], 0
         # one cut at a time, so a written report stops at the cut whose
         # witness takes the written numbers over the cap
@@ -228,10 +227,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def cmd_import(args: argparse.Namespace) -> int:
     fam = load_family(args.family)
-    base = fam.family if isinstance(fam, ModifiedFamily) else fam
     kind = "modified" if isinstance(fam, ModifiedFamily) else "plain"
-    print(f"valid {kind} family: radix={base.radix} "
-          f"labels={[str(l) for l in base.labels]} size={base.total_size()}")
+    print(f"valid {kind} family: radix={fam.radix} "
+          f"labels={[str(l) for l in fam.labels]} size={fam.total_size()}")
     return 0
 
 

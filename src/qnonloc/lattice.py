@@ -1,15 +1,17 @@
 """Digit-tuple lattices and the recursive circulant set families.
 
 Tuples over Z_{d_1} x ... x Z_{d_N} are stored by their mixed-radix rank
-(position 0 most significant), which keeps set algebra, membership and
-serialization order all on sorted int64 vectors.  Both routes read each
-cut from one `member_cube` (`cut_table`) and share the union-find `_components`.
+(position 0 most significant), which keeps membership and serialization
+order on sorted int64 vectors.  A modified family is a SetFamily like any
+other, built by removing its two constant tuples by rank.  Both routes read
+each cut from one `member_cube` (`cut_table`) and share the union-find
+`_components`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -202,16 +204,6 @@ class TupleSet:
     def tuples(self) -> list[Tuple_]:
         return list(self)
 
-    # ---- set algebra ----------------------------------------------------
-
-    def _same_radix(self, other: "TupleSet") -> None:
-        if self.radix != other.radix:
-            raise ValueError(f"radix mismatch: {self.radix} vs {other.radix}")
-
-    def difference(self, other: "TupleSet") -> "TupleSet":
-        self._same_radix(other)
-        return TupleSet(self.radix, np.setdiff1d(self.ranks, other.ranks, assume_unique=True))
-
 
 class SetFamily:
     """Labeled collection of pairwise-disjoint TupleSets over one radix.
@@ -273,7 +265,7 @@ class SetFamily:
         return self.radix == other.radix and self._sets == other._sets
 
     def __repr__(self) -> str:
-        return f"SetFamily(radix={self.radix}, labels={self.labels})"
+        return f"{type(self).__name__}(radix={self.radix}, labels={self.labels})"
 
 
 # ====================================================================
@@ -411,81 +403,59 @@ def choose_xi(d: int, n: int, strategy: int | str = "smallest") -> int:
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-@dataclass
-class ModifiedFamily:
-    """Construction output: kept recursive sets with two diagonal tuples rehomed.
+class ModifiedFamily(SetFamily):
+    """Construction output: kept recursive sets with two constant tuples rehomed.
 
     The all-zeros tuple leaves set 0 and the all-xi tuple leaves its home set;
-    both land in a fresh set under the label "extra".
+    both land in a fresh set under the label "extra".  It is a SetFamily like
+    any other: `xi`, `case`, `removed` and `beyond_guarantee` record how it
+    was built, and equality, like SetFamily's, compares radix and sets only.
     """
 
-    family: SetFamily
-    d: int
-    n: int
-    xi: int
-    case: str
-    removed: list[tuple[Label, Tuple_]] = field(default_factory=list)
-    beyond_guarantee: bool = False
+    def __init__(self, radix: Sequence[int], sets: dict[Label, TupleSet], *, xi: int,
+                 case: str, removed: Iterable[tuple[Label, Tuple_]] = (),
+                 beyond_guarantee: bool = False, check_disjoint: bool = True):
+        super().__init__(radix, sets, check_disjoint)
+        self.xi, self.case, self.beyond_guarantee = xi, case, beyond_guarantee
+        self.removed = list(removed)
 
     @property
-    def labels(self) -> list[Label]:
-        return self.family.labels
-
-    def __getitem__(self, label: Label) -> TupleSet:
-        return self.family[label]
-
-    def total_size(self) -> int:
-        return self.family.total_size()
-
-
-def _case_tag(a: int, d: int) -> str:
-    if a == 0:
-        return "I"
-    if math.gcd(a, d) == 1:
-        return "II"
-    return "III"
+    def family(self) -> SetFamily:
+        """The same sets as a plain SetFamily."""
+        return SetFamily(self.radix, self._sets, check_disjoint=False)
 
 
 def build_modified_family(d: int, n: int, xi: int | str | None = None) -> ModifiedFamily:
     """Kept-label family with the two constant tuples moved to an extra set."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    sel = select_rows(d)  # refuses d < 2
     if n < 3:
         raise ValueError("n must be >= 3")
-    sel = select_rows(d)
     chosen = choose_xi(d, n, "smallest" if xi is None else xi)
-    base = build_index_family(d, n)
-    radix = (d,) * n
-
-    zero_diag = (0,) * n
-    xi_diag = (chosen,) * n
     home = diagonal_home(chosen, n, d)
-    if home not in sel.kept:
-        raise InternalConsistencyError("chosen xi landed outside kept labels")
+    removed = [(0, (0,) * n), (home, (chosen,) * n)]
 
-    diag_sets: dict[int, list[Tuple_]] = {0: [zero_diag]}
-    diag_sets.setdefault(home, []).append(xi_diag)
+    # the constant tuple (x, ..., x) has rank x * (d**n - 1) / (d - 1)
+    unit = (d**n - 1) // (d - 1)
+    base = build_index_family(d, n)
+    sets: dict[Label, TupleSet] = {t: base[t] for t in sel.kept}
+    for t in {0, home}:
+        consts = [diag[0] * unit for l, diag in removed if l == t]
+        gone = np.isin(sets[t].ranks, consts)
+        if np.count_nonzero(gone) != len(consts):
+            raise InternalConsistencyError(f"a constant tuple is missing from its home set {t}")
+        sets[t] = TupleSet(base.radix, sets[t].ranks[~gone])
+    sets[EXTRA_LABEL] = TupleSet(base.radix, [0, chosen * unit])
 
-    sets: dict[Label, TupleSet] = {}
-    removed: list[tuple[Label, Tuple_]] = []
-    for t in sel.kept:
-        ts = base[t]
-        for diag in diag_sets.get(t, []):
-            if diag not in ts:
-                raise InternalConsistencyError(f"{diag} missing from its home set {t}")
-            ts = ts.difference(TupleSet.from_tuples(radix, [diag]))
-            removed.append((t, diag))
-        sets[t] = ts
-    sets[EXTRA_LABEL] = TupleSet.from_tuples(radix, [zero_diag, xi_diag])
-
-    family = SetFamily(radix, sets, check_disjoint=False)
+    a = n % d  # the case split of choose_xi's "structured" strategy
+    case = "I" if a == 0 else "II" if math.gcd(a, d) == 1 else "III"
+    family = ModifiedFamily(base.radix, sets, xi=chosen, case=case,
+                            removed=removed, beyond_guarantee=sel.beyond_guarantee,
+                            check_disjoint=False)
     expected = construction_size(d, n)
     if family.total_size() != expected:
         raise InternalConsistencyError(
             f"built {family.total_size()} tuples, size formula says {expected}")
-    return ModifiedFamily(family=family, d=d, n=n, xi=chosen,
-                          case=_case_tag(n % d, d), removed=removed,
-                          beyond_guarantee=sel.beyond_guarantee)
+    return family
 
 
 def construction_size(d: int, n: int) -> int:

@@ -23,7 +23,9 @@ Connected components of that equality graph are the entry classes
 (`lattice._components`, the union-find the checker's connectivity test
 also runs); the complex solution space has one dimension per class not
 forced to 0, and since it is closed under adjoints this is also the real
-dimension of its Hermitian part.  Everything is integer bookkeeping: there is no tolerance.
+dimension of its Hermitian part.  It is all integer bookkeeping, with no
+tolerance; a nontrivial cut's witness, the traceless part of X + X^T for
+the indicator X of a free class, is real (float64) and symmetric.
 Its work and memory follow the d_k * D**2 slots of the same-digit pair
 broadcast, which is what the one cap (`caps`) bounds on each cut.
 
@@ -59,7 +61,7 @@ class OracleReport:
     D: int
     nullspace_dim: int
     verdict: str                       # "trivial" | "nontrivial"
-    witness: np.ndarray | None = None  # Hermitian, traceless, unit Frobenius norm
+    witness: np.ndarray | None = None  # real symmetric, traceless, unit Frobenius norm
 
 
 def _cut_shape(state_sets: Sequence[PhaseStateSet], k: int) -> tuple[tuple[int, ...], int, int]:
@@ -145,7 +147,7 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport
         if W.any():
             break
     return OracleReport(k=k, D=D, nullspace_dim=len(classes), verdict="nontrivial",
-                        witness=(W / np.linalg.norm(W)).astype(np.complex128))
+                        witness=W / np.linalg.norm(W))
 
 
 def oracle_verify(state_sets: Sequence[PhaseStateSet],

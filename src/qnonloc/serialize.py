@@ -11,6 +11,10 @@ expanded to the two-space layout by string replacement, which is exact
 because the rows hold only integers; `d`, `n` and `meta` go through
 `json.dumps(..., indent=2)` and are re-indented by their depth.
 
+A set key names an integer label when it is that integer's own text ("3",
+"-1"); any other key, "01" or " 2" say, is a text label, so no two keys
+name one set.  A file that is not UTF-8 is refused like malformed JSON.
+
 Reading validates each set's rows as one integer array: shape, digit range
 against the radix, and duplicates within and across sets.  Only a document
 that fails those checks is scanned row by row, to name the first offending
@@ -43,7 +47,7 @@ def _radix_out(radix: tuple[int, ...]) -> int | list[int]:
     return radix[0] if len(set(radix)) == 1 else list(radix)
 
 
-def family_to_json(family: SetFamily | ModifiedFamily) -> dict[str, Any]:
+def family_to_json(family: SetFamily) -> dict[str, Any]:
     meta: dict[str, Any] = {}
     if isinstance(family, ModifiedFamily):
         meta = {
@@ -53,7 +57,6 @@ def family_to_json(family: SetFamily | ModifiedFamily) -> dict[str, Any]:
         }
         if family.beyond_guarantee:
             meta["beyond_guarantee"] = True
-        family = family.family
     sets = {_label_out(l): ts.members().tolist() for l, ts in family.items()}
     return {"d": _radix_out(family.radix), "n": len(family.radix),
             "sets": sets, "meta": meta}
@@ -64,13 +67,15 @@ def _label_out(label: Label) -> str:
 
 
 def _label_in(key: str) -> Label:
+    """The label a set key names: an integer when the key is that integer's
+    own text, so that no two keys name one label; else the key itself."""
     try:
-        return int(key)
+        return int(key) if str(int(key)) == key else key
     except ValueError:
         return key
 
 
-def family_from_json(doc: dict[str, Any]) -> SetFamily | ModifiedFamily:
+def family_from_json(doc: dict[str, Any]) -> SetFamily:
     """Parse and fully validate a family document.
 
     Digits must lie inside the declared radix, tuples must have arity n, no
@@ -109,8 +114,7 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily | ModifiedFamily:
     if (len(members) < len(sets)
             or has_repeat(np.concatenate(members))):
         _raise_first_fault(raw_sets, radix)
-    family = SetFamily(radix, {_label_in(key): ts for key, ts in sets.items()},
-                       check_disjoint=False)
+    sets = {_label_in(key): ts for key, ts in sets.items()}
 
     meta = doc.get("meta") or {}
     if not isinstance(meta, dict):
@@ -144,10 +148,10 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily | ModifiedFamily:
             raise FamilyFormatError(
                 f"meta.beyond_guarantee: expected a JSON boolean, got {beyond!r}")
         return ModifiedFamily(
-            family=family, d=d, n=n, xi=int(xi), case=case,
+            radix, sets, xi=int(xi), case=case,
             removed=[(_label_in(str(l)), tuple(t)) for l, t in removed],
-            beyond_guarantee=beyond)
-    return family
+            beyond_guarantee=beyond, check_disjoint=False)
+    return SetFamily(radix, sets, check_disjoint=False)
 
 
 def _rows_to_set(rows: Any, radix: tuple[int, ...]) -> TupleSet | None:
@@ -256,7 +260,7 @@ def _rows_text(rows: list[list[int]]) -> str:
     return "[" + _ROW + "[" + _DIGIT + body + _ROW + "]\n    ]"
 
 
-def dumps_family(family: SetFamily | ModifiedFamily) -> str:
+def dumps_family(family: SetFamily) -> str:
     """Canonical text of a family: the bytes of
     `dumps_canonical(family_to_json(family))`."""
     doc = family_to_json(family)
@@ -272,13 +276,13 @@ def dumps_family(family: SetFamily | ModifiedFamily) -> str:
     return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
-def save_family(family: SetFamily | ModifiedFamily, path: str | Path) -> None:
+def save_family(family: SetFamily, path: str | Path) -> None:
     Path(path).write_text(dumps_family(family))
 
 
-def load_family(path: str | Path) -> SetFamily | ModifiedFamily:
+def load_family(path: str | Path) -> SetFamily:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FamilyFormatError(f"invalid JSON: {e}") from e
     return family_from_json(doc)

@@ -52,10 +52,11 @@ def all_comparison_tables(d_values: tuple[int, ...] = DEFAULT_TABLE_D,
 
 
 def diagonal_table(d: int) -> np.ndarray:
-    """Grid of home labels: entry (a, xi) is the set holding the constant
-    xi-tuple when the arity is congruent to a mod d."""
+    """Grid of home labels, d**2 cells held to the cap: entry (a, xi) is the
+    set holding the constant xi-tuple when the arity is congruent to a mod d."""
     if d < 2:
         raise ValueError("d must be >= 2")
+    caps.check(d * d, "cells in the diagonal grid")
     a, xi = np.indices((d, d))
     return (a * xi) % d
 

@@ -33,8 +33,7 @@ from enum import Enum
 import numpy as np
 
 from . import caps
-from .lattice import (Label, ModifiedFamily, SetFamily, _components, cut_table, member_cube,
-                      sorted_unique)
+from .lattice import Label, SetFamily, _components, cut_table, member_cube, sorted_unique
 
 
 class Condition(str, Enum):
@@ -175,8 +174,7 @@ def _cut_overall(conditions: dict[Label, LabelVerdict], pair: bool, conn: bool) 
     return "trivial" if (pair and conn) else "nontrivial"
 
 
-def verify_strongest_nonlocality(family: SetFamily | ModifiedFamily,
-                                 cuts: list[int] | None = None) -> list[CutReport]:
+def verify_strongest_nonlocality(family: SetFamily, cuts: list[int] | None = None) -> list[CutReport]:
     """Run the per-cut combinatorial checks on every requested cut.
 
     "trivial" needs every label resolved plus pair covering plus
@@ -185,8 +183,6 @@ def verify_strongest_nonlocality(family: SetFamily | ModifiedFamily,
     The family is laid out once, as each tuple's label index; each cut's
     table is a transposed copy of that cube, read by all three checks.
     """
-    if isinstance(family, ModifiedFamily):
-        family = family.family
     n = len(family.radix)
     if n < 2:
         raise ValueError("verification needs at least two parties")

@@ -175,6 +175,17 @@ def test_tables_refused_diagonal_writes_nothing(tmp_path, capsys, fmt):
     assert not out.exists()
 
 
+def test_env_cap_bounds_diagonal_grid(tmp_path, monkeypatch, capsys):
+    # the grid has d**2 cells, held to the cap before any table is printed
+    monkeypatch.setenv(caps.ENV_VAR, "10")
+    assert main(["tables", "--format", "csv", "--diagonal", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "1000000 cells in the diagonal grid" in captured.err
+    out = tmp_path / "tables"
+    assert main(["tables", "--format", "json", "--out", str(out), "--diagonal", "4"]) == 2
+    assert not out.exists()
+
+
 def test_tables_json(capsys):
     assert main(["tables", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -239,6 +250,19 @@ def test_import_valid_and_invalid(tmp_path, capsys):
     assert main(["import", str(bad)]) == 1
     assert main(["verify", "--combinatorial-only", str(bad)]) == 2
     assert capsys.readouterr().err.count("error: meta.case:") == 2
+
+
+def test_import_keeps_set_keys_apart_and_refuses_non_utf8(tmp_path, capsys):
+    path = tmp_path / "keys.json"
+    path.write_text('{"d": 2, "n": 2, "sets": {"1": [[0, 0]], "01": [[1, 1]], " 2": [[0, 1]]}}')
+    assert main(["import", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "valid plain family: radix=(2, 2) labels=['1', ' 2', '01'] size=3\n")
+    assert main(["export", str(path)]) == 0
+    assert list(json.loads(capsys.readouterr().out)["sets"]) == ["1", " 2", "01"]
+    path.write_bytes(b'{"d": 2, "n": 1, "sets": {"\xe9": [[0]]}}')
+    assert main(["import", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid JSON")
 
 
 def test_missing_file_is_an_error(capsys):

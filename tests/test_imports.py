@@ -102,3 +102,40 @@ def test_scan_sees_an_unreferenced_private_name():
     user = ast.parse("from m import _twice\ndef _dead(n):\n    return _dead(n - 1)\n"
                      "def f():\n    return _LIMIT\n")
     assert _unreferenced_private([used, user]) == {"_dead"}
+
+
+# modules that build, read or write a modified family, or name its kind
+MODIFIED_FAMILY_HOMES = {"lattice.py", "serialize.py", "cli.py"}
+
+
+def _unwraps(tree, filename):
+    """Lines that read `.family` (the parsed command line's `args.family`
+    aside) or, outside MODIFIED_FAMILY_HOMES, name ModifiedFamily: a modified
+    family is a SetFamily, so nothing needs to unwrap it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+        else:
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if (isinstance(node, ast.Attribute) and node.attr == "family"
+                and getattr(node.value, "id", None) != "args"):
+            lines.append(node.lineno)
+        elif "ModifiedFamily" in names and filename not in MODIFIED_FAMILY_HOMES:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_unwraps_a_modified_family(path):
+    lines = _unwraps(ast.parse(path.read_text(), filename=str(path)), path.name)
+    assert not lines, f"{path.name} unwraps a modified family at lines {lines}"
+
+
+def test_scan_sees_an_unwrap():
+    tree = ast.parse("from .lattice import ModifiedFamily\n"
+                     "def f(fam, args):\n"
+                     "    base = fam.family if isinstance(fam, ModifiedFamily) else fam\n"
+                     "    return base, args.family, lattice.ModifiedFamily\n")
+    assert _unwraps(tree, "verifier.py") == [1, 3, 3, 4]
+    assert _unwraps(tree, "cli.py") == [3]

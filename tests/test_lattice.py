@@ -34,16 +34,6 @@ def test_tupleset_rejects_out_of_range():
         q.TupleSet.from_tuples((2, 2), [(0,)])
 
 
-def test_tupleset_algebra():
-    a = q.TupleSet.from_tuples((2, 2), [(0, 0), (0, 1)])
-    b = q.TupleSet.from_tuples((2, 2), [(0, 1), (1, 1)])
-    assert a.difference(b).tuples() == [(0, 0)]
-    assert b.difference(a).tuples() == [(1, 1)]
-    assert a.difference(a).tuples() == []
-    with pytest.raises(ValueError):
-        a.difference(q.TupleSet.from_tuples((3, 3), [(0, 0)]))
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(-5, 5), max_size=30))
 def test_sort_helpers_match_numpy_unique_on_integers(values):
@@ -294,17 +284,35 @@ def test_modified_family_validation():
 @pytest.mark.parametrize("d", range(2, 8))
 @pytest.mark.parametrize("n", (3, 4))
 def test_modified_family_is_disjoint_partition_piece(d, n):
-    fam = q.build_modified_family(d, n)
-    ranks = np.concatenate([fam[l].ranks for l in fam.labels])
-    assert len(np.unique(ranks)) == len(ranks)
-    assert len(ranks) == q.construction_size(d, n)
-    # each kept set is its digit-sum class less the constant tuples removed
-    # from it, so it stays permutation invariant; the constant tuples go to
-    # the extra set
-    for l in (l for l in fam.labels if l != q.EXTRA_LABEL):
-        removed = {t for home, t in fam.removed if home == l}
-        assert set(fam[l]) == digit_sum_class(d, n, l) - removed
-    assert set(fam[q.EXTRA_LABEL]) == {(0,) * n, (fam.xi,) * n}
+    kept = q.select_rows(d).kept
+    admissible = [x for x in range(1, d) if q.diagonal_home(x, n, d) in kept]
+    assert admissible
+    for xi in admissible:
+        fam = q.build_modified_family(d, n, xi=xi)
+        assert fam.removed == [(0, (0,) * n), (q.diagonal_home(xi, n, d), (xi,) * n)]
+        ranks = np.concatenate([fam[l].ranks for l in fam.labels])
+        assert len(np.unique(ranks)) == len(ranks)
+        assert len(ranks) == q.construction_size(d, n)
+        # each kept set is its digit-sum class less the constant tuples
+        # removed from it, so it stays permutation invariant; the constant
+        # tuples go to the extra set
+        for l in (l for l in fam.labels if l != q.EXTRA_LABEL):
+            removed = {t for home, t in fam.removed if home == l}
+            assert set(fam[l]) == digit_sum_class(d, n, l) - removed
+        assert set(fam[q.EXTRA_LABEL]) == {(0,) * n, (xi,) * n}
+
+
+def test_modified_family_is_a_set_family(ex1_family):
+    fam, plain = ex1_family, ex1_family.family
+    assert isinstance(fam, q.SetFamily) and type(plain) is q.SetFamily
+    assert fam == plain and len(fam) == 4 and fam.radix == (4, 4, 4)
+    assert [l for l, _ in fam.items()] == fam.labels == plain.labels
+    assert q.verify_strongest_nonlocality(fam) == q.verify_strongest_nonlocality(plain)
+    states = q.family_states(fam)
+    assert [ss.label for ss in states] == fam.labels and q.gram_check(states).ok
+    assert type(fam.drop(1)) is q.SetFamily and fam.drop(1) == plain.drop(1)
+    with pytest.raises(ValueError, match="disjoint"):
+        q.ModifiedFamily(fam.radix, {0: fam[0], 1: fam[0]}, xi=2, case="II")
 
 
 # -------------------------------------------------------------- size rows

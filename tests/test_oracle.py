@@ -191,9 +191,10 @@ BATTERY = (
 
 
 def _assert_witness(W, states, k, tol=1e-9):
-    """Hermitian, traceless, unit norm, and <a|I_k (x) W|b> = 0 for a != b."""
+    """Real symmetric (float64, as the exact route builds it), traceless, unit
+    norm, and <a|I_k (x) W|b> = 0 for a != b."""
     D = W.shape[0]
-    assert W.shape == (D, D)
+    assert W.shape == (D, D) and W.dtype == np.float64
     assert np.abs(W - W.conj().T).max() <= tol
     assert abs(np.trace(W)) <= tol
     assert abs(np.linalg.norm(W) - 1.0) <= tol

@@ -68,6 +68,25 @@ def test_label_order_numeric_before_string(ex1_family):
     assert back.family.labels == [0, 1, 2, "extra"]
 
 
+def test_set_keys_naming_one_integer_stay_apart():
+    # "01" is not the text of the integer 1, so it names a set of its own
+    fam = q.family_from_json({"d": 2, "n": 2, "sets": {"1": [[0, 0]], "01": [[1, 1]]}})
+    assert fam.labels == [1, "01"]
+    assert fam[1].tuples() == [(0, 0)] and fam["01"].tuples() == [(1, 1)]
+    # keys int() parses but does not print back stay text, and are written back as read
+    for key in ("1_0", " 2", "+3", "-0"):
+        fam = q.family_from_json({"d": 2, "n": 2, "sets": {key: [[0, 1]]}})
+        assert fam.labels == [key] and list(q.family_to_json(fam)["sets"]) == [key]
+    assert q.family_from_json({"d": 2, "n": 2, "sets": {"-3": [[0, 1]]}}).labels == [-3]
+
+
+def test_non_utf8_file_is_a_format_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"d": 2, "n": 1, "sets": {"\xe9": [[0]]}}')
+    with pytest.raises(FamilyFormatError, match="invalid JSON"):
+        q.load_family(path)
+
+
 def test_mixed_radix_document():
     doc = {"d": [2, 3], "n": 2,
            "sets": {"a": [[0, 0], [1, 2]], "b": [[0, 1]]}, "meta": {}}
@@ -200,15 +219,14 @@ def families(draw):
     ranks = draw(st.lists(st.integers(0, total - 1), unique=True, max_size=40))
     owner = draw(st.lists(st.integers(0, len(labels) - 1),
                           min_size=len(ranks), max_size=len(ranks)))
-    fam = q.SetFamily(radix, {l: q.TupleSet(radix, [r for r, o in zip(ranks, owner) if o == i])
-                              for i, l in enumerate(labels)})
+    sets = {l: q.TupleSet(radix, [r for r, o in zip(ranks, owner) if o == i])
+            for i, l in enumerate(labels)}
     if not draw(st.booleans()):
-        return fam
+        return q.SetFamily(radix, sets)
     removed = [(l, tuple(draw(st.lists(st.integers(0, 12), min_size=len(radix),
                                        max_size=len(radix)))))
                for l in draw(st.lists(st.sampled_from(labels), max_size=3))]
-    return q.ModifiedFamily(family=fam, d=radix[0], n=len(radix),
-                            xi=draw(st.integers(0, 12)), case=draw(LABEL_TEXT),
+    return q.ModifiedFamily(radix, sets, xi=draw(st.integers(0, 12)), case=draw(LABEL_TEXT),
                             removed=removed, beyond_guarantee=draw(st.booleans()))
 
 
