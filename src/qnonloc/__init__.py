@@ -27,10 +27,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("FamilyFormatError", "InadmissibleXiError", "InternalConsistencyError",
                "QnonlocError", "ResourceLimitError"),
-    "lattice": ("EXTRA_LABEL", "ModifiedFamily", "ReferenceSizes", "RowSelection",
-                "SetFamily", "TupleSet", "build_index_family", "build_modified_family",
-                "choose_xi", "construction_size", "cyclic_distance", "diagonal_home",
-                "reference_sizes", "select_rows"),
+    "lattice": ("EXTRA_LABEL", "ModifiedFamily", "ReferenceSizes", "SetFamily",
+                "TupleSet", "build_index_family", "build_modified_family", "choose_xi",
+                "construction_size", "diagonal_home", "kept_labels", "reference_sizes"),
     "oracle": ("OracleReport", "exact_nullspace", "oracle_overall", "oracle_verify"),
     "serialize": ("cut_report_to_json", "dumps_canonical", "dumps_family",
                   "family_from_json", "family_to_json", "load_family",

@@ -9,9 +9,10 @@ covering on a cut (residual row pairs, R the distinct extension rows),
 d_k * D**2 for the exact oracle on a cut (the slots of its same-digit
 broadcast), N (N - 1) D**2 for the dense reference's row matrix, the d**2
 cells of the diagonal-home grid, and the numbers a state export (sum of
-s**2 * n digits) or a verify JSON's witnesses (2 * sum of D**2, checked
-after each cut) would write.  The QNONLOC_CAP environment variable, one
-positive integer read on every call, is the only override.
+s * (n + 1): each set's support and bijection) or a verify JSON's
+witnesses (2 * sum of D**2, checked after each cut) would write.  The
+QNONLOC_CAP environment variable, one positive integer read on every call,
+is the only override.
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 Tuples over Z_{d_1} x ... x Z_{d_N} are stored by their mixed-radix rank
 (position 0 most significant), which keeps membership and serialization
 order on sorted int64 vectors.  A modified family is a SetFamily like any
-other, built by removing its two constant tuples by rank.  Both routes read
-each cut from one `member_cube` (`cut_table`) and share the union-find
+other, built by removing its two constant tuples by rank.  It keeps the sets
+`kept_labels(d)` and stores only d, n and the second removed digit xi: its
+case, removed tuples and guarantee flag are derived from them.  Both routes
+read each cut from one `member_cube` (`cut_table`) and share the union-find
 `_components`.
 """
 
@@ -302,48 +304,11 @@ def build_index_family(d: int, n: int) -> SetFamily:
 # label selection and the modified construction
 # ====================================================================
 
-def cyclic_distance(i1: int, i2: int, d: int) -> int:
-    if d < 1:
-        raise ValueError("d must be positive")
-    if not (0 <= i1 < d and 0 <= i2 < d):
-        raise ValueError("labels must lie in Z_d")
-    delta = abs(i1 - i2)
-    return min(delta, d - delta)
-
-
-@dataclass(frozen=True)
-class RowSelection:
-    """Kept labels for the modified construction.
-
-    odd_labels holds the odd labels strictly between 0 and floor(d/2);
-    anchor_labels is {0, floor(d/2)}.  Their pairwise cyclic distances cover
-    every value in [1, floor(d/2)].  The stated guarantee needs d >= 4;
-    smaller d still works out but is flagged.
-    """
-
-    d: int
-    odd_labels: frozenset[int]
-    anchor_labels: frozenset[int]
-    beyond_guarantee: bool = False
-
-    @property
-    def kept(self) -> list[int]:
-        return sorted(self.odd_labels | self.anchor_labels)
-
-
-def select_rows(d: int) -> RowSelection:
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    half = d // 2
-    odd = frozenset(t for t in range(1, half) if t % 2 == 1)
-    anchors = frozenset({0, half})
-    kept = sorted(odd | anchors)
-    dists = {cyclic_distance(a, b, d) for a in kept for b in kept if a != b}
-    if dists != set(range(1, half + 1)):
-        raise InternalConsistencyError(
-            f"kept labels {kept} miss cyclic distances {set(range(1, half + 1)) - dists} for d={d}")
-    return RowSelection(d=d, odd_labels=odd, anchor_labels=anchors,
-                        beyond_guarantee=d < 4)
+def kept_labels(d: int) -> list[int]:
+    """Labels the modified construction keeps, ascending: 0, the odd labels
+    below floor(d/2), and floor(d/2).  Their pairwise cyclic distances cover
+    every value in 1..floor(d/2).  The stated guarantee needs d >= 4."""
+    return [0, *range(1, d // 2, 2), d // 2]
 
 
 def diagonal_home(xi: int, n: int, d: int) -> int:
@@ -355,19 +320,29 @@ def diagonal_home(xi: int, n: int, d: int) -> int:
     return (xi * (n % d)) % d
 
 
+def _case_split(d: int, n: int) -> tuple[str, int]:
+    """The case of a = n mod d and its structured xi: case I (a = 0) takes
+    xi = 1, since every nonzero digit has home 0; case II (gcd(a, d) = 1)
+    solves xi * a = floor(d/2) mod d; case III takes xi = d / gcd(a, d),
+    which lands on home 0."""
+    a = n % d
+    if a == 0:
+        return "I", 1
+    if math.gcd(a, d) == 1:
+        return "II", ((d // 2) * pow(a, -1, d)) % d
+    return "III", d // math.gcd(a, d)
+
+
 def choose_xi(d: int, n: int, strategy: int | str = "smallest") -> int:
     """Pick the second removed diagonal digit.
 
     A nonzero digit xi is admissible when its diagonal home is a kept label.
-    "smallest" returns the least admissible digit.  "structured" reproduces the
-    case split on a = n mod d: a = 0 takes the smallest digit (home 0);
-    gcd(a, d) = 1 solves xi * a = floor(d/2) mod d; otherwise xi = d / gcd(a, d)
-    lands on home 0.  An integer is validated and returned as-is.
+    "smallest" returns the least admissible digit, "structured" the digit of
+    the case split on n mod d.  An integer is validated and returned as-is.
     """
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
-    sel = select_rows(d)
-    kept = set(sel.kept)
+    kept = kept_labels(d)
 
     def admissible(x: int) -> bool:
         return x != 0 and diagonal_home(x, n, d) in kept
@@ -378,7 +353,7 @@ def choose_xi(d: int, n: int, strategy: int | str = "smallest") -> int:
         if not admissible(strategy):
             raise InadmissibleXiError(
                 f"xi={strategy} maps to label {diagonal_home(strategy, n, d)}, "
-                f"which is not kept (kept: {sorted(kept)})")
+                f"which is not kept (kept: {kept})")
         return strategy
 
     if strategy == "smallest":
@@ -388,13 +363,7 @@ def choose_xi(d: int, n: int, strategy: int | str = "smallest") -> int:
         raise InadmissibleXiError(f"no admissible xi for d={d}, n={n}")
 
     if strategy == "structured":
-        a = n % d
-        if a == 0:
-            x = 1  # every nonzero digit has home 0
-        elif math.gcd(a, d) == 1:
-            x = ((d // 2) * pow(a, -1, d)) % d
-        else:
-            x = d // math.gcd(a, d)
+        x = _case_split(d, n)[1]
         if not admissible(x):
             raise InternalConsistencyError(
                 f"structured choice xi={x} inadmissible for d={d}, n={n}")
@@ -408,16 +377,34 @@ class ModifiedFamily(SetFamily):
 
     The all-zeros tuple leaves set 0 and the all-xi tuple leaves its home set;
     both land in a fresh set under the label "extra".  It is a SetFamily like
-    any other: `xi`, `case`, `removed` and `beyond_guarantee` record how it
-    was built, and equality, like SetFamily's, compares radix and sets only.
+    any other, over a uniform radix, and equality, like SetFamily's, compares
+    radix and sets only.  d, n and the admissible digit `xi` are all it
+    stores of its construction: `case`, `removed` and `beyond_guarantee`
+    follow from them.
     """
 
     def __init__(self, radix: Sequence[int], sets: dict[Label, TupleSet], *, xi: int,
-                 case: str, removed: Iterable[tuple[Label, Tuple_]] = (),
-                 beyond_guarantee: bool = False, check_disjoint: bool = True):
+                 check_disjoint: bool = True):
         super().__init__(radix, sets, check_disjoint)
-        self.xi, self.case, self.beyond_guarantee = xi, case, beyond_guarantee
-        self.removed = list(removed)
+        if len(set(self.radix)) != 1:
+            raise ValueError(f"a modified family needs a uniform radix, got {self.radix}")
+        self.xi = choose_xi(self.radix[0], len(self.radix), xi)
+
+    @property
+    def case(self) -> str:
+        """"I", "II" or "III": the case of n mod d."""
+        return _case_split(self.radix[0], len(self.radix))[0]
+
+    @property
+    def removed(self) -> list[tuple[Label, Tuple_]]:
+        """The two constant tuples moved to "extra", each after its home label."""
+        d, n = self.radix[0], len(self.radix)
+        return [(diagonal_home(x, n, d), (x,) * n) for x in (0, self.xi)]
+
+    @property
+    def beyond_guarantee(self) -> bool:
+        """True below d = 4, where the stated guarantee ends."""
+        return self.radix[0] < 4
 
     @property
     def family(self) -> SetFamily:
@@ -427,30 +414,25 @@ class ModifiedFamily(SetFamily):
 
 def build_modified_family(d: int, n: int, xi: int | str | None = None) -> ModifiedFamily:
     """Kept-label family with the two constant tuples moved to an extra set."""
-    sel = select_rows(d)  # refuses d < 2
+    if d < 2:
+        raise ValueError("d must be >= 2")
     if n < 3:
         raise ValueError("n must be >= 3")
     chosen = choose_xi(d, n, "smallest" if xi is None else xi)
-    home = diagonal_home(chosen, n, d)
-    removed = [(0, (0,) * n), (home, (chosen,) * n)]
 
     # the constant tuple (x, ..., x) has rank x * (d**n - 1) / (d - 1)
     unit = (d**n - 1) // (d - 1)
     base = build_index_family(d, n)
-    sets: dict[Label, TupleSet] = {t: base[t] for t in sel.kept}
-    for t in {0, home}:
-        consts = [diag[0] * unit for l, diag in removed if l == t]
+    sets: dict[Label, TupleSet] = {t: base[t] for t in kept_labels(d)}
+    for t in {0, diagonal_home(chosen, n, d)}:
+        consts = [x * unit for x in (0, chosen) if diagonal_home(x, n, d) == t]
         gone = np.isin(sets[t].ranks, consts)
         if np.count_nonzero(gone) != len(consts):
             raise InternalConsistencyError(f"a constant tuple is missing from its home set {t}")
         sets[t] = TupleSet(base.radix, sets[t].ranks[~gone])
     sets[EXTRA_LABEL] = TupleSet(base.radix, [0, chosen * unit])
 
-    a = n % d  # the case split of choose_xi's "structured" strategy
-    case = "I" if a == 0 else "II" if math.gcd(a, d) == 1 else "III"
-    family = ModifiedFamily(base.radix, sets, xi=chosen, case=case,
-                            removed=removed, beyond_guarantee=sel.beyond_guarantee,
-                            check_disjoint=False)
+    family = ModifiedFamily(base.radix, sets, xi=chosen, check_disjoint=False)
     expected = construction_size(d, n)
     if family.total_size() != expected:
         raise InternalConsistencyError(
@@ -459,15 +441,11 @@ def build_modified_family(d: int, n: int, xi: int | str | None = None) -> Modifi
 
 
 def construction_size(d: int, n: int) -> int:
-    """Total tuple count of the modified construction: (|kept| + 1) * d**(n-1) ... expanded."""
+    """Total tuple count of the modified construction, |kept| * d**(n-1): each
+    kept set holds d**(n-1) tuples, and the two it loses form the extra set."""
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
-    half = d // 2
-    if half % 2 == 1:
-        blocks = (half + 1) // 2 + 1
-    else:
-        blocks = half // 2 + 2
-    return blocks * d ** (n - 1)
+    return len(kept_labels(d)) * d ** (n - 1)
 
 
 @dataclass(frozen=True)

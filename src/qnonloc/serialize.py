@@ -18,10 +18,12 @@ name one set.  A file that is not UTF-8 is refused like malformed JSON.
 Reading validates each set's rows as one integer array: shape, digit range
 against the radix, and duplicates within and across sets.  Only a document
 that fails those checks is scanned row by row, to name the first offending
-field in document order.  A modified family's `meta` is checked field by
-field: `case` is "I", "II" or "III", `xi_prime` lies in 1..d-1, each
-`removed` tuple has n digits inside the radix, and `beyond_guarantee` is a
-JSON boolean.
+field in document order.  A modified family's `meta` is derived from d, n
+and `xi_prime`, whose radix must be uniform and whose digit must lie in
+1..d-1 and be admissible; a `case`, `removed` or `beyond_guarantee` that is
+present and differs from the derived value is refused, and one that is
+absent is derived.  The writer and the reader share that derivation, which
+builds no digit rows.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import TYPE_CHECKING, Any, NoReturn
 import numpy as np
 
 from . import caps
-from .errors import FamilyFormatError, InternalConsistencyError
+from .errors import FamilyFormatError, InadmissibleXiError, InternalConsistencyError
 from .lattice import Label, ModifiedFamily, SetFamily, TupleSet, has_repeat
 
 if TYPE_CHECKING:  # annotations only: reading and writing families loads none of these
@@ -47,16 +49,21 @@ def _radix_out(radix: tuple[int, ...]) -> int | list[int]:
     return radix[0] if len(set(radix)) == 1 else list(radix)
 
 
+def _meta(family: ModifiedFamily) -> dict[str, Any]:
+    """A modified family's meta, all derived from d, n and xi'; the guarantee
+    flag is written only when set.  It builds no digit rows."""
+    meta: dict[str, Any] = {
+        "case": family.case,
+        "xi_prime": family.xi,
+        "removed": [[_label_out(l), list(t)] for l, t in family.removed],
+    }
+    if family.beyond_guarantee:
+        meta["beyond_guarantee"] = True
+    return meta
+
+
 def family_to_json(family: SetFamily) -> dict[str, Any]:
-    meta: dict[str, Any] = {}
-    if isinstance(family, ModifiedFamily):
-        meta = {
-            "case": family.case,
-            "xi_prime": family.xi,
-            "removed": [[_label_out(l), list(t)] for l, t in family.removed],
-        }
-        if family.beyond_guarantee:
-            meta["beyond_guarantee"] = True
+    meta = _meta(family) if isinstance(family, ModifiedFamily) else {}
     sets = {_label_out(l): ts.members().tolist() for l, ts in family.items()}
     return {"d": _radix_out(family.radix), "n": len(family.radix),
             "sets": sets, "meta": meta}
@@ -126,31 +133,24 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily:
         if len(set(radix)) != 1:
             raise FamilyFormatError("meta: modified families need a uniform radix")
         d = radix[0]
-        case = meta["case"]
-        if case not in ("I", "II", "III"):
-            raise FamilyFormatError(f"meta.case: expected 'I', 'II' or 'III', got {case!r}")
         xi = meta["xi_prime"]
         if not isinstance(xi, int) or not 1 <= xi < d:
             raise FamilyFormatError(f"meta.xi_prime: expected an integer in 1..{d - 1}, "
                                     f"got {xi!r}")
-        removed = meta.get("removed", [])
-        if not (isinstance(removed, list) and all(
-                isinstance(pair, list) and len(pair) == 2
-                and isinstance(pair[0], (int, str)) and isinstance(pair[1], list)
-                and all(isinstance(x, int) for x in pair[1]) for pair in removed)):
-            raise FamilyFormatError("meta.removed: expected a list of [label, digit list] pairs")
-        for i, (_, t) in enumerate(removed):
-            if len(t) != n or not all(0 <= x < d for x in t):
-                raise FamilyFormatError(
-                    f"meta.removed[{i}]: expected {n} digits in 0..{d - 1}, got {t}")
-        beyond = meta.get("beyond_guarantee", False)
-        if not isinstance(beyond, bool):
-            raise FamilyFormatError(
-                f"meta.beyond_guarantee: expected a JSON boolean, got {beyond!r}")
-        return ModifiedFamily(
-            radix, sets, xi=int(xi), case=case,
-            removed=[(_label_in(str(l)), tuple(t)) for l, t in removed],
-            beyond_guarantee=beyond, check_disjoint=False)
+        try:
+            family = ModifiedFamily(radix, sets, xi=int(xi), check_disjoint=False)
+        except InadmissibleXiError as e:
+            raise FamilyFormatError(f"meta.xi_prime: {e}") from e
+        # compared as JSON text, so 1 is not true and "0" is not 0
+        derived = _meta(family)
+        for key in ("case", "removed", "beyond_guarantee"):
+            if key in meta:
+                want = json.dumps(derived.get(key, False))
+                got = json.dumps(meta[key])
+                if got != want:
+                    raise FamilyFormatError(f"meta.{key}: expected {want} for d={d}, n={n}, "
+                                            f"xi_prime={family.xi}, got {got}")
+        return family
     return SetFamily(radix, sets, check_disjoint=False)
 
 
@@ -197,16 +197,14 @@ def _raise_first_fault(raw_sets: dict[str, Any], radix: tuple[int, ...]) -> NoRe
 
 
 def states_to_json(state_sets: list[PhaseStateSet]) -> list[dict[str, Any]]:
-    """One entry per state; each repeats its set's support, so the export
-    holds sum(s**2 * n) digits, which are held to the cap."""
-    caps.check(sum(ss.s**2 * len(ss.radix) for ss in state_sets), "digits in the state export")
-    out = []
-    for ss in state_sets:
-        support = [list(t) for t in ss.support]
-        for k in range(ss.s):
-            out.append({"label": _label_out(ss.label), "s": ss.s,
-                        "support": support, "k": k})
-    return out
+    """One entry per set: its label, size s, support and bijection, which
+    give its states k = 0..s-1.  The export holds sum(s * (n + 1)) numbers,
+    which are held to the cap."""
+    caps.check(sum(ss.s * (len(ss.radix) + 1) for ss in state_sets),
+               "numbers in the state export")
+    return [{"label": _label_out(ss.label), "s": ss.s,
+             "support": ss.support.members().tolist(), "bijection": ss.bijection.tolist()}
+            for ss in state_sets]
 
 
 def cut_report_to_json(report: CutReport) -> dict[str, Any]:

@@ -46,9 +46,8 @@ def comparison_table(d: int, n_values: tuple[int, ...] = DEFAULT_TABLE_N) -> Siz
                      enumerated=tuple(checked))
 
 
-def all_comparison_tables(d_values: tuple[int, ...] = DEFAULT_TABLE_D,
-                          n_values: tuple[int, ...] = DEFAULT_TABLE_N) -> list[SizeTable]:
-    return [comparison_table(d, n_values) for d in d_values]
+def all_comparison_tables() -> list[SizeTable]:
+    return [comparison_table(d) for d in DEFAULT_TABLE_D]
 
 
 def diagonal_table(d: int) -> np.ndarray:

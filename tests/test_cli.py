@@ -252,6 +252,30 @@ def test_import_valid_and_invalid(tmp_path, capsys):
     assert capsys.readouterr().err.count("error: meta.case:") == 2
 
 
+def test_meta_is_derived_from_d_n_xi(tmp_path, capsys):
+    # meta that contradicts d, n and xi' is refused by every reader
+    doc = json.loads(GOLDEN.read_text())
+    doc["meta"].update(case="III", removed=[["extra", [1, 1, 1]]], beyond_guarantee=True)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["import", str(bad)]) == 1
+    assert main(["verify", str(bad)]) == 2
+    assert main(["export", str(bad)]) == 2
+    assert capsys.readouterr().err.count('error: meta.case: expected "II"') == 3
+    # so is an inadmissible xi', and meta without `removed` exports the derived list
+    doc = json.loads(GOLDEN.read_text())
+    doc["meta"]["xi_prime"] = 1
+    bad.write_text(json.dumps(doc))
+    assert main(["import", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: meta.xi_prime: xi=1 maps to label 3")
+    doc["meta"]["xi_prime"] = 2
+    del doc["meta"]["removed"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    assert main(["export", str(bare)]) == 0
+    assert capsys.readouterr().out.encode() == GOLDEN.read_bytes()
+
+
 def test_import_keeps_set_keys_apart_and_refuses_non_utf8(tmp_path, capsys):
     path = tmp_path / "keys.json"
     path.write_text('{"d": 2, "n": 2, "sets": {"1": [[0, 0]], "01": [[1, 1]], " 2": [[0, 1]]}}')
@@ -292,18 +316,22 @@ def test_env_cap_respected(tmp_path, monkeypatch, capsys):
 
 
 def test_env_cap_bounds_state_export(tmp_path, monkeypatch, capsys):
-    # modified (4,3) exports sum(s**2) * 3 = (15**2 + 16**2 + 15**2 + 2**2) * 3
-    # = 2130 digits; a refused export writes neither file
+    # modified (4,3) exports sum(s * (n + 1)) = 48 * 4 = 192 numbers, each
+    # set's support and bijection once; a refused export writes neither file
     fam_path, states_path = tmp_path / "fam.json", tmp_path / "states.json"
     argv = ["construct", "--d", "4", "--n", "3", "--out", str(fam_path),
             "--states-out", str(states_path)]
-    monkeypatch.setenv(caps.ENV_VAR, "2129")
+    monkeypatch.setenv(caps.ENV_VAR, "191")
     assert main(argv) == 2
     assert "cap" in capsys.readouterr().err
     assert not fam_path.exists() and not states_path.exists()
-    monkeypatch.setenv(caps.ENV_VAR, "2130")
+    monkeypatch.setenv(caps.ENV_VAR, "192")
     assert main(argv) == 0
-    assert len(json.loads(states_path.read_text())) == 48
+    entries = json.loads(states_path.read_text())
+    assert [(e["label"], e["s"]) for e in entries] == [("0", 15), ("1", 16), ("2", 15),
+                                                       ("extra", 2)]
+    assert all(sorted(e["bijection"]) == list(range(e["s"])) for e in entries)
+    assert entries[3]["support"] == [[0, 0, 0], [2, 2, 2]]
 
 
 def test_env_cap_bounds_written_witnesses(tmp_path, monkeypatch, capsys):

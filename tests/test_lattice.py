@@ -174,23 +174,14 @@ def test_family_properties_random(d, n):
 
 # -------------------------------------------------- labels, homes, choices
 
-def test_cyclic_distance():
-    assert q.cyclic_distance(0, 3, 4) == 1
-    assert q.cyclic_distance(1, 3, 4) == 2
-    assert q.cyclic_distance(2, 2, 7) == 0
-    with pytest.raises(ValueError):
-        q.cyclic_distance(0, 4, 4)
-
-
 @pytest.mark.parametrize("d", list(range(2, 65)))
 def test_select_rows_distance_cover(d):
-    sel = q.select_rows(d)
-    kept = sel.kept
-    assert 0 in kept and d // 2 in kept
-    assert all(t % 2 == 1 and 0 < t < d // 2 for t in sel.odd_labels)
-    dists = {q.cyclic_distance(a, b, d) for a in kept for b in kept if a != b}
+    # the kept rows' pairwise cyclic distances cover 1..floor(d/2)
+    kept = q.kept_labels(d)
+    assert kept == sorted(set(kept)) and kept[0] == 0 and kept[-1] == d // 2
+    assert all(t % 2 == 1 for t in kept[1:-1])
+    dists = {min(abs(a - b), d - abs(a - b)) for a in kept for b in kept if a != b}
     assert dists == set(range(1, d // 2 + 1))
-    assert sel.beyond_guarantee == (d < 4)
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -284,12 +275,14 @@ def test_modified_family_validation():
 @pytest.mark.parametrize("d", range(2, 8))
 @pytest.mark.parametrize("n", (3, 4))
 def test_modified_family_is_disjoint_partition_piece(d, n):
-    kept = q.select_rows(d).kept
+    kept = q.kept_labels(d)
     admissible = [x for x in range(1, d) if q.diagonal_home(x, n, d) in kept]
     assert admissible
     for xi in admissible:
         fam = q.build_modified_family(d, n, xi=xi)
         assert fam.removed == [(0, (0,) * n), (q.diagonal_home(xi, n, d), (xi,) * n)]
+        assert fam.beyond_guarantee == (d < 4)
+        assert [l for l in fam.labels if l != q.EXTRA_LABEL] == kept
         ranks = np.concatenate([fam[l].ranks for l in fam.labels])
         assert len(np.unique(ranks)) == len(ranks)
         assert len(ranks) == q.construction_size(d, n)
@@ -312,7 +305,29 @@ def test_modified_family_is_a_set_family(ex1_family):
     assert [ss.label for ss in states] == fam.labels and q.gram_check(states).ok
     assert type(fam.drop(1)) is q.SetFamily and fam.drop(1) == plain.drop(1)
     with pytest.raises(ValueError, match="disjoint"):
-        q.ModifiedFamily(fam.radix, {0: fam[0], 1: fam[0]}, xi=2, case="II")
+        q.ModifiedFamily(fam.radix, {0: fam[0], 1: fam[0]}, xi=2)
+
+
+def test_modified_family_refuses_mixed_radix_and_inadmissible_xi(ex1_family):
+    radix = (4, 4, 2)
+    with pytest.raises(ValueError, match="uniform radix"):
+        q.ModifiedFamily(radix, {0: q.TupleSet(radix, [0])}, xi=2)
+    # at d=4, n=3 digit 1 homes to label 3, which is not kept
+    with pytest.raises(InadmissibleXiError, match="not kept"):
+        q.ModifiedFamily(ex1_family.radix, dict(ex1_family.items()), xi=1)
+    with pytest.raises(InadmissibleXiError, match="outside"):
+        q.ModifiedFamily(ex1_family.radix, dict(ex1_family.items()), xi=4)
+
+
+def test_modified_family_derives_its_meta(ex1_family):
+    # the same sets under xi = 3 (home 1) read back other removed tuples;
+    # case and the guarantee flag follow from d and n alone
+    fam = q.ModifiedFamily(ex1_family.radix, dict(ex1_family.items()), xi=3)
+    assert (fam.case, fam.beyond_guarantee) == ("II", False)
+    assert fam.removed == [(0, (0, 0, 0)), (1, (3, 3, 3))]
+    for name in ("case", "removed", "beyond_guarantee"):
+        with pytest.raises(AttributeError):
+            setattr(fam, name, None)
 
 
 # -------------------------------------------------------------- size rows

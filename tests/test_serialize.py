@@ -121,20 +121,20 @@ def test_mixed_radix_document():
     ({"d": 3, "n": 2, "sets": {"0": [[0, 0]]},
       "meta": {"xi_prime": "abc", "case": "I"}}, "meta.xi_prime"),
     ({"d": 3, "n": 2, "sets": {"0": [[0, 0]]},
-      "meta": {"xi_prime": 1, "case": "I", "removed": 5}}, "meta.removed"),
+      "meta": {"xi_prime": 2, "case": "II", "removed": 5}}, "meta.removed"),
     ({"d": 3, "n": 2, "sets": {"0": [[0, 0]]},
-      "meta": {"xi_prime": 1, "case": "I", "removed": [[1]]}}, "meta.removed"),
+      "meta": {"xi_prime": 2, "case": "II", "removed": [[1]]}}, "meta.removed"),
     ({"d": 4, "n": 3, "sets": {"0": [[0, 0, 1]]}, "meta": {"xi_prime": 2, "case": [1]}},
      "meta.case"),
     ({"d": 4, "n": 3, "sets": {"0": [[0, 0, 1]]},
-      "meta": {"xi_prime": 2, "case": "I", "beyond_guarantee": "no"}},
+      "meta": {"xi_prime": 2, "case": "II", "beyond_guarantee": "no"}},
      "meta.beyond_guarantee"),
     ({"d": 4, "n": 3, "sets": {"0": [[0, 0, 1]]},
-      "meta": {"xi_prime": 2, "case": "I", "removed": [[0, [9, 9, 9, 9, 9]]]}},
-     "meta.removed[0]"),
+      "meta": {"xi_prime": 2, "case": "II", "removed": [[0, [9, 9, 9, 9, 9]]]}},
+     "meta.removed"),
     ({"d": 4, "n": 3, "sets": {"0": [[0, 0, 1]]},
-      "meta": {"xi_prime": 2, "case": "I", "removed": [[0, [0, 0, 0]], [1, [2, 2, 4]]]}},
-     "meta.removed[1]"),
+      "meta": {"xi_prime": 2, "case": "II", "removed": [[0, [0, 0, 0]], [1, [2, 2, 4]]]}},
+     "meta.removed"),
     ({"d": 4, "n": 3, "sets": {"0": [[0, 0, 1]]}, "meta": {"xi_prime": 0, "case": "I"}},
      "meta.xi_prime"),
     ({"d": 4, "n": 3, "sets": {"0": [[0, 0, 1]]}, "meta": {"xi_prime": 4, "case": "I"}},
@@ -153,13 +153,68 @@ def test_load_rejects_invalid_json(tmp_path):
         q.load_family(path)
 
 
+@pytest.mark.parametrize("key,value,want", [
+    ("case", "III", '"II"'),
+    ("removed", [["extra", [1, 1, 1]]], '[["0", [0, 0, 0]], ["2", [2, 2, 2]]]'),
+    ("removed", [[0, [0, 0, 0]], [2, [2, 2, 2]]], '[["0", [0, 0, 0]], ["2", [2, 2, 2]]]'),
+    ("beyond_guarantee", True, "false"),
+    ("beyond_guarantee", 0, "false"),
+], ids=["case", "removed-label", "removed-integer-labels", "flag-true", "flag-integer"])
+def test_meta_that_disagrees_with_d_n_xi_is_refused(ex1_family, key, value, want):
+    doc = q.family_to_json(ex1_family)
+    doc["meta"][key] = value
+    with pytest.raises(FamilyFormatError) as exc:
+        q.family_from_json(doc)
+    assert str(exc.value).startswith(f"meta.{key}: expected {want} for d=4, n=3, xi_prime=2")
+    # a present value that agrees is accepted
+    doc["meta"][key] = json.loads(want)
+    assert q.family_from_json(doc).removed == ex1_family.removed
+
+
+def test_inadmissible_xi_is_refused(ex1_family):
+    # at d=4, n=3 digit 1 homes to label 3, which is not kept
+    doc = q.family_to_json(ex1_family)
+    doc["meta"]["xi_prime"] = 1
+    with pytest.raises(FamilyFormatError, match=r"meta\.xi_prime: xi=1 maps to label 3"):
+        q.family_from_json(doc)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("n", range(3, 6))
+def test_modified_meta_round_trips_from_d_n_xi(d, n):
+    admissible = _admissible(d, n)
+    assert admissible
+    for xi in admissible:
+        fam = q.build_modified_family(d, n, xi=xi)
+        text = q.dumps_family(fam)
+        back = q.family_from_json(json.loads(text))
+        assert isinstance(back, q.ModifiedFamily) and back == fam
+        assert (back.xi, back.case, back.removed, back.beyond_guarantee) == (
+            fam.xi, fam.case, fam.removed, fam.beyond_guarantee)
+        assert q.dumps_family(back) == text
+        # meta without `removed` or the flag reads back with the derived values
+        doc = json.loads(text)
+        del doc["meta"]["removed"]
+        doc["meta"].pop("beyond_guarantee", None)
+        bare = q.family_from_json(doc)
+        assert bare.removed == fam.removed and q.dumps_family(bare) == text
+    doc = json.loads(text)
+    for xi in sorted(set(range(1, d)) - set(admissible)):
+        doc["meta"]["xi_prime"] = xi
+        with pytest.raises(FamilyFormatError, match=r"^meta\.xi_prime: .* not kept"):
+            q.family_from_json(doc)
+
+
 def test_states_to_json(bell_family):
     states = q.family_states(bell_family)
     docs = q.states_to_json(states)
-    assert len(docs) == 4
+    assert len(docs) == len(states) == 2
     assert docs[0] == {"label": "0", "s": 2,
-                       "support": [[0, 0], [1, 1]], "k": 0}
-    assert {doc["k"] for doc in docs} == {0, 1}
+                       "support": [[0, 0], [1, 1]], "bijection": [0, 1]}
+    assert docs[1]["label"] == "1" and docs[1]["support"] == [[0, 1], [1, 0]]
+    swapped = q.PhaseStateSet(bell_family[1], label="b", bijection=[1, 0])
+    assert q.states_to_json([swapped]) == [
+        {"label": "b", "s": 2, "support": [[0, 1], [1, 0]], "bijection": [1, 0]}]
 
 
 def test_cut_report_json_shape(ex1_family):
@@ -209,10 +264,15 @@ LABEL_TEXT = st.text(alphabet=st.sampled_from('ab"\\/\n\t\u00e9\u03be\u2028\U000
 
 @st.composite
 def families(draw):
-    """Plain or modified families over mixed radices with digits up to 13,
-    under integer labels and string labels with quotes, backslashes and
-    non-ASCII characters; a set may be empty."""
-    radix = tuple(draw(st.lists(st.integers(1, 14), min_size=1, max_size=4)))
+    """Plain families over mixed radices with digits up to 13, or modified
+    ones over a uniform radix of at least 2 with an admissible xi, under
+    integer labels and string labels with quotes, backslashes and non-ASCII
+    characters; a set may be empty."""
+    modified = draw(st.booleans())
+    if modified:
+        radix = (draw(st.integers(2, 14)),) * draw(st.integers(1, 4))
+    else:
+        radix = tuple(draw(st.lists(st.integers(1, 14), min_size=1, max_size=4)))
     total = math.prod(radix)
     labels = draw(st.lists(st.one_of(st.integers(-3, 30), LABEL_TEXT),
                            min_size=1, max_size=4, unique=True))
@@ -221,13 +281,14 @@ def families(draw):
                           min_size=len(ranks), max_size=len(ranks)))
     sets = {l: q.TupleSet(radix, [r for r, o in zip(ranks, owner) if o == i])
             for i, l in enumerate(labels)}
-    if not draw(st.booleans()):
+    if not modified:
         return q.SetFamily(radix, sets)
-    removed = [(l, tuple(draw(st.lists(st.integers(0, 12), min_size=len(radix),
-                                       max_size=len(radix)))))
-               for l in draw(st.lists(st.sampled_from(labels), max_size=3))]
-    return q.ModifiedFamily(radix, sets, xi=draw(st.integers(0, 12)), case=draw(LABEL_TEXT),
-                            removed=removed, beyond_guarantee=draw(st.booleans()))
+    xi = draw(st.sampled_from(_admissible(radix[0], len(radix))))
+    return q.ModifiedFamily(radix, sets, xi=xi)
+
+
+def _admissible(d, n):
+    return [x for x in range(1, d) if q.diagonal_home(x, n, d) in q.kept_labels(d)]
 
 
 @settings(max_examples=150, deadline=None)
