@@ -7,12 +7,18 @@ d_k**2 * U * (L + 1) for the checker's cover search on a cut (co-occurrence
 counts, U the sets with no singleton class out of L), R**2 for its pair
 covering on a cut (residual row pairs, R the distinct extension rows),
 d_k * D**2 for the exact oracle on a cut (the slots of its same-digit
-broadcast), N (N - 1) D**2 for the dense reference's row matrix, the d**2
+pair mask), N (N - 1) D**2 for the dense reference's row matrix, the d**2
 cells of the diagonal-home grid, and the numbers a state export (sum of
 s * (n + 1): each set's support and bijection) or a verify JSON's
 witnesses (2 * sum of D**2, checked after each cut) would write.  The
 QNONLOC_CAP environment variable, one positive integer read on every call,
 is the only override.
+
+The checker decides cuts of one d_k together, in blocks (`verifier`).  Its
+counts are still checked cut by cut, so a block allocates the sum of its
+cuts' checked counts (pair covering pads each cut's rows to the block's
+largest R); blocks of more than one cut form only under 4096 table
+entries.
 """
 
 from __future__ import annotations

@@ -51,13 +51,7 @@ def _weights(radix: Sequence[int]) -> np.ndarray:
 
 def _decode(ranks: np.ndarray, radix: Sequence[int]) -> np.ndarray:
     """Rank vector -> digit matrix, one row per tuple."""
-    w = _weights(radix)
-    out = np.empty((len(ranks), len(radix)), dtype=np.int64)
-    rem = ranks.astype(np.int64, copy=True)
-    for p in range(len(radix)):
-        out[:, p] = rem // w[p]
-        rem -= out[:, p] * w[p]
-    return out
+    return ranks.astype(np.int64)[:, None] // _weights(radix) % np.asarray(radix)
 
 
 def _encode(digits: np.ndarray, radix: Sequence[int]) -> np.ndarray:
@@ -96,9 +90,8 @@ def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         la, lb = lab[a], lab[b]
         if (la == lb).all():
             return lab
-        low = np.minimum(la, lb)
-        np.minimum.at(lab, la, low)
-        np.minimum.at(lab, lb, low)
+        # la and lb are roots, so only the larger of the two can move
+        np.minimum.at(lab, np.maximum(la, lb), np.minimum(la, lb))
         while True:
             jumped = lab[lab]
             if (jumped == lab).all():
@@ -124,9 +117,8 @@ def member_cube(radix: tuple[int, ...], sets: Sequence[TupleSet]) -> np.ndarray:
 def cut_table(cube: np.ndarray, k: int) -> np.ndarray:
     """(d_k, D) layout of cut k: entry [g, r] is the cube's entry with digit
     g at k and rank r for the other digits, in their order, so a TupleSet's
-    canonical order survives inside every digit class."""
-    if not 0 <= k < cube.ndim:
-        raise ValueError(f"cut {k} out of range for arity {cube.ndim}")
+    canonical order survives inside every digit class.  Both callers check
+    0 <= k < n first."""
     d_k, lo = cube.shape[k], math.prod(cube.shape[k + 1:])
     return cube.reshape(-1, d_k, lo).transpose(1, 0, 2).reshape(d_k, -1)
 
@@ -388,7 +380,13 @@ class ModifiedFamily(SetFamily):
         super().__init__(radix, sets, check_disjoint)
         if len(set(self.radix)) != 1:
             raise ValueError(f"a modified family needs a uniform radix, got {self.radix}")
-        self.xi = choose_xi(self.radix[0], len(self.radix), xi)
+        self._xi = choose_xi(self.radix[0], len(self.radix), xi)
+
+    @property
+    def xi(self) -> int:
+        """The second removed digit; read-only, as everything derived from it
+        and the sets must agree."""
+        return self._xi
 
     @property
     def case(self) -> str:

@@ -27,7 +27,7 @@ dimension of its Hermitian part.  It is all integer bookkeeping, with no
 tolerance; a nontrivial cut's witness, the traceless part of X + X^T for
 the indicator X of a free class, is real (float64) and symmetric.
 Its work and memory follow the d_k * D**2 slots of the same-digit pair
-broadcast, which is what the one cap (`caps`) bounds on each cut.
+mask, which is what the one cap (`caps`) bounds on each cut.
 
 The dense route (`assemble_constraints` -> `ConstraintSystem.iter_row_batches`
 -> `hermitian_nullspace`) is a test-only reference for the nullspace
@@ -75,6 +75,44 @@ def _cut_shape(state_sets: Sequence[PhaseStateSet], k: int) -> tuple[tuple[int, 
     return radix, radix[k], math.prod(radix) // radix[k]
 
 
+def _equality_edges(state_sets: list[PhaseStateSet],
+                    owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges (a, b) of cut k's equality graph (see `exact_nullspace`),
+    from its member table owner[g, x]: the member with digit g at k and the
+    rest ranked x, which is row or column x of Pi.
+
+    Slot (g, x, y) of the (d_k, D, D) pair mask is the ordered pair of the
+    members at columns x and y of row g, which meets entry x * D + y of Pi.
+    Only the edges outlive this call, so none of the pair-length arrays it
+    builds is alive in the union-find.
+    """
+    D = owner.shape[1]
+    sizes = np.array([ss.s for ss in state_sets], dtype=np.int64)
+    size = sizes.repeat(sizes)                          # s of each member's set
+    base = (sizes.cumsum() - sizes).repeat(sizes)       # first class node of its set
+    f = np.concatenate([ss.bijection for ss in state_sets])
+
+    # the pair mask splits into pairs within a set and across sets, and each
+    # part is read by boolean-mask gathers of broadcast views
+    shape = (len(owner), D, D)
+    hit = owner >= 0
+    both = hit[:, :, None] & hit[:, None, :]
+    group = base[owner]  # each member's set, by its first class node; empty slots lie outside both
+    within = both & (group[:, :, None] == group[:, None, :])
+    entry = np.broadcast_to(np.arange(D * D).reshape(D, D), shape)
+    u = np.broadcast_to(owner[:, :, None], shape)[within]
+    v = np.broadcast_to(owner[:, None, :], shape)[within]
+    cls = base[u] + (f[u] - f[v]) % size[u]
+
+    # a class meets s pairs in all; fewer same-digit ones means a zero pair
+    hits = np.bincount(cls, minlength=len(size))
+    zero = D * D
+    a = np.concatenate([zero + 1 + cls, entry[both ^ within],
+                        zero + 1 + (hits < size).nonzero()[0]])
+    b = np.concatenate([entry[within], np.full(len(a) - len(cls), zero)])
+    return a, b
+
+
 def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport:
     """Decide cut k exactly from the entry classes of Pi (module docstring).
 
@@ -85,7 +123,7 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport
     same-digit joins zero.  The dimension is the number of components that
     hold an entry and not the zero node.
 
-    The broadcast has d_k * D**2 slots, which are held to the cap before
+    The pair mask has d_k * D**2 slots, which are held to the cap before
     anything is built.  Overlapping supports (`lattice.member_cube`) or a
     single free class other than the diagonal mean the states are not
     mutually orthogonal, and raise InternalConsistencyError.  Each bijection
@@ -95,34 +133,10 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport
     state_sets = list(state_sets)
     radix, d_k, D = _cut_shape(state_sets, k)
     caps.check(d_k * D * D, "same-digit pair slots")
-    # owner[g, x] is the member with digit g at k and the rest ranked x,
-    # which is row or column x of Pi
     owner = cut_table(member_cube(radix, [ss.support for ss in state_sets]), k)
-    sizes = np.array([ss.s for ss in state_sets], dtype=np.int64)
-    size = sizes.repeat(sizes)                          # s of each member's set
-    base = (sizes.cumsum() - sizes).repeat(sizes)       # first class node of its set
-    f = np.concatenate([ss.bijection for ss in state_sets])
-
-    # every ordered pair of members with the same digit at k; slot (g, x, y)
-    # meets entry x * D + y of Pi
-    shape = (d_k, D, D)
-    hit = owner >= 0
-    both = hit[:, :, None] & hit[:, None, :]
-    u = np.broadcast_to(owner[:, :, None], shape)[both]
-    v = np.broadcast_to(owner[:, None, :], shape)[both]
-    entry = np.broadcast_to(np.arange(D * D).reshape(D, D), shape)[both]
-    within = base[u] == base[v]
-    u, v = u[within], v[within]
-    cls = base[u] + (f[u] - f[v]) % size[u]
-
-    # a class meets s pairs in all; fewer same-digit ones means a zero pair
-    hits = np.bincount(cls, minlength=len(size))
     zero = D * D
-    a = np.concatenate([zero + 1 + cls, entry[~within],
-                        zero + 1 + (hits < size).nonzero()[0]])
-    b = np.concatenate([entry[within], np.full(len(a) - len(cls), zero)])
-    n_nodes = zero + 1 + len(size)
-    lab = _components(n_nodes, a, b)
+    n_nodes = zero + 1 + sum(ss.s for ss in state_sets)
+    lab = _components(n_nodes, *_equality_edges(state_sets, owner))
 
     # a component is labelled by its smallest node, an entry if it holds one
     comp = lab[:zero]

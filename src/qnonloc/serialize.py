@@ -37,7 +37,7 @@ import numpy as np
 
 from . import caps
 from .errors import FamilyFormatError, InadmissibleXiError, InternalConsistencyError
-from .lattice import Label, ModifiedFamily, SetFamily, TupleSet, has_repeat
+from .lattice import Label, ModifiedFamily, SetFamily, TupleSet, build_modified_family, has_repeat
 
 if TYPE_CHECKING:  # annotations only: reading and writing families loads none of these
     from .oracle import OracleReport
@@ -150,8 +150,29 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily:
                 if got != want:
                     raise FamilyFormatError(f"meta.{key}: expected {want} for d={d}, n={n}, "
                                             f"xi_prime={family.xi}, got {got}")
+        _check_construction_sets(family)
         return family
     return SetFamily(radix, sets, check_disjoint=False)
+
+
+def _check_construction_sets(family: ModifiedFamily) -> None:
+    """Raise FamilyFormatError at the first set, in label order, that is not
+    the one `build_modified_family` makes from the family's d, n and xi'."""
+    d, n = family.radix[0], len(family.radix)
+    if n < 3:
+        raise FamilyFormatError(f"meta: modified families need n >= 3, got n={n}")
+    built = build_modified_family(d, n, xi=family.xi)
+    for label in [*built.labels, *(l for l in family.labels if l not in built)]:
+        if label not in family:
+            fault = "missing"
+        elif label not in built:
+            fault = "not a set of the construction"
+        elif family[label] != built[label]:
+            fault = "differs from the construction's set"
+        else:
+            continue
+        raise FamilyFormatError(f"sets[{_label_out(label)!r}]: {fault} for d={d}, n={n}, "
+                                f"xi_prime={family.xi}")
 
 
 def _rows_to_set(rows: Any, radix: tuple[int, ...]) -> TupleSet | None:

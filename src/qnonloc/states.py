@@ -16,14 +16,20 @@ the oracle's dense reference and the tests read it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import Label, SetFamily, TupleSet, _decode, _encode, has_repeat
+from .lattice import Label, SetFamily, TupleSet, _decode, has_repeat
+
+# Splits are ranked together in blocks of at most this many members x side
+# columns; a larger family ranks one split a block.
+_BLOCK_ENTRIES = 4096
+# A block's (set, rank) keys set * span + rank stay below this bound, the
+# range of int64; past it the sides are ordered by lexsort instead.
+_KEY_LIMIT = 2**63
 
 
 class PhaseStateSet:
@@ -127,9 +133,15 @@ def genuine_entanglement_check(state_sets: Iterable[PhaseStateSet]) -> bool:
         b, b' form a 2x2 minor with exactly one nonzero term,
         amp(a, b) * amp(a', b'), so every state has rank >= 2 on this split.
     So the sets fail iff some split makes some support a product set, that
-    is iff |S_A| * |S_B| == |S|.  Per split, each side ranks its digits for
-    the members of every set with one `_encode`, and one lexsort by (set,
-    rank) counts the distinct ranks of each set.
+    is iff |S_A| * |S_B| == |S|.  Split m (0 <= m < 2**(n-1) - 1) puts
+    party p on party 0's side iff bit p - 1 of m is set.  Splits go in
+    blocks of at most _BLOCK_ENTRIES members x side columns, at least one
+    split a block.  A block ranks both sides of each of its splits, for
+    every member, with one product of the digits and a weight matrix (one
+    column per side); one sort along the member axis of set * span + rank,
+    span the number of digit strings of the side, counts the distinct ranks
+    of each set.  The check stops at the first block that holds a product
+    split.
     """
     state_sets = list(state_sets)
     radix = shared_radix(state_sets)
@@ -137,21 +149,30 @@ def genuine_entanglement_check(state_sets: Iterable[PhaseStateSet]) -> bool:
     if n < 2:
         raise ValueError("entanglement needs at least two parties")
     sizes = np.array([ss.s for ss in state_sets])
-    set_id = np.repeat(np.arange(len(sizes)), sizes)
-    starts = np.ones(len(set_id), dtype=bool)
-    starts[1:] = set_id[1:] != set_id[:-1]
+    starts = sizes.cumsum() - sizes
+    set_id = np.repeat(np.arange(len(sizes)), sizes)[:, None]
     digits = _decode(np.concatenate([ss.support.ranks for ss in state_sets]), radix)
-    for r in range(n - 1):
-        for extra in itertools.combinations(range(1, n), r):
-            left = [0, *extra]
-            right = [p for p in range(1, n) if p not in extra]
-            distinct = []
-            for side in (left, right):
-                rank = _encode(digits[:, side], [radix[p] for p in side])
-                rank = rank[np.lexsort((rank, set_id))]  # set_id is already ascending
-                new = starts.copy()
-                new[1:] |= rank[1:] != rank[:-1]
-                distinct.append(np.bincount(set_id[new], minlength=len(sizes)))
-            if (distinct[0] * distinct[1] == sizes).any():
-                return False
+    bit = np.arange(n - 1)[:, None]
+    n_splits = 2 ** (n - 1) - 1
+    per_block = max(1, _BLOCK_ENTRIES // (2 * len(digits)))
+    for first in range(0, n_splits, per_block):
+        m = np.arange(first, min(first + per_block, n_splits))
+        left = np.ones((n, len(m)), dtype=bool)
+        left[1:] = m >> bit & 1
+        inside = np.stack([left, ~left], axis=2).reshape(n, -1)  # (left, right) of each split
+        factor = np.where(inside, np.array(radix)[:, None], 1)
+        tail = np.cumprod(factor[::-1], axis=0)[::-1]  # product over parties p and after
+        rank = digits @ np.where(inside, tail // factor, 0)
+        span = tail[0]
+        if len(sizes) * int(span.max()) <= _KEY_LIMIT:
+            key = np.sort(set_id * span + rank, axis=0)
+        else:
+            key = np.take_along_axis(rank, np.lexsort(
+                (rank, np.broadcast_to(set_id, rank.shape)), axis=0), axis=0)
+        new = np.ones(key.shape, dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        new[starts] = True
+        distinct = np.add.reduceat(new, starts, axis=0, dtype=np.int64)
+        if (distinct[:, 0::2] * distinct[:, 1::2] == sizes[:, None]).any():
+            return False
     return True

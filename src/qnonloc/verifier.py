@@ -1,13 +1,13 @@
 """Combinatorial triviality checks for orthogonality-preserving measurements.
 
-Everything here works on one "cut": a single kept party k, with the
-measurement acting jointly on all remaining parties.  Each tuple splits at k
-into its digit there and the rank of its other digits (its residual), and
-the residuals index the operator space the measurement sees.  The three
-checks read one label table of the cut, a transposed copy of the family's
-label cube (`lattice.cut_table`): entry [g, r] names the label whose set
-holds the tuple with digit g at k and residual r, or -1 where no set does.
-The class of label l at digit g is the set of columns where row g holds l.
+Each check is about one "cut": a single kept party k, with the measurement
+acting jointly on all remaining parties.  Each tuple splits at k into its
+digit there and the rank of its other digits (its residual), and the
+residuals index the operator space the measurement sees.  The three checks
+read one label table of the cut, a transposed copy of the family's label
+cube (`lattice.cut_table`): entry [g, r] names the label whose set holds
+the tuple with digit g at k and residual r, or -1 where no set does.  The
+class of label l at digit g is the set of columns where row g holds l.
 
 A label is "resolved" when one of three sufficient conditions forces any
 orthogonality-preserving operator to be proportional to the identity on that
@@ -21,8 +21,16 @@ the cap (`caps`).  With every label resolved, triviality of the whole
 measurement reduces to two global conditions: every pair of residuals must
 admit a common extension digit inside the family union, and the residual
 footprints of the labels must form a connected overlap graph, whose
-components the oracle's union-find (`lattice._components`) labels.  The one entry point,
-`verify_strongest_nonlocality`, returns one `CutReport` per cut.
+components the oracle's union-find (`lattice._components`) labels.
+
+The one entry point, `verify_strongest_nonlocality`, returns one
+`CutReport` per cut.  It stacks the tables of the requested cuts with the
+same d_k into blocks of at most _BLOCK_ENTRIES entries, a larger cut being
+a block of its own, and runs each check once per block with a leading cut
+axis: the co-occurrence count is keyed by (cut, target label), pair
+covering deduplicates fill patterns per cut, and connectivity labels the
+components of cut-offset label nodes.  Every cap still holds each cut's own
+count, so a block allocates the sum of its cuts' checked counts.
 """
 
 from __future__ import annotations
@@ -62,9 +70,15 @@ class LabelVerdict:
 
 _UNRESOLVED = LabelVerdict(Condition.UNRESOLVED)
 
+# Cuts of one d_k are checked together in blocks of at most this many label
+# table entries; stacking larger cuts costs more in memory traffic than it
+# saves in calls.
+_BLOCK_ENTRIES = 4096
 
-def _classify(table: np.ndarray, labels: list[Label]) -> dict[Label, LabelVerdict]:
-    """Assign each label the first sufficient condition that resolves it.
+
+def _classify(tables: np.ndarray, labels: list[Label]) -> list[dict[Label, LabelVerdict]]:
+    """Assign each label of each stacked cut the first sufficient condition
+    that resolves it.
 
     Singleton classes are claimed first, then tight covers with unrestricted
     contributors, then covers drawn solely from resolved labels, iterated
@@ -72,89 +86,140 @@ def _classify(table: np.ndarray, labels: list[Label]) -> dict[Label, LabelVerdic
     and each class its common digits in ascending order; a cover lists as
     contributors every admitted label other than the target that has a
     class at the common digit.  The final resolved set does not depend on
-    label order: each pass only grows it monotonically.
+    label order: each pass only grows it monotonically.  A label of one cut
+    is a different target from the same label of another: the co-occurrence
+    count is keyed by (cut, unresolved label).
     """
-    L, d_k = len(labels), table.shape[0]
-    lab = table % (L + 1)  # an empty entry reads as label L, which nothing admits
-    sizes = np.bincount((lab + np.arange(0, d_k * (L + 1), L + 1)[:, None]).ravel(),
-                        minlength=d_k * (L + 1)).reshape(d_k, L + 1)
-    sizes[:, L] = 0  # so label L is never present, single or resolved
+    C, d_k, D = tables.shape
+    L = len(labels)
+    lab = tables % (L + 1)  # an empty entry reads as label L, which nothing admits
+    row = np.arange(0, C * d_k * (L + 1), L + 1).reshape(C, d_k, 1)
+    sizes = np.bincount((lab + row).ravel(), minlength=C * d_k * (L + 1)).reshape(C, d_k, L + 1)
+    sizes[..., L] = 0  # so label L is never present, single or resolved
     present = sizes > 0
     single = sizes == 1
-    resolved = single.any(axis=0)
-    first = single.argmax(axis=0).tolist()
-    verdicts = {labels[i]: LabelVerdict(Condition.SINGLETON, target_digit=first[i])
-                for i in resolved.nonzero()[0].tolist()}
-    U = (~resolved[:L]).nonzero()[0]
+    resolved = single.any(axis=1)
+    first = single.argmax(axis=1).tolist()
+    verdicts: list[dict[Label, LabelVerdict]] = [{} for _ in range(C)]
+    for c, i in zip(*(x.tolist() for x in resolved.nonzero())):
+        verdicts[c][labels[i]] = LabelVerdict(Condition.SINGLETON, target_digit=first[c][i])
+    cut, U = (~resolved[:, :L]).nonzero()  # target j is label U[j] of cut cut[j]
+    for n_targets in np.bincount(cut, minlength=C).tolist():
+        caps.check(d_k * d_k * n_targets * (L + 1), "co-occurrence counts")
 
-    # one bincount per row g keeps the index within the size of the table
-    caps.check(d_k * d_k * len(U) * (L + 1), "co-occurrence counts")
-    slot = np.full(L + 1, -1)
-    slot[U] = np.arange(len(U))
-    u = slot[lab]
-    rows, cols = (u >= 0).nonzero()
-    key = (u[rows, cols] * d_k + rows) * (L + 1)
+    # one bincount per row g keeps the index within the size of the tables
+    slot = np.full((C, L + 1), -1)
+    slot[cut, U] = np.arange(len(U))
+    u = slot[np.arange(C)[:, None, None], lab].ravel()
+    at = np.flatnonzero(u >= 0)  # entry (c, tau, col) sits at (c * d_k + tau) * D + col
+    tau = at // D % d_k
+    key = (u[at] * d_k + tau) * (L + 1)
+    at -= tau * D
+    lab = lab.ravel()
     count = np.empty((len(U), d_k, d_k, L + 1), dtype=np.int64)
     for g in range(d_k):
-        count[:, :, g] = np.bincount(key + lab[g, cols], minlength=len(U) * d_k * (L + 1)
+        count[:, :, g] = np.bincount(key + lab[at + g * D], minlength=len(U) * d_k * (L + 1)
                                      ).reshape(len(U), d_k, L + 1)
     # class (tau, U[j]), where present, is covered at g when row g holds only
     # admitted labels there, so never at g == tau, where the target sits
-    target = present[:, U].T[:, :, None]
+    target = present[cut, :, U][:, :, None]
+    target_cut, target_label = cut.tolist(), [labels[i] for i in U.tolist()]
 
-    def resolve(condition: Condition, j: int, found: np.ndarray, admit: np.ndarray) -> None:
-        tau, g = divmod(int(found.argmax()), d_k)
-        once = (count[j, tau, g, :L] == 1).nonzero()[0].tolist()
-        tight_label = labels[once[0]] if once else None
-        i = int(U[j])
-        contributors = (admit & present[g]).nonzero()[0].tolist()
-        verdicts[labels[i]] = LabelVerdict(condition, tau, g,
-                                           tuple(labels[v] for v in contributors), tight_label)
-        resolved[i] = True
+    def record(condition: Condition, js: np.ndarray, found: np.ndarray, admit: np.ndarray) -> None:
+        """Resolve targets `js` at the first (tau, g) each one `found`, with
+        the admitted labels of each in the rows of `admit`."""
+        if not len(js):
+            return
+        pair = found.reshape(len(js), d_k * d_k).argmax(axis=1)
+        tau, g = pair // d_k, pair % d_k
+        once = count[js, tau, g, :L] == 1
+        tight_label = np.where(once.any(axis=1), once.argmax(axis=1), -1).tolist()
+        rows, v = (admit & present[cut[js], g]).nonzero()
+        ends = np.bincount(rows, minlength=len(js)).cumsum().tolist()
+        v = [labels[x] for x in v.tolist()]
+        for j, t, h, o, start, end in zip(js.tolist(), tau.tolist(), g.tolist(), tight_label,
+                                          [0, *ends], ends):
+            verdicts[target_cut[j]][target_label[j]] = LabelVerdict(
+                condition, t, h, tuple(v[start:end]), labels[o] if o >= 0 else None)
+        resolved[cut[js], U[js]] = True
 
     # tight: every label but the target is admitted, whatever resolves first
     own = count[np.arange(len(U)), :, :, U]
     tight = target & (own + count[..., L] == 0) & (count[..., :L] == 1).any(axis=3)
-    for j in tight.any(axis=(1, 2)).nonzero()[0].tolist():
-        resolve(Condition.TIGHT_COVER, j, tight[j].ravel(), np.arange(L + 1) != U[j])
+    js = tight.reshape(len(U), d_k * d_k).any(axis=1).nonzero()[0]
+    record(Condition.TIGHT_COVER, js, tight[js], np.arange(L + 1) != U[js, None])
 
-    # chained: only resolved labels are admitted, so labels go in order
+    # chained: only resolved labels are admitted, so each cut's labels go in
+    # order within a pass.  One evaluation resolves the first target found in
+    # each cut, whose pass goes on with the targets after it; a cut with none
+    # found ends its pass.  A cut's other targets meet the same state again
+    # in the next pass, so passes may run in step across cuts.
+    counted = count > 0
     grew = True
     while grew:
         grew = False
-        for j in (~resolved[U]).nonzero()[0].tolist():
-            found = (target[j] & (count[j] @ ~resolved == 0)).ravel()
-            if found.any():
-                resolve(Condition.CHAINED_COVER, j, found, resolved)
-                grew = True
-    return {l: verdicts.get(l, _UNRESOLVED) for l in labels}
+        rest = (~resolved[cut, U]).nonzero()[0]
+        while len(rest):
+            admit = resolved[cut[rest]]
+            found = target[rest] & ~(counted[rest] & ~admit[:, None, None, :]).any(axis=3)
+            at = found.reshape(len(rest), d_k * d_k).any(axis=1).nonzero()[0]
+            if not len(at):
+                break
+            first_of_cut = np.ones(len(at), dtype=bool)
+            first_of_cut[1:] = cut[rest[at[1:]]] != cut[rest[at[:-1]]]
+            at = at[first_of_cut]
+            record(Condition.CHAINED_COVER, rest[at], found[at], admit[at])
+            grew = True
+            after = np.full(C, len(U))
+            after[cut[rest[at]]] = rest[at]
+            rest = rest[rest > after[cut[rest]]]
+    return [{l: v.get(l, _UNRESOLVED) for l in labels} for v in verdicts]
 
 
-def _pair_covering(table: np.ndarray) -> bool:
-    """Every two residual tuples must share an extension digit whose
-    insertions at k both land inside the family union.
+def _pair_covering(tables: np.ndarray) -> list[bool]:
+    """Every two residual tuples of a cut must share an extension digit
+    whose insertions at k both land inside the family union.
 
-    Residual tuples with the same digit set are one row after
-    deduplication; the R x R product of those rows is held to the cap.
+    Residual tuples of one cut with the same digit set are one row after
+    deduplication, keyed by cut; the R x R product of a cut's rows is held
+    to the cap.  Each cut's rows are padded to the block's largest R with
+    rows of all digits, which meet every row but an empty one, and an empty
+    row already fails on its own.
     """
-    has = np.ascontiguousarray(table.T >= 0)
-    packed = np.packbits(has, axis=1)
-    rows = sorted_unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
-    caps.check(len(rows) ** 2, "residual row pairs")
-    ext = np.unpackbits(rows.view(np.uint8).reshape(len(rows), -1), axis=1).astype(np.float32)
-    return bool((ext @ ext.T > 0).all())
+    C, d_k, D = tables.shape
+    width = 2 + (d_k + 7) // 8
+    # each row leads with its cut in two big-endian bytes (a block holds at most
+    # _BLOCK_ENTRIES cuts), so the rows of a cut sort together
+    keyed = np.empty((C, D, width), dtype=np.uint8)
+    keyed[..., :2] = np.arange(C, dtype=">u2").view(np.uint8).reshape(C, 1, 2)
+    keyed[..., 2:] = np.packbits(tables.transpose(0, 2, 1) >= 0, axis=2)
+    rows = sorted_unique(keyed.view(np.dtype((np.void, width))).ravel())
+    rows = rows.view(np.uint8).reshape(len(rows), width)
+    owner = rows[:, 0].astype(np.int64) * 256 + rows[:, 1]
+    R = np.bincount(owner, minlength=C)
+    for r in R.tolist():
+        caps.check(r * r, "residual row pairs")
+    ext = np.ones((C, R.max(), 8 * (width - 2)), dtype=np.float32)
+    ext[owner, np.arange(len(rows)) - (R.cumsum() - R)[owner]] = np.unpackbits(rows[:, 2:], axis=1)
+    return (ext @ ext.transpose(0, 2, 1) > 0).all(axis=(1, 2)).tolist()
 
 
-def _connectivity(table: np.ndarray, n_labels: int) -> bool:
-    """Labels form one component under "residual footprints intersect".
+def _connectivity(tables: np.ndarray, n_labels: int) -> list[bool]:
+    """Each cut's labels form one component under "residual footprints
+    intersect".
 
-    Each nonempty column of the label table links every label in it to the
-    largest one there, which keeps the components of the overlap graph;
-    connected means every label lies in the component of label 0.
+    Label l of the c-th cut is node c * n_labels + l, so components never
+    cross cuts.  Each nonempty column of a label table links every label in
+    it to the largest one there, which keeps the components of the overlap
+    graph; a cut is connected when every label lies in the component of its
+    label 0.
     """
-    hit = table >= 0  # read column by column, so each column's hub repeats
-    hub = table.max(axis=0).repeat(hit.sum(axis=0))
-    return not _components(n_labels, table.T[hit.T], hub).any()
+    base = np.arange(0, len(tables) * n_labels, n_labels)
+    node = tables + base[:, None, None]
+    hit = (tables >= 0).transpose(0, 2, 1)  # read column by column, so each column's hub repeats
+    hub = node.max(axis=1).ravel().repeat(hit.sum(axis=2).ravel())
+    lab = _components(len(tables) * n_labels, node.transpose(0, 2, 1)[hit], hub)
+    return (lab.reshape(-1, n_labels) == base[:, None]).all(axis=1).tolist()
 
 
 @dataclass
@@ -175,34 +240,46 @@ def _cut_overall(conditions: dict[Label, LabelVerdict], pair: bool, conn: bool) 
 
 
 def verify_strongest_nonlocality(family: SetFamily, cuts: list[int] | None = None) -> list[CutReport]:
-    """Run the per-cut combinatorial checks on every requested cut.
+    """Run the combinatorial checks on every requested cut.
 
     "trivial" needs every label resolved plus pair covering plus
     connectivity; with all labels resolved and a global condition failing the
     cut is "nontrivial"; any unresolved label leaves it "inconclusive".
     The family is laid out once, as each tuple's label index; each cut's
-    table is a transposed copy of that cube, read by all three checks.
+    table is a transposed copy of that cube.  Cuts with the same d_k are
+    stacked into blocks of at most _BLOCK_ENTRIES table entries (a larger
+    cut is a block of its own), and the three checks run once per block.
     """
     n = len(family.radix)
     if n < 2:
         raise ValueError("verification needs at least two parties")
     if cuts is None:
         cuts = list(range(n))
+    for k in cuts:
+        if not 0 <= k < n:
+            raise ValueError(f"cut {k} out of range for arity {n}")
 
     sizes = [len(ts) for ts in family.sets()]
     label = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
     # an empty entry numbers member -1, which picks the -1 appended last
     cube = np.append(label, np.int32(-1))[member_cube(family.radix, family.sets())]
-    reports = []
-    for k in cuts:
-        table = cut_table(cube, k)
-        conditions = _classify(table, family.labels)
-        pair = _pair_covering(table)
-        conn = _connectivity(table, len(family))
-        reports.append(CutReport(
-            k=k, conditions=conditions, pair_covering=pair, connectivity=conn,
-            overall=_cut_overall(conditions, pair, conn)))
-    return reports
+    # every cut's table holds the whole cube
+    per_block = max(1, _BLOCK_ENTRIES // cube.size)
+    groups: dict[int, list[int]] = {}
+    for i, k in enumerate(cuts):
+        groups.setdefault(family.radix[k], []).append(i)
+    reports: dict[int, CutReport] = {}  # by position in `cuts`
+    for group in groups.values():
+        for start in range(0, len(group), per_block):
+            block = group[start:start + per_block]
+            tables = np.stack([cut_table(cube, cuts[i]) for i in block])
+            checks = zip(block, _classify(tables, family.labels), _pair_covering(tables),
+                         _connectivity(tables, len(family)))
+            for i, conditions, pair, conn in checks:
+                reports[i] = CutReport(k=cuts[i], conditions=conditions, pair_covering=pair,
+                                       connectivity=conn,
+                                       overall=_cut_overall(conditions, pair, conn))
+    return [reports[i] for i in range(len(cuts))]
 
 
 def overall_verdict(reports: list[CutReport]) -> str:

@@ -48,19 +48,25 @@ def _sub_family(fam, rng, share=0.7):
 
 
 @pytest.fixture(scope="session")
-def built_slice():
+def built_bases():
     """(name, family) for the index families at d = 2..6, n = 2..4 and the
-    modified ones at n = 3, 4, with d**n <= 1296; each of their one-set
-    ablations; and four seeded 70% sub-families of each of those."""
-    rng = np.random.default_rng(20261018)
+    modified ones at n = 3, 4, with d**n <= 1296."""
     bases = []
     for d, n in itertools.product(range(2, 7), range(2, 5)):
         if d**n <= 1296:
             bases.append((f"index({d},{n})", q.build_index_family(d, n)))
             if n >= 3:
                 bases.append((f"modified({d},{n})", q.build_modified_family(d, n).family))
+    return bases
+
+
+@pytest.fixture(scope="session")
+def built_slice(built_bases):
+    """The built bases, each of their one-set ablations, and four seeded 70%
+    sub-families of each of those."""
+    rng = np.random.default_rng(20261018)
     out = []
-    for name, fam in bases:
+    for name, fam in built_bases:
         for tag, var in [("", fam)] + [(f"-{l}", fam.drop(l)) for l in fam.labels]:
             out.append((name + tag, var))
             out += [(f"{name}{tag}~{i}", _sub_family(var, rng)) for i in range(4)]

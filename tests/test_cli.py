@@ -447,6 +447,16 @@ def test_parser_rejects_bad_xi():
         main(["construct", "--d", "4", "--n", "3", "--xi", "weird"])
 
 
+def test_import_refuses_modified_sets_that_differ(tmp_path, capsys):
+    # without its "extra" set the golden file holds 46 tuples and no constant one
+    doc = json.loads(GOLDEN.read_text())
+    del doc["sets"]["extra"]
+    path = tmp_path / "no_extra.json"
+    path.write_text(json.dumps(doc))
+    assert main(["import", str(path)]) == 1
+    assert "sets['extra']: missing for d=4, n=3, xi_prime=2" in capsys.readouterr().err
+
+
 def test_verify_json_key_sets(capsys):
     assert main(["verify", "--format", "json", str(GOLDEN)]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -330,6 +330,14 @@ def test_modified_family_derives_its_meta(ex1_family):
             setattr(fam, name, None)
 
 
+def test_modified_family_xi_is_read_only(ex1_family):
+    # `removed` and the written meta follow xi, so it cannot change alone
+    with pytest.raises(AttributeError):
+        ex1_family.xi = 1
+    assert ex1_family.xi == 2
+    assert ex1_family.removed == [(0, (0, 0, 0)), (2, (2, 2, 2))]
+
+
 # -------------------------------------------------------------- size rows
 
 def test_construction_size_frozen_rows():

@@ -171,6 +171,31 @@ def test_meta_that_disagrees_with_d_n_xi_is_refused(ex1_family, key, value, want
     assert q.family_from_json(doc).removed == ex1_family.removed
 
 
+@pytest.mark.parametrize("edit, message", [
+    ("drop-extra", "sets['extra']: missing"),
+    ("move", "sets['0']: differs from the construction's set"),
+    ("add", "sets['3']: not a set of the construction"),
+])
+def test_modified_sets_must_be_the_construction(ex1_family, edit, message):
+    doc = q.family_to_json(ex1_family)
+    if edit == "drop-extra":
+        del doc["sets"]["extra"]
+    elif edit == "move":
+        doc["sets"]["1"].append(doc["sets"]["0"].pop())
+    else:
+        doc["sets"]["3"] = [[0, 0, 3]]  # digit sum 3: label 3 is not kept at d=4
+    with pytest.raises(FamilyFormatError) as exc:
+        q.family_from_json(doc)
+    assert str(exc.value) == f"{message} for d=4, n=3, xi_prime=2"
+
+
+def test_modified_meta_needs_three_parties():
+    # at d=3, n=2 digit 2 is admissible (home 1), but there is no construction
+    doc = {"d": 3, "n": 2, "sets": {"0": [[0, 0]]}, "meta": {"xi_prime": 2, "case": "II"}}
+    with pytest.raises(FamilyFormatError, match="need n >= 3, got n=2"):
+        q.family_from_json(doc)
+
+
 def test_inadmissible_xi_is_refused(ex1_family):
     # at d=4, n=3 digit 1 homes to label 3, which is not kept
     doc = q.family_to_json(ex1_family)

@@ -265,3 +265,52 @@ def test_genuine_entanglement_matches_reference_on_built_families(built_slice):
             assert q.genuine_entanglement_check(states) == expected, name
             seen.add(expected)
     assert seen == {True, False}
+
+
+def _product_split_reference(states):
+    """False iff, on some split, some support is the product of the digit
+    strings it shows on each side; each split and set on its own."""
+    n = len(states[0].radix)
+    for left, right in _splits(n):
+        for ss in states:
+            members = ss.support.members()
+            sides = [len(np.unique(members[:, side], axis=0)) for side in (left, right)]
+            if sides[0] * sides[1] == ss.s:
+                return False
+    return True
+
+
+def test_genuine_entanglement_in_blocks_matches_product_split_reference():
+    # modified (4,7) has 12288 members, so each of its 63 splits is a block
+    states = q.family_states(q.build_modified_family(4, 7).family)
+    assert q.genuine_entanglement_check(states) is _product_split_reference(states) is True
+    # {0000, 1111} x {000, 111} is a product set on split {0, 1, 2, 3} | {4, 5, 6}
+    # alone, which a later block reaches
+    radix = (4,) * 7
+    late = q.PhaseStateSet(q.TupleSet.from_tuples(
+        radix, [(a,) * 4 + (b,) * 3 for a in (0, 1) for b in (0, 1)]))
+    assert _product_split_reference([late]) is False
+    assert q.genuine_entanglement_check(states + [late]) is False
+
+
+def test_genuine_entanglement_lexsort_agrees(built_slice, monkeypatch):
+    # with no (set, rank) key in range every block orders its sides by lexsort
+    from qnonloc import states as states_module
+    families = [fam for _, fam in built_slice if math.prod(fam.radix) <= 256]
+    expected = [q.genuine_entanglement_check(q.family_states(fam)) for fam in families]
+    monkeypatch.setattr(states_module, "_KEY_LIMIT", 0)
+    assert [q.genuine_entanglement_check(q.family_states(fam)) for fam in families] == expected
+    assert set(expected) == {True, False}
+
+
+def test_genuine_entanglement_ranks_past_int64_keys():
+    # 5 sets times the 2**61 digit strings of party 1 would pass int64 as
+    # (set, rank) keys; wrapped keys would sort the last set first and read
+    # set 0's party-1 strings from its two members with the string 9
+    radix = (2, 2**61)
+    supports = [[(0, 1), (1, 2)], [(0, 3), (1, 4)], [(0, 5), (1, 6)], [(0, 7), (1, 8)],
+                [(0, 9), (1, 9), (0, 10), (1, 11)]]
+    states = [q.PhaseStateSet(q.TupleSet(radix, np.array([a * 2**61 + b for a, b in t])))
+              for t in supports]
+    assert _product_split_reference(states) is True
+    assert q.genuine_entanglement_check(states) is True

@@ -355,3 +355,71 @@ def test_checks_match_reference_on_built_families(built_slice):
             assert report.connectivity == conn, (name, k)
             seen.update(v.condition for v in conditions.values())
     assert seen == set(Condition)
+
+
+# ------------------------------------------------------------ stacked cuts
+
+@pytest.fixture(scope="module")
+def stacking_battery(built_bases):
+    """(name, family): the built bases and mixed-radix cubes split by digit
+    sum mod 2, 3 and 5, each with its one-set ablations, and a seeded 80%
+    sub-family of every one."""
+    rng = np.random.default_rng(20261019)
+    bases = list(built_bases)
+    for radix in [(2, 3, 2), (3, 2, 2), (2, 3, 4), (4, 2, 3, 2)]:
+        cube = np.array(list(itertools.product(*map(range, radix))))
+        for m in (2, 3, 5):
+            owner = cube.sum(axis=1) % m
+            bases.append((f"{radix}%{m}", q.SetFamily(radix, {
+                i: q.TupleSet.from_digits(radix, cube[owner == i]) for i in range(m)})))
+    out = []
+    for name, fam in bases:
+        ablations = [(f"{name}-{l}", fam.drop(l)) for l in fam.labels if len(fam) > 1]
+        for var_name, var in [(name, fam), *ablations]:
+            sets = {}
+            for l, ts in var.items():
+                keep = rng.choice(len(ts), size=max(1, round(0.8 * len(ts))), replace=False)
+                sets[l] = q.TupleSet(var.radix, ts.ranks[keep])
+            out += [(var_name, var), (var_name + "~", q.SetFamily(var.radix, sets))]
+    return out
+
+
+def test_stacked_cuts_match_single_cuts(stacking_battery):
+    """Every cut of a block reports what it reports alone, whatever the
+    other cuts stacked with it resolve."""
+    seen = set()
+    for name, fam in stacking_battery:
+        reports = q.verify_strongest_nonlocality(fam)
+        assert reports == [cut(fam, k) for k in range(len(fam.radix))], name
+        seen.update(v.condition for r in reports for v in r.conditions.values())
+    assert seen == set(Condition)
+
+
+def test_requested_cuts_keep_their_order(stacking_battery):
+    fam = dict(stacking_battery)["(4, 2, 3, 2)%3"]
+    reports = q.verify_strongest_nonlocality(fam, cuts=[3, 0, 3, 2, 1])
+    assert [r.k for r in reports] == [3, 0, 3, 2, 1]
+    assert reports == [cut(fam, k) for k in (3, 0, 3, 2, 1)]
+
+
+@pytest.mark.parametrize("build, shapes", [
+    (lambda: q.build_index_family(6, 4), [(3, 6, 216), (1, 6, 216)]),
+    (lambda: q.build_modified_family(4, 7), [(1, 4, 4096)] * 7),
+    (lambda: q.SetFamily((4, 2, 3, 2), {0: q.TupleSet((4, 2, 3, 2), np.arange(48))}),
+     [(1, 4, 12), (2, 2, 24), (1, 3, 16)]),
+], ids=["index(6,4)", "modified(4,7)", "mixed"])
+def test_cuts_stack_by_digit_count_in_blocks(monkeypatch, build, shapes):
+    # a block holds cuts of one d_k and at most 4096 table entries, and a
+    # cut larger than that is a block of its own
+    from qnonloc import verifier
+    seen = []
+
+    def recording(tables, labels):
+        seen.append(tables.shape)
+        return classify(tables, labels)
+
+    classify = verifier._classify
+    monkeypatch.setattr(verifier, "_classify", recording)
+    q.verify_strongest_nonlocality(build())
+    assert seen == shapes
+
