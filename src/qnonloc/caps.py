@@ -17,8 +17,8 @@ is the only override.
 The checker decides cuts of one d_k together, in blocks (`verifier`).  Its
 counts are still checked cut by cut, so a block allocates the sum of its
 cuts' checked counts (pair covering pads each cut's rows to the block's
-largest R); blocks of more than one cut form only under 4096 table
-entries.
+largest R); a block holds at most 8192 table entries, so only cuts of at
+most 4096 entries share one.
 """
 
 from __future__ import annotations

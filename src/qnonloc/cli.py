@@ -121,7 +121,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .verifier import overall_verdict, verify_strongest_nonlocality
 
     fam = load_family(args.family)
-    # a cut out of range is refused where the cut is laid out
+    # verify_strongest_nonlocality refuses a cut out of range before any work
     cuts = list(range(len(fam.radix))) if args.cut == "all" else [int(args.cut)]
 
     reports = verify_strongest_nonlocality(fam, cuts=cuts)

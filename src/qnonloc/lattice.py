@@ -28,6 +28,13 @@ Tuple_ = tuple[int, ...]
 
 _RANK_LIMIT = 2**62  # total cube size must stay indexable in int64
 
+# The checker's cuts (`verifier`) and the entanglement check's splits
+# (`states`) are stacked into blocks of at most this many array entries, at
+# least one cut or split a block.  Below it a block's cost is mostly numpy's
+# cost per call, which stacking shares; past it both checks gain nothing
+# more, and a block of several large cuts costs more in memory traffic.
+_BLOCK_ENTRIES = 8192
+
 
 def _check_radix(radix: Sequence[int]) -> tuple[int, ...]:
     radix = tuple(int(d) for d in radix)
@@ -88,13 +95,13 @@ def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lab = np.arange(n_nodes, dtype=np.int64)
     while True:
         la, lb = lab[a], lab[b]
-        if (la == lb).all():
+        if not np.count_nonzero(la != lb):  # a cheaper call than .all() on small arrays
             return lab
         # la and lb are roots, so only the larger of the two can move
         np.minimum.at(lab, np.maximum(la, lb), np.minimum(la, lb))
         while True:
             jumped = lab[lab]
-            if (jumped == lab).all():
+            if not np.count_nonzero(jumped != lab):
                 break
             lab = jumped
 

@@ -76,15 +76,16 @@ def _cut_shape(state_sets: Sequence[PhaseStateSet], k: int) -> tuple[tuple[int, 
 
 
 def _equality_edges(state_sets: list[PhaseStateSet],
-                    owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    owner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edges (a, b) of cut k's equality graph (see `exact_nullspace`),
-    from its member table owner[g, x]: the member with digit g at k and the
-    rest ranked x, which is row or column x of Pi.
+    and the mask of the D**2 entries of Pi that a pair across sets forces to
+    0, from its member table owner[g, x]: the member with digit g at k and
+    the rest ranked x, which is row or column x of Pi.
 
     Slot (g, x, y) of the (d_k, D, D) pair mask is the ordered pair of the
     members at columns x and y of row g, which meets entry x * D + y of Pi.
-    Only the edges outlive this call, so none of the pair-length arrays it
-    builds is alive in the union-find.
+    A forced entry needs no edge: every class with a pair at it joins zero
+    instead, so the edges are the pairs within a set and the zero classes.
     """
     D = owner.shape[1]
     sizes = np.array([ss.s for ss in state_sets], dtype=np.int64)
@@ -92,25 +93,28 @@ def _equality_edges(state_sets: list[PhaseStateSet],
     base = (sizes.cumsum() - sizes).repeat(sizes)       # first class node of its set
     f = np.concatenate([ss.bijection for ss in state_sets])
 
-    # the pair mask splits into pairs within a set and across sets, and each
-    # part is read by boolean-mask gathers of broadcast views
-    shape = (len(owner), D, D)
     hit = owner >= 0
     both = hit[:, :, None] & hit[:, None, :]
     group = base[owner]  # each member's set, by its first class node; empty slots lie outside both
     within = both & (group[:, :, None] == group[:, None, :])
-    entry = np.broadcast_to(np.arange(D * D).reshape(D, D), shape)
-    u = np.broadcast_to(owner[:, :, None], shape)[within]
-    v = np.broadcast_to(owner[:, None, :], shape)[within]
-    cls = base[u] + (f[u] - f[v]) % size[u]
+    forced = (both ^ within).any(axis=0).ravel()
+    # the class node of every slot, read where the slot holds a pair within a set
+    fo = f[owner]
+    shift = fo[:, :, None] - fo[:, None, :]
+    shift %= size[owner][:, :, None]
+    shift += group[:, :, None]
+    slot = np.flatnonzero(within)
+    cls = shift.ravel()[slot]
+    entry = slot % (D * D)
 
-    # a class meets s pairs in all; fewer same-digit ones means a zero pair
-    hits = np.bincount(cls, minlength=len(size))
+    # a class meets s pairs in all; fewer same-digit ones means a zero pair,
+    # and so does one at a forced entry
+    dead = np.bincount(cls, minlength=len(size)) < size
+    dead[cls[forced[entry]]] = True
     zero = D * D
-    a = np.concatenate([zero + 1 + cls, entry[both ^ within],
-                        zero + 1 + (hits < size).nonzero()[0]])
-    b = np.concatenate([entry[within], np.full(len(a) - len(cls), zero)])
-    return a, b
+    a = np.concatenate([zero + 1 + cls, zero + 1 + dead.nonzero()[0]])
+    b = np.concatenate([entry, np.full(len(a) - len(cls), zero)])
+    return a, b, forced
 
 
 def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport:
@@ -118,10 +122,11 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport
 
     Nodes are the D**2 entries of Pi, one zero node, and one class node per
     shift of each set.  Only pairs of tuples sharing their digit at k meet a
-    nonzero entry; such a pair joins its entry to zero across sets and to its
-    shift's class node within a set.  A shift whose s pairs are not all
-    same-digit joins zero.  The dimension is the number of components that
-    hold an entry and not the zero node.
+    nonzero entry.  Such a pair across sets forces its entry to 0, and
+    within a set it joins its entry to its shift's class node.  A shift
+    whose s pairs are not all same-digit, or that has a pair at a forced
+    entry, joins zero.  The dimension is the number of components that hold
+    an entry, neither forced nor joined to zero.
 
     The pair mask has d_k * D**2 slots, which are held to the cap before
     anything is built.  Overlapping supports (`lattice.member_cube`) or a
@@ -136,11 +141,12 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport
     owner = cut_table(member_cube(radix, [ss.support for ss in state_sets]), k)
     zero = D * D
     n_nodes = zero + 1 + sum(ss.s for ss in state_sets)
-    lab = _components(n_nodes, *_equality_edges(state_sets, owner))
+    a, b, forced = _equality_edges(state_sets, owner)
+    lab = _components(n_nodes, a, b)
 
     # a component is labelled by its smallest node, an entry if it holds one
     comp = lab[:zero]
-    free = comp != lab[zero]
+    free = (comp != lab[zero]) & ~forced
     classes = (free & (comp == np.arange(zero))).nonzero()[0]
     if len(classes) < 2:
         if not (len(classes) == 1 and free[::D + 1].all()

@@ -22,14 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import Label, SetFamily, TupleSet, _decode, has_repeat
-
-# Splits are ranked together in blocks of at most this many members x side
-# columns; a larger family ranks one split a block.
-_BLOCK_ENTRIES = 4096
-# A block's (set, rank) keys set * span + rank stay below this bound, the
-# range of int64; past it the sides are ordered by lexsort instead.
-_KEY_LIMIT = 2**63
+from .lattice import _BLOCK_ENTRIES, Label, SetFamily, TupleSet, _decode, has_repeat
 
 
 class PhaseStateSet:
@@ -138,10 +131,9 @@ def genuine_entanglement_check(state_sets: Iterable[PhaseStateSet]) -> bool:
     blocks of at most _BLOCK_ENTRIES members x side columns, at least one
     split a block.  A block ranks both sides of each of its splits, for
     every member, with one product of the digits and a weight matrix (one
-    column per side); one sort along the member axis of set * span + rank,
-    span the number of digit strings of the side, counts the distinct ranks
-    of each set.  The check stops at the first block that holds a product
-    split.
+    column per side); one lexsort along the member axis, by set and then
+    rank, counts the distinct ranks of each set.  The check stops at the
+    first block that holds a product split.
     """
     state_sets = list(state_sets)
     radix = shared_radix(state_sets)
@@ -150,11 +142,13 @@ def genuine_entanglement_check(state_sets: Iterable[PhaseStateSet]) -> bool:
         raise ValueError("entanglement needs at least two parties")
     sizes = np.array([ss.s for ss in state_sets])
     starts = sizes.cumsum() - sizes
-    set_id = np.repeat(np.arange(len(sizes)), sizes)[:, None]
     digits = _decode(np.concatenate([ss.support.ranks for ss in state_sets]), radix)
     bit = np.arange(n - 1)[:, None]
     n_splits = 2 ** (n - 1) - 1
     per_block = max(1, _BLOCK_ENTRIES // (2 * len(digits)))
+    # each member's set, once for every side column of a block
+    member_set = np.repeat(np.arange(len(sizes)), sizes * 2 * min(per_block, n_splits)
+                           ).reshape(len(digits), -1)
     for first in range(0, n_splits, per_block):
         m = np.arange(first, min(first + per_block, n_splits))
         left = np.ones((n, len(m)), dtype=bool)
@@ -163,12 +157,9 @@ def genuine_entanglement_check(state_sets: Iterable[PhaseStateSet]) -> bool:
         factor = np.where(inside, np.array(radix)[:, None], 1)
         tail = np.cumprod(factor[::-1], axis=0)[::-1]  # product over parties p and after
         rank = digits @ np.where(inside, tail // factor, 0)
-        span = tail[0]
-        if len(sizes) * int(span.max()) <= _KEY_LIMIT:
-            key = np.sort(set_id * span + rank, axis=0)
-        else:
-            key = np.take_along_axis(rank, np.lexsort(
-                (rank, np.broadcast_to(set_id, rank.shape)), axis=0), axis=0)
+        # sorted by set, then rank, each set's distinct ranks start where the rank changes
+        order = np.lexsort((rank, member_set[:, :rank.shape[1]]), axis=0)
+        key = rank[order, np.arange(rank.shape[1])]
         new = np.ones(key.shape, dtype=bool)
         new[1:] = key[1:] != key[:-1]
         new[starts] = True

@@ -41,7 +41,8 @@ from enum import Enum
 import numpy as np
 
 from . import caps
-from .lattice import Label, SetFamily, _components, cut_table, member_cube, sorted_unique
+from .lattice import (_BLOCK_ENTRIES, Label, SetFamily, _components, cut_table, member_cube,
+                      sorted_unique)
 
 
 class Condition(str, Enum):
@@ -69,11 +70,6 @@ class LabelVerdict:
 
 
 _UNRESOLVED = LabelVerdict(Condition.UNRESOLVED)
-
-# Cuts of one d_k are checked together in blocks of at most this many label
-# table entries; stacking larger cuts costs more in memory traffic than it
-# saves in calls.
-_BLOCK_ENTRIES = 4096
 
 
 def _classify(tables: np.ndarray, labels: list[Label]) -> list[dict[Label, LabelVerdict]]:
@@ -150,28 +146,35 @@ def _classify(tables: np.ndarray, labels: list[Label]) -> list[dict[Label, Label
     record(Condition.TIGHT_COVER, js, tight[js], np.arange(L + 1) != U[js, None])
 
     # chained: only resolved labels are admitted, so each cut's labels go in
-    # order within a pass.  One evaluation resolves the first target found in
-    # each cut, whose pass goes on with the targets after it; a cut with none
-    # found ends its pass.  A cut's other targets meet the same state again
-    # in the next pass, so passes may run in step across cuts.
-    counted = count > 0
+    # order within a pass.  blocked[j, tau, g] counts the columns where row g
+    # holds a label not admitted for target j there; it falls as the cut
+    # resolves labels, and (tau, g) is found at 0.  One step resolves the
+    # first target found in each cut, whose pass goes on with the targets
+    # after it; a cut with none found ends its pass.  A cut's other targets
+    # meet the same state again in the next pass, so passes may run in step
+    # across cuts.
+    blocked = (count @ ~resolved[cut, None, :, None])[..., 0]
     grew = True
     while grew:
         grew = False
         rest = (~resolved[cut, U]).nonzero()[0]
         while len(rest):
-            admit = resolved[cut[rest]]
-            found = target[rest] & ~(counted[rest] & ~admit[:, None, None, :]).any(axis=3)
+            found = target[rest] & (blocked[rest] == 0)
             at = found.reshape(len(rest), d_k * d_k).any(axis=1).nonzero()[0]
             if not len(at):
                 break
             first_of_cut = np.ones(len(at), dtype=bool)
             first_of_cut[1:] = cut[rest[at[1:]]] != cut[rest[at[:-1]]]
             at = at[first_of_cut]
-            record(Condition.CHAINED_COVER, rest[at], found[at], admit[at])
+            js = rest[at]
+            record(Condition.CHAINED_COVER, js, found[at], resolved[cut[js]])
             grew = True
+            new = np.full(C, -1)  # the label each cut resolved in this step
+            new[cut[js]] = U[js]
+            open_ = ((new[cut] >= 0) & ~resolved[cut, U]).nonzero()[0]
+            blocked[open_] -= count[open_, :, :, new[cut[open_]]]
             after = np.full(C, len(U))
-            after[cut[rest[at]]] = rest[at]
+            after[cut[js]] = js
             rest = rest[rest > after[cut[rest]]]
     return [{l: v.get(l, _UNRESOLVED) for l in labels} for v in verdicts]
 

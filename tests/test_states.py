@@ -293,20 +293,11 @@ def test_genuine_entanglement_in_blocks_matches_product_split_reference():
     assert q.genuine_entanglement_check(states + [late]) is False
 
 
-def test_genuine_entanglement_lexsort_agrees(built_slice, monkeypatch):
-    # with no (set, rank) key in range every block orders its sides by lexsort
-    from qnonloc import states as states_module
-    families = [fam for _, fam in built_slice if math.prod(fam.radix) <= 256]
-    expected = [q.genuine_entanglement_check(q.family_states(fam)) for fam in families]
-    monkeypatch.setattr(states_module, "_KEY_LIMIT", 0)
-    assert [q.genuine_entanglement_check(q.family_states(fam)) for fam in families] == expected
-    assert set(expected) == {True, False}
-
-
 def test_genuine_entanglement_ranks_past_int64_keys():
     # 5 sets times the 2**61 digit strings of party 1 would pass int64 as
-    # (set, rank) keys; wrapped keys would sort the last set first and read
-    # set 0's party-1 strings from its two members with the string 9
+    # one number set * 2**61 + rank; wrapped numbers would sort the last set
+    # first and read set 0's party-1 strings from its two members with the
+    # string 9
     radix = (2, 2**61)
     supports = [[(0, 1), (1, 2)], [(0, 3), (1, 4)], [(0, 5), (1, 6)], [(0, 7), (1, 8)],
                 [(0, 9), (1, 9), (0, 10), (1, 11)]]

@@ -402,14 +402,38 @@ def test_requested_cuts_keep_their_order(stacking_battery):
     assert reports == [cut(fam, k) for k in (3, 0, 3, 2, 1)]
 
 
+def test_chained_covers_admit_the_labels_resolved_before_them():
+    # sets Z_i hold row 0 at columns 2i, 2i + 1 and row 1 at 2i + 2, 2i + 3,
+    # so Z_i's row-0 class is covered at digit 1 by Z_(i-1) alone; Z_0's
+    # cover, by the singletons 4 and 5, is tight.  Numbered along the chain
+    # it resolves in one pass, numbered against it one link a pass.
+    radix = (2, 10)
+
+    def chain(names):
+        sets = {names[i]: q.TupleSet.from_tuples(radix, [(0, 2 * i), (0, 2 * i + 1),
+                                                         (1, 2 * i + 2), (1, 2 * i + 3)])
+                for i in range(4)}
+        sets |= {4: q.TupleSet.from_tuples(radix, [(1, 0)]),
+                 5: q.TupleSet.from_tuples(radix, [(1, 1)])}
+        return cut(q.SetFamily(radix, sets), 0).conditions
+
+    for names in ([0, 1, 2, 3], [3, 2, 1, 0]):
+        verdicts = chain(names)
+        assert verdicts[names[0]].condition is Condition.TIGHT_COVER
+        for i in (1, 2, 3):
+            expected = tuple(sorted(names[:i])) + (4, 5)
+            assert verdicts[names[i]] == LabelVerdict(Condition.CHAINED_COVER, 0, 1, expected)
+
+
 @pytest.mark.parametrize("build, shapes", [
-    (lambda: q.build_index_family(6, 4), [(3, 6, 216), (1, 6, 216)]),
+    (lambda: q.build_index_family(6, 4), [(4, 6, 216)]),
+    (lambda: q.build_index_family(3, 7), [(3, 3, 729), (3, 3, 729), (1, 3, 729)]),
     (lambda: q.build_modified_family(4, 7), [(1, 4, 4096)] * 7),
     (lambda: q.SetFamily((4, 2, 3, 2), {0: q.TupleSet((4, 2, 3, 2), np.arange(48))}),
      [(1, 4, 12), (2, 2, 24), (1, 3, 16)]),
-], ids=["index(6,4)", "modified(4,7)", "mixed"])
+], ids=["index(6,4)", "index(3,7)", "modified(4,7)", "mixed"])
 def test_cuts_stack_by_digit_count_in_blocks(monkeypatch, build, shapes):
-    # a block holds cuts of one d_k and at most 4096 table entries, and a
+    # a block holds cuts of one d_k and at most 8192 table entries, and a
     # cut larger than that is a block of its own
     from qnonloc import verifier
     seen = []
