@@ -93,10 +93,8 @@ def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     root merges each round, so such roots at least halve per round.
     """
     lab = np.arange(n_nodes, dtype=np.int64)
+    la, lb = a, b  # every node is a root at first
     while True:
-        la, lb = lab[a], lab[b]
-        if not np.count_nonzero(la != lb):  # a cheaper call than .all() on small arrays
-            return lab
         # la and lb are roots, so only the larger of the two can move
         np.minimum.at(lab, np.maximum(la, lb), np.minimum(la, lb))
         while True:
@@ -104,6 +102,9 @@ def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             if not np.count_nonzero(jumped != lab):
                 break
             lab = jumped
+        la, lb = lab[a], lab[b]
+        if not np.count_nonzero(la != lb):  # a cheaper call than .all() on small arrays
+            return lab
 
 
 def member_cube(radix: tuple[int, ...], sets: Sequence[TupleSet]) -> np.ndarray:

@@ -97,7 +97,7 @@ def _equality_edges(state_sets: list[PhaseStateSet],
     both = hit[:, :, None] & hit[:, None, :]
     group = base[owner]  # each member's set, by its first class node; empty slots lie outside both
     within = both & (group[:, :, None] == group[:, None, :])
-    forced = (both ^ within).any(axis=0).ravel()
+    forced = np.logical_or.reduce(both ^ within).ravel()
     # the class node of every slot, read where the slot holds a pair within a set
     fo = f[owner]
     shift = fo[:, :, None] - fo[:, None, :]
@@ -112,7 +112,7 @@ def _equality_edges(state_sets: list[PhaseStateSet],
     dead = np.bincount(cls, minlength=len(size)) < size
     dead[cls[forced[entry]]] = True
     zero = D * D
-    a = np.concatenate([zero + 1 + cls, zero + 1 + dead.nonzero()[0]])
+    a = zero + 1 + np.concatenate([cls, dead.nonzero()[0]])
     b = np.concatenate([entry, np.full(len(a) - len(cls), zero)])
     return a, b, forced
 
@@ -149,7 +149,7 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport
     free = (comp != lab[zero]) & ~forced
     classes = (free & (comp == np.arange(zero))).nonzero()[0]
     if len(classes) < 2:
-        if not (len(classes) == 1 and free[::D + 1].all()
+        if not (len(classes) == 1 and np.count_nonzero(free[::D + 1]) == D
                 and np.count_nonzero(free) == D):
             raise InternalConsistencyError(
                 f"{len(classes)}-dimensional solution space is not the identity line; "
