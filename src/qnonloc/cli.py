@@ -54,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a modified family")
     p.add_argument("--d", type=int, required=True, help="local dimension (>= 2)")
     p.add_argument("--n", type=int, required=True, help="number of parties (>= 3)")
-    p.add_argument("--xi", type=_parse_xi, default=None,
-                   help="second removed diagonal digit or a strategy name")
+    p.add_argument("--xi", type=_parse_xi, default="smallest",
+                   help="second removed diagonal digit or a strategy name (default: smallest)")
     p.add_argument("--out", help="family JSON path (default: stdout)")
     p.add_argument("--states-out", dest="states_out", help="state export JSON path")
     p.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")

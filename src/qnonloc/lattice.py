@@ -2,11 +2,11 @@
 
 Tuples over Z_{d_1} x ... x Z_{d_N} are stored by their mixed-radix rank
 (position 0 most significant), which keeps membership and serialization
-order on sorted int64 vectors.  A modified family is a SetFamily like any
-other, built by removing its two constant tuples by rank.  It keeps the sets
-`kept_labels(d)` and stores only d, n and the second removed digit xi: its
-case, removed tuples and guarantee flag are derived from them.  Both routes
-read each cut from one `member_cube` (`cut_table`) and share the union-find
+order on sorted int64 vectors.  A SetFamily's sets are always disjoint.  A
+modified family is built from d, n and the second removed digit xi alone: it
+keeps the sets `kept_labels(d)` and moves its two constant tuples by rank to
+a set of their own.  Its case, removed tuples and guarantee flag are derived
+from d, n and xi (`_derived_meta`).  Both routes read each cut from one `member_cube` (`cut_table`) and share the union-find
 `_components`.
 """
 
@@ -210,11 +210,11 @@ class TupleSet:
 class SetFamily:
     """Labeled collection of pairwise-disjoint TupleSets over one radix.
 
-    Label order is canonical: integer labels ascending, then string labels.
+    Sets that share a tuple are refused with a ValueError.  Label order is
+    canonical: integer labels ascending, then string labels.
     """
 
-    def __init__(self, radix: Sequence[int], sets: dict[Label, TupleSet],
-                 check_disjoint: bool = True):
+    def __init__(self, radix: Sequence[int], sets: dict[Label, TupleSet]):
         self.radix = _check_radix(radix)
         if not sets:
             raise ValueError("family must contain at least one set")
@@ -227,10 +227,8 @@ class SetFamily:
                 raise ValueError(f"set {l!r} has radix {ts.radix}, family has {self.radix}")
             ordered[l] = ts
         self._sets = ordered
-        if check_disjoint:
-            cat = np.concatenate([ts.ranks for ts in ordered.values()])
-            if has_repeat(cat):
-                raise ValueError("member sets are not pairwise disjoint")
+        if has_repeat(np.concatenate([ts.ranks for ts in ordered.values()])):
+            raise ValueError("member sets are not pairwise disjoint")
 
     @property
     def labels(self) -> list[Label]:
@@ -259,7 +257,7 @@ class SetFamily:
         if label not in self._sets:
             raise KeyError(label)
         remaining = {l: ts for l, ts in self._sets.items() if l != label}
-        return SetFamily(self.radix, remaining, check_disjoint=False)
+        return SetFamily(self.radix, remaining)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetFamily):
@@ -296,8 +294,7 @@ def build_index_family(d: int, n: int) -> SetFamily:
             for i in range(d)
         ]
     radix = (d,) * n
-    return SetFamily(radix, {i: TupleSet(radix, level[i]) for i in range(d)},
-                     check_disjoint=False)
+    return SetFamily(radix, {i: TupleSet(radix, level[i]) for i in range(d)})
 
 
 # ====================================================================
@@ -372,23 +369,49 @@ def choose_xi(d: int, n: int, strategy: int | str = "smallest") -> int:
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+def _derived_meta(d: int, n: int, xi: int) -> tuple[str, list[tuple[Label, Tuple_]], bool]:
+    """A modified family's case, its two removed constant tuples (each after
+    its home label) and its beyond-guarantee flag, from d, n and an
+    admissible xi alone; it builds no digit rows."""
+    return (_case_split(d, n)[0], [(diagonal_home(x, n, d), (x,) * n) for x in (0, xi)],
+            d < 4)
+
+
 class ModifiedFamily(SetFamily):
     """Construction output: kept recursive sets with two constant tuples rehomed.
 
-    The all-zeros tuple leaves set 0 and the all-xi tuple leaves its home set;
-    both land in a fresh set under the label "extra".  It is a SetFamily like
-    any other, over a uniform radix, and equality, like SetFamily's, compares
-    radix and sets only.  d, n and the admissible digit `xi` are all it
-    stores of its construction: `case`, `removed` and `beyond_guarantee`
-    follow from them.
+    Built from d, n and xi alone (an admissible digit or a `choose_xi`
+    strategy name): the all-zeros tuple leaves set 0 and the all-xi tuple
+    leaves its home set, both for a fresh set under the label "extra".  It is
+    a SetFamily like any other, and equality, like SetFamily's, compares
+    radix and sets only.  d, n and `xi` are all it stores of its
+    construction: `case`, `removed` and `beyond_guarantee` follow from them.
     """
 
-    def __init__(self, radix: Sequence[int], sets: dict[Label, TupleSet], *, xi: int,
-                 check_disjoint: bool = True):
-        super().__init__(radix, sets, check_disjoint)
-        if len(set(self.radix)) != 1:
-            raise ValueError(f"a modified family needs a uniform radix, got {self.radix}")
-        self._xi = choose_xi(self.radix[0], len(self.radix), xi)
+    def __init__(self, d: int, n: int, xi: int | str = "smallest"):
+        if d < 2:
+            raise ValueError("d must be >= 2")
+        if n < 3:
+            raise ValueError("n must be >= 3")
+        self._xi = choose_xi(d, n, xi)
+
+        # the constant tuple (x, ..., x) has rank x * (d**n - 1) / (d - 1)
+        unit = (d**n - 1) // (d - 1)
+        base = build_index_family(d, n)
+        sets: dict[Label, TupleSet] = {t: base[t] for t in kept_labels(d)}
+        for t in {0, diagonal_home(self._xi, n, d)}:
+            consts = [x * unit for x in (0, self._xi) if diagonal_home(x, n, d) == t]
+            gone = np.isin(sets[t].ranks, consts)
+            if np.count_nonzero(gone) != len(consts):
+                raise InternalConsistencyError(f"a constant tuple is missing from its home set {t}")
+            sets[t] = TupleSet(base.radix, sets[t].ranks[~gone])
+        sets[EXTRA_LABEL] = TupleSet(base.radix, [0, self._xi * unit])
+        super().__init__(base.radix, sets)
+
+        expected = construction_size(d, n)
+        if self.total_size() != expected:
+            raise InternalConsistencyError(
+                f"built {self.total_size()} tuples, size formula says {expected}")
 
     @property
     def xi(self) -> int:
@@ -399,51 +422,28 @@ class ModifiedFamily(SetFamily):
     @property
     def case(self) -> str:
         """"I", "II" or "III": the case of n mod d."""
-        return _case_split(self.radix[0], len(self.radix))[0]
+        return _derived_meta(self.radix[0], len(self.radix), self.xi)[0]
 
     @property
     def removed(self) -> list[tuple[Label, Tuple_]]:
         """The two constant tuples moved to "extra", each after its home label."""
-        d, n = self.radix[0], len(self.radix)
-        return [(diagonal_home(x, n, d), (x,) * n) for x in (0, self.xi)]
+        return _derived_meta(self.radix[0], len(self.radix), self.xi)[1]
 
     @property
     def beyond_guarantee(self) -> bool:
         """True below d = 4, where the stated guarantee ends."""
-        return self.radix[0] < 4
+        return _derived_meta(self.radix[0], len(self.radix), self.xi)[2]
 
     @property
     def family(self) -> SetFamily:
         """The same sets as a plain SetFamily."""
-        return SetFamily(self.radix, self._sets, check_disjoint=False)
+        return SetFamily(self.radix, self._sets)
 
 
-def build_modified_family(d: int, n: int, xi: int | str | None = None) -> ModifiedFamily:
-    """Kept-label family with the two constant tuples moved to an extra set."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    chosen = choose_xi(d, n, "smallest" if xi is None else xi)
-
-    # the constant tuple (x, ..., x) has rank x * (d**n - 1) / (d - 1)
-    unit = (d**n - 1) // (d - 1)
-    base = build_index_family(d, n)
-    sets: dict[Label, TupleSet] = {t: base[t] for t in kept_labels(d)}
-    for t in {0, diagonal_home(chosen, n, d)}:
-        consts = [x * unit for x in (0, chosen) if diagonal_home(x, n, d) == t]
-        gone = np.isin(sets[t].ranks, consts)
-        if np.count_nonzero(gone) != len(consts):
-            raise InternalConsistencyError(f"a constant tuple is missing from its home set {t}")
-        sets[t] = TupleSet(base.radix, sets[t].ranks[~gone])
-    sets[EXTRA_LABEL] = TupleSet(base.radix, [0, chosen * unit])
-
-    family = ModifiedFamily(base.radix, sets, xi=chosen, check_disjoint=False)
-    expected = construction_size(d, n)
-    if family.total_size() != expected:
-        raise InternalConsistencyError(
-            f"built {family.total_size()} tuples, size formula says {expected}")
-    return family
+def build_modified_family(d: int, n: int, xi: int | str = "smallest") -> ModifiedFamily:
+    """`ModifiedFamily(d, n, xi)`: kept-label family with the two constant
+    tuples moved to an extra set."""
+    return ModifiedFamily(d, n, xi)
 
 
 def construction_size(d: int, n: int) -> int:
@@ -458,17 +458,15 @@ def construction_size(d: int, n: int) -> int:
 class ReferenceSizes:
     """Published comparison sizes for orthogonal genuinely entangled sets.
 
-    The d3_* fields describe constructions specific to d = 3 and are
-    informational for other d (see d3_applicable).
+    d3_minimum is the size of the minimal d = 3 construction, and
+    informational for other d.
     """
 
     d: int
     n: int
     li_oges: int
     lower_bound: int
-    d3_case1: int
     d3_minimum: int
-    d3_applicable: bool
 
 
 def reference_sizes(d: int, n: int) -> ReferenceSizes:
@@ -478,7 +476,5 @@ def reference_sizes(d: int, n: int) -> ReferenceSizes:
         d=d, n=n,
         li_oges=d**n - (d - 1) ** n + 1,
         lower_bound=d ** (n - 1) + 1,
-        d3_case1=3**n - 2**n,
         d3_minimum=2 * 3 ** (n - 1),
-        d3_applicable=(d == 3),
     )

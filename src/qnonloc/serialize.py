@@ -15,15 +15,17 @@ A set key names an integer label when it is that integer's own text ("3",
 "-1"); any other key, "01" or " 2" say, is a text label, so no two keys
 name one set.  A file that is not UTF-8 is refused like malformed JSON.
 
-Reading validates each set's rows as one integer array: shape, digit range
-against the radix, and duplicates within and across sets.  Only a document
-that fails those checks is scanned row by row, to name the first offending
-field in document order.  A modified family's `meta` is derived from d, n
-and `xi_prime`, whose radix must be uniform and whose digit must lie in
-1..d-1 and be admissible; a `case`, `removed` or `beyond_guarantee` that is
-present and differs from the derived value is refused, and one that is
-absent is derived.  The writer and the reader share that derivation, which
-builds no digit rows.
+Reading validates each set's rows as one integer array (shape, digit range
+against the radix, duplicates within a set) and the sets as one SetFamily,
+which refuses a tuple in two sets; only a document that fails is scanned
+row by row, to name the first offending field in document order.  A
+modified family's `meta` is derived from d, n and `xi_prime`, whose radix
+must be uniform and whose digit must lie in 1..d-1 and be admissible; a
+`case`, `removed` or `beyond_guarantee` that is present and differs from
+the derived value is refused, and one that is absent is derived.  The
+writer and the reader share that derivation, which builds no digit rows.
+Then, with n >= 3, each set must be the one `ModifiedFamily(d, n,
+xi_prime)` builds, and reading returns that built family.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ import numpy as np
 
 from . import caps
 from .errors import FamilyFormatError, InadmissibleXiError, InternalConsistencyError
-from .lattice import Label, ModifiedFamily, SetFamily, TupleSet, build_modified_family, has_repeat
+from .lattice import (Label, ModifiedFamily, SetFamily, TupleSet, _derived_meta,
+                      build_modified_family, choose_xi)
 
 if TYPE_CHECKING:  # annotations only: reading and writing families loads none of these
     from .oracle import OracleReport
@@ -49,21 +52,23 @@ def _radix_out(radix: tuple[int, ...]) -> int | list[int]:
     return radix[0] if len(set(radix)) == 1 else list(radix)
 
 
-def _meta(family: ModifiedFamily) -> dict[str, Any]:
+def _meta(d: int, n: int, xi: int) -> dict[str, Any]:
     """A modified family's meta, all derived from d, n and xi'; the guarantee
-    flag is written only when set.  It builds no digit rows."""
+    flag is written only when set."""
+    case, removed, beyond_guarantee = _derived_meta(d, n, xi)
     meta: dict[str, Any] = {
-        "case": family.case,
-        "xi_prime": family.xi,
-        "removed": [[_label_out(l), list(t)] for l, t in family.removed],
+        "case": case,
+        "xi_prime": xi,
+        "removed": [[_label_out(l), list(t)] for l, t in removed],
     }
-    if family.beyond_guarantee:
+    if beyond_guarantee:
         meta["beyond_guarantee"] = True
     return meta
 
 
 def family_to_json(family: SetFamily) -> dict[str, Any]:
-    meta = _meta(family) if isinstance(family, ModifiedFamily) else {}
+    meta = (_meta(family.radix[0], len(family.radix), family.xi)
+            if isinstance(family, ModifiedFamily) else {})
     sets = {_label_out(l): ts.members().tolist() for l, ts in family.items()}
     return {"d": _radix_out(family.radix), "n": len(family.radix),
             "sets": sets, "meta": meta}
@@ -83,7 +88,8 @@ def _label_in(key: str) -> Label:
 
 
 def family_from_json(doc: dict[str, Any]) -> SetFamily:
-    """Parse and fully validate a family document.
+    """Parse and fully validate a family document: the plain SetFamily it
+    holds, or the ModifiedFamily its d, n and xi' build.
 
     Digits must lie inside the declared radix, tuples must have arity n, no
     tuple may repeat inside a set or across sets.  Violations raise
@@ -115,13 +121,13 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily:
     raw_sets = doc["sets"]
     if not isinstance(raw_sets, dict) or not raw_sets:
         raise FamilyFormatError("sets: expected a nonempty object")
-    sets = {key: _rows_to_set(rows, radix) for key, rows in raw_sets.items()}
-    members = [ts.ranks for ts in sets.values() if ts is not None]
-    # a set the array checks refused, or a tuple in two sets
-    if (len(members) < len(sets)
-            or has_repeat(np.concatenate(members))):
+    sets = {_label_in(key): _rows_to_set(rows, radix) for key, rows in raw_sets.items()}
+    if any(ts is None for ts in sets.values()):  # a set the array checks refused
         _raise_first_fault(raw_sets, radix)
-    sets = {_label_in(key): ts for key, ts in sets.items()}
+    try:
+        family = SetFamily(radix, sets)
+    except ValueError:  # a tuple in two sets
+        _raise_first_fault(raw_sets, radix)
 
     meta = doc.get("meta") or {}
     if not isinstance(meta, dict):
@@ -138,41 +144,34 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily:
             raise FamilyFormatError(f"meta.xi_prime: expected an integer in 1..{d - 1}, "
                                     f"got {xi!r}")
         try:
-            family = ModifiedFamily(radix, sets, xi=int(xi), check_disjoint=False)
+            xi = choose_xi(d, n, int(xi))
         except InadmissibleXiError as e:
             raise FamilyFormatError(f"meta.xi_prime: {e}") from e
         # compared as JSON text, so 1 is not true and "0" is not 0
-        derived = _meta(family)
+        derived = _meta(d, n, xi)
         for key in ("case", "removed", "beyond_guarantee"):
             if key in meta:
                 want = json.dumps(derived.get(key, False))
                 got = json.dumps(meta[key])
                 if got != want:
                     raise FamilyFormatError(f"meta.{key}: expected {want} for d={d}, n={n}, "
-                                            f"xi_prime={family.xi}, got {got}")
-        _check_construction_sets(family)
-        return family
-    return SetFamily(radix, sets, check_disjoint=False)
-
-
-def _check_construction_sets(family: ModifiedFamily) -> None:
-    """Raise FamilyFormatError at the first set, in label order, that is not
-    the one `build_modified_family` makes from the family's d, n and xi'."""
-    d, n = family.radix[0], len(family.radix)
-    if n < 3:
-        raise FamilyFormatError(f"meta: modified families need n >= 3, got n={n}")
-    built = build_modified_family(d, n, xi=family.xi)
-    for label in [*built.labels, *(l for l in family.labels if l not in built)]:
-        if label not in family:
-            fault = "missing"
-        elif label not in built:
-            fault = "not a set of the construction"
-        elif family[label] != built[label]:
-            fault = "differs from the construction's set"
-        else:
-            continue
-        raise FamilyFormatError(f"sets[{_label_out(label)!r}]: {fault} for d={d}, n={n}, "
-                                f"xi_prime={family.xi}")
+                                            f"xi_prime={xi}, got {got}")
+        if n < 3:
+            raise FamilyFormatError(f"meta: modified families need n >= 3, got n={n}")
+        built = build_modified_family(d, n, xi)
+        for label in [*built.labels, *(l for l in family.labels if l not in built)]:
+            if label not in family:
+                fault = "missing"
+            elif label not in built:
+                fault = "not a set of the construction"
+            elif family[label] != built[label]:
+                fault = "differs from the construction's set"
+            else:
+                continue
+            raise FamilyFormatError(f"sets[{_label_out(label)!r}]: {fault} for d={d}, n={n}, "
+                                    f"xi_prime={xi}")
+        return built
+    return family
 
 
 def _rows_to_set(rows: Any, radix: tuple[int, ...]) -> TupleSet | None:

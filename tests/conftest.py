@@ -44,7 +44,7 @@ def _sub_family(fam, rng, share=0.7):
     for l, ts in fam.items():
         keep = rng.choice(len(ts), size=max(1, round(share * len(ts))), replace=False)
         sets[l] = q.TupleSet(fam.radix, np.sort(ts.ranks[keep]))
-    return q.SetFamily(fam.radix, sets, check_disjoint=False)
+    return q.SetFamily(fam.radix, sets)
 
 
 @pytest.fixture(scope="session")

@@ -202,7 +202,6 @@ def test_acceptance_8_size_formulas_enumerate():
             fam = q.build_modified_family(d, n)
             ok &= fam.total_size() == q.construction_size(d, n)
     sizes = q.reference_sizes(3, 3)
-    ok &= sizes.d3_case1 == 19
     ok &= sizes.d3_minimum == 18
     ok &= sizes.li_oges == 3**3 - 2**3 + 1
     ok &= q.build_modified_family(3, 3).total_size() == sizes.d3_minimum

@@ -304,26 +304,24 @@ def test_modified_family_is_a_set_family(ex1_family):
     states = q.family_states(fam)
     assert [ss.label for ss in states] == fam.labels and q.gram_check(states).ok
     assert type(fam.drop(1)) is q.SetFamily and fam.drop(1) == plain.drop(1)
-    with pytest.raises(ValueError, match="disjoint"):
-        q.ModifiedFamily(fam.radix, {0: fam[0], 1: fam[0]}, xi=2)
+    # the constructor takes d, n and xi, and builds the construction's sets
+    assert q.ModifiedFamily(4, 3) == fam and q.ModifiedFamily(4, 3, 2) == fam
+    assert q.ModifiedFamily(4, 3, "structured").xi == 2
 
 
-def test_modified_family_refuses_mixed_radix_and_inadmissible_xi(ex1_family):
-    radix = (4, 4, 2)
-    with pytest.raises(ValueError, match="uniform radix"):
-        q.ModifiedFamily(radix, {0: q.TupleSet(radix, [0])}, xi=2)
+def test_modified_family_refuses_inadmissible_xi():
     # at d=4, n=3 digit 1 homes to label 3, which is not kept
     with pytest.raises(InadmissibleXiError, match="not kept"):
-        q.ModifiedFamily(ex1_family.radix, dict(ex1_family.items()), xi=1)
+        q.ModifiedFamily(4, 3, 1)
     with pytest.raises(InadmissibleXiError, match="outside"):
-        q.ModifiedFamily(ex1_family.radix, dict(ex1_family.items()), xi=4)
+        q.ModifiedFamily(4, 3, 4)
 
 
 def test_modified_family_derives_its_meta(ex1_family):
-    # the same sets under xi = 3 (home 1) read back other removed tuples;
-    # case and the guarantee flag follow from d and n alone
-    fam = q.ModifiedFamily(ex1_family.radix, dict(ex1_family.items()), xi=3)
-    assert (fam.case, fam.beyond_guarantee) == ("II", False)
+    # xi = 3 (home 1) removes other tuples than xi = 2; case and the
+    # guarantee flag follow from d and n alone
+    fam = q.ModifiedFamily(4, 3, 3)
+    assert (fam.case, fam.beyond_guarantee) == (ex1_family.case, False) == ("II", False)
     assert fam.removed == [(0, (0, 0, 0)), (1, (3, 3, 3))]
     for name in ("case", "removed", "beyond_guarantee"):
         with pytest.raises(AttributeError):
@@ -360,7 +358,5 @@ def test_reference_sizes_frozen_rows():
     }
     for d, expect in rows.items():
         assert [q.reference_sizes(d, n).li_oges for n in range(3, 9)] == expect
-    ref = q.reference_sizes(3, 3)
-    assert ref.d3_case1 == 19 and ref.d3_minimum == 18 and ref.d3_applicable
-    assert not q.reference_sizes(4, 3).d3_applicable
+    assert q.reference_sizes(3, 3).d3_minimum == 18
     assert q.reference_sizes(5, 4).lower_bound == 5**3 + 1

@@ -134,12 +134,14 @@ def test_checks_reject_cut_out_of_range(k):
 def test_checks_reject_overlapping_sets():
     # set 3 repeats set 0, as the oracle and the Gram check would both notice
     f = q.build_index_family(3, 2)
-    fam = q.SetFamily((3, 3), {0: f[0], 1: f[1], 2: f[2], 3: f[0]}, check_disjoint=False)
-    assert q.gram_check(q.family_states(fam)).structural_overlap
+    sets = {0: f[0], 1: f[1], 2: f[2], 3: f[0]}
+    states = [q.PhaseStateSet(ts, label=l) for l, ts in sets.items()]
+    assert q.gram_check(states).structural_overlap
     with pytest.raises(InternalConsistencyError):
-        q.oracle_verify(q.family_states(fam))
-    with pytest.raises(InternalConsistencyError):
-        cut(fam, 0)
+        q.oracle_verify(states)
+    # no family holds them, so the checker never meets them
+    with pytest.raises(ValueError, match="disjoint"):
+        q.SetFamily((3, 3), sets)
 
 
 # ------------------------------------------------- plain-Python reference
