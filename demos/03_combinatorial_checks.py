@@ -4,10 +4,12 @@ For each kept party k every tuple splits into its digit at k and the rank of
 its other digits, and a table records which set holds each (digit, rank).
 From that table each set is resolved if it can be: a singleton class, a
 tightly covered class, or a cover built from already-resolved sets.  Pair
-covering and connectivity of the sets' footprints finish the argument.  The
-verdict is conservative: "trivial" is a proof, "inconclusive" only means
-these sufficient conditions did not fire.  `verify_strongest_nonlocality`
-runs all of it and returns one report per cut; `cuts=[k]` asks for one.
+covering and connectivity of the sets' footprints finish the argument.
+Both "trivial" and "nontrivial" are proofs: a failed global condition
+leaves an operator free for every choice of phases.  "inconclusive" means
+both global conditions hold and some set is unresolved.
+`verify_strongest_nonlocality` runs all of it and returns one report per
+cut; `cuts=[k]` asks for one.
 """
 
 import qnonloc as q

@@ -7,9 +7,9 @@ whether they are mutually orthogonal and genuinely entangled.  Triviality of
 orthogonality-preserving measurements on every all-but-one cut is decided
 twice: combinatorially (verifier, whose one entry point is
 `verify_strongest_nonlocality`) and by an exact oracle (oracle) that counts
-the classes of operator entries left free.  Both lay a family out as one
-`lattice.member_cube`, read each cut as a transposed copy of it
-(`lattice.cut_table`), and label connected components with one union-find.
+the classes of operator entries left free.  Each lays a family out once a
+call as one `lattice.member_cube`, reads each cut as a transposed copy of
+it (`lattice.cut_table`), and labels components with one union-find.
 The oracle module also keeps a dense SVD reference of the same dimension,
 which tests import from `qnonloc.oracle`; no other module calls
 `numpy.linalg`.  Party and cut indices are 0-based throughout.
@@ -31,7 +31,7 @@ _EXPORTS = {
     "lattice": ("EXTRA_LABEL", "ModifiedFamily", "ReferenceSizes", "SetFamily",
                 "TupleSet", "build_index_family", "build_modified_family", "choose_xi",
                 "construction_size", "diagonal_home", "kept_labels", "reference_sizes"),
-    "oracle": ("OracleReport", "exact_nullspace", "oracle_overall", "oracle_verify"),
+    "oracle": ("OracleReport", "oracle_overall", "oracle_verify"),
     "serialize": ("cut_report_to_json", "dumps_canonical", "dumps_family",
                   "family_from_json", "family_to_json", "load_family",
                   "oracle_report_to_json", "save_family", "states_to_json"),

@@ -6,13 +6,13 @@ cube d**n of a family build or of the member cube both routes lay out,
 d_k**2 * U * (L + 1) for the checker's cover search on a cut (co-occurrence
 counts, U the sets with no singleton class out of L), R**2 for its pair
 covering on a cut (residual row pairs, R the distinct extension rows),
-d_k * D**2 for the exact oracle on a cut (the slots of its same-digit
-pair mask), N (N - 1) D**2 for the dense reference's row matrix, the d**2
-cells of the diagonal-home grid, and the numbers a state export (sum of
-s * (n + 1): each set's support and bijection) or a verify JSON's
-witnesses (2 * sum of D**2, checked after each cut) would write.  The
-QNONLOC_CAP environment variable, one positive integer read on every call,
-is the only override.
+d_k * D**2 for the exact oracle on a cut (its same-digit pair slots,
+checked for every requested cut before it builds anything), N (N - 1) D**2
+for the dense reference's row matrix, the d**2 cells of the diagonal-home
+grid, and the numbers a state export (sum of s * (n + 1): each set's
+support and bijection) or a verify JSON's witnesses (2 * sum of D**2,
+checked after each cut) would write.  The QNONLOC_CAP environment
+variable, one positive integer read on every call, is the only override.
 
 The checker decides cuts of one d_k together, in blocks (`verifier`).  Its
 counts are still checked cut by cut, so a block allocates the sum of its

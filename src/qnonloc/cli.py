@@ -121,7 +121,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .verifier import overall_verdict, verify_strongest_nonlocality
 
     fam = load_family(args.family)
-    # verify_strongest_nonlocality refuses a cut out of range before any work
+    # both routes refuse a cut out of range before any work
     cuts = list(range(len(fam.radix))) if args.cut == "all" else [int(args.cut)]
 
     reports = verify_strongest_nonlocality(fam, cuts=cuts)

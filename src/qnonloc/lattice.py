@@ -6,8 +6,9 @@ order on sorted int64 vectors.  A SetFamily's sets are always disjoint.  A
 modified family is built from d, n and the second removed digit xi alone: it
 keeps the sets `kept_labels(d)` and moves its two constant tuples by rank to
 a set of their own.  Its case, removed tuples and guarantee flag are derived
-from d, n and xi (`_derived_meta`).  Both routes read each cut from one `member_cube` (`cut_table`) and share the union-find
-`_components`.
+from d, n and xi (`_derived_meta`).  Both routes check the requested cuts
+with `_requested_cuts`, lay a family out once per call as one `member_cube`,
+read each cut from it (`cut_table`) and share the union-find `_components`.
 """
 
 from __future__ import annotations
@@ -122,11 +123,22 @@ def member_cube(radix: tuple[int, ...], sets: Sequence[TupleSet]) -> np.ndarray:
     return cube.reshape(radix)
 
 
+def _requested_cuts(n: int, cuts: Sequence[int] | None) -> list[int]:
+    """The cuts of an n-party family a call decides, every one by default;
+    a ValueError, before any work, unless n >= 2 and each lies in 0..n-1."""
+    if n < 2:
+        raise ValueError("a cut needs at least two parties")
+    cuts = list(range(n)) if cuts is None else list(cuts)
+    for k in cuts:
+        if not 0 <= k < n:
+            raise ValueError(f"cut {k} out of range for arity {n}")
+    return cuts
+
+
 def cut_table(cube: np.ndarray, k: int) -> np.ndarray:
-    """(d_k, D) layout of cut k: entry [g, r] is the cube's entry with digit
-    g at k and rank r for the other digits, in their order, so a TupleSet's
-    canonical order survives inside every digit class.  Both callers check
-    0 <= k < n first."""
+    """(d_k, D) layout of cut k, checked by `_requested_cuts`: entry [g, r] is
+    the cube's entry with digit g at k and rank r for the other digits, in
+    their order, so a TupleSet's canonical order survives in each digit class."""
     d_k, lo = cube.shape[k], math.prod(cube.shape[k + 1:])
     return cube.reshape(-1, d_k, lo).transpose(1, 0, 2).reshape(d_k, -1)
 

@@ -7,8 +7,8 @@ measurement is trivial exactly when it contains nothing else.
 
 Two routes answer this question.
 
-The exact route (`exact_nullspace`) decides every cut in `oracle_verify`.
-Phase states are DFTs over disjoint supports, and the DFT on a support is
+The exact route, `oracle_verify`, lays a family out once a call.  Phase
+states are DFTs over disjoint supports, and the DFT on a support is
 invertible, so the constraints reduce to equalities between entries of Pi:
 
 * across sets S != T, <s|E|t> = 0 for every s in S, t in T, so
@@ -48,7 +48,7 @@ import numpy as np
 
 from . import caps
 from .errors import InternalConsistencyError
-from .lattice import _components, cut_table, member_cube
+from .lattice import _components, _requested_cuts, cut_table, member_cube
 from .states import PhaseStateSet, shared_radix
 
 DEFAULT_RANK_TOL = 1e-9
@@ -64,35 +64,23 @@ class OracleReport:
     witness: np.ndarray | None = None  # real symmetric, traceless, unit Frobenius norm
 
 
-def _cut_shape(state_sets: Sequence[PhaseStateSet], k: int) -> tuple[tuple[int, ...], int, int]:
-    """(radix, d_k, D) of cut k, after the input checks."""
-    radix = shared_radix(state_sets)
-    n = len(radix)
-    if n < 2:
-        raise ValueError("a cut needs at least two parties")
-    if not 0 <= k < n:
-        raise ValueError(f"cut {k} out of range for arity {n}")
-    return radix, radix[k], math.prod(radix) // radix[k]
+def _decide_cut(k: int, owner: np.ndarray, f: np.ndarray, size: np.ndarray,
+                base: np.ndarray) -> OracleReport:
+    """Decide cut k from its table owner[g, x] (`lattice.cut_table`): the
+    member with digit g at k and the rest ranked x (row or column x of Pi).
+    Member m has bijection value f[m] and set size size[m]; its set's class
+    nodes start at base[m].
 
-
-def _equality_edges(state_sets: list[PhaseStateSet],
-                    owner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edges (a, b) of cut k's equality graph (see `exact_nullspace`),
-    and the mask of the D**2 entries of Pi that a pair across sets forces to
-    0, from its member table owner[g, x]: the member with digit g at k and
-    the rest ranked x, which is row or column x of Pi.
-
-    Slot (g, x, y) of the (d_k, D, D) pair mask is the ordered pair of the
-    members at columns x and y of row g, which meets entry x * D + y of Pi.
-    A forced entry needs no edge: every class with a pair at it joins zero
-    instead, so the edges are the pairs within a set and the zero classes.
+    Nodes are the D**2 entries, one zero node and one class node per shift
+    of each set.  Slot (g, x, y) of the (d_k, D, D) pair mask pairs the
+    members at columns x and y of row g, at entry x * D + y.  A pair across
+    sets forces its entry to 0; a pair within a set joins its entry to its
+    shift's class, and a class with fewer than s same-digit pairs, or with
+    one at a forced entry, joins zero.  The dimension counts the free
+    classes; one free class other than the diagonal raises
+    InternalConsistencyError, as the states cannot have been orthogonal.
     """
     D = owner.shape[1]
-    sizes = np.array([ss.s for ss in state_sets], dtype=np.int64)
-    size = sizes.repeat(sizes)                          # s of each member's set
-    base = (sizes.cumsum() - sizes).repeat(sizes)       # first class node of its set
-    f = np.concatenate([ss.bijection for ss in state_sets])
-
     hit = owner >= 0
     both = hit[:, :, None] & hit[:, None, :]
     group = base[owner]  # each member's set, by its first class node; empty slots lie outside both
@@ -114,35 +102,7 @@ def _equality_edges(state_sets: list[PhaseStateSet],
     zero = D * D
     a = zero + 1 + np.concatenate([cls, dead.nonzero()[0]])
     b = np.concatenate([entry, np.full(len(a) - len(cls), zero)])
-    return a, b, forced
-
-
-def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport:
-    """Decide cut k exactly from the entry classes of Pi (module docstring).
-
-    Nodes are the D**2 entries of Pi, one zero node, and one class node per
-    shift of each set.  Only pairs of tuples sharing their digit at k meet a
-    nonzero entry.  Such a pair across sets forces its entry to 0, and
-    within a set it joins its entry to its shift's class node.  A shift
-    whose s pairs are not all same-digit, or that has a pair at a forced
-    entry, joins zero.  The dimension is the number of components that hold
-    an entry, neither forced nor joined to zero.
-
-    The pair mask has d_k * D**2 slots, which are held to the cap before
-    anything is built.  Overlapping supports (`lattice.member_cube`) or a
-    single free class other than the diagonal mean the states are not
-    mutually orthogonal, and raise InternalConsistencyError.  Each bijection
-    is a permutation, which `PhaseStateSet` checks once and then keeps
-    read-only.
-    """
-    state_sets = list(state_sets)
-    radix, d_k, D = _cut_shape(state_sets, k)
-    caps.check(d_k * D * D, "same-digit pair slots")
-    owner = cut_table(member_cube(radix, [ss.support for ss in state_sets]), k)
-    zero = D * D
-    n_nodes = zero + 1 + sum(ss.s for ss in state_sets)
-    a, b, forced = _equality_edges(state_sets, owner)
-    lab = _components(n_nodes, a, b)
+    lab = _components(zero + 1 + len(size), a, b)
 
     # a component is labelled by its smallest node, an entry if it holds one
     comp = lab[:zero]
@@ -172,12 +132,24 @@ def exact_nullspace(state_sets: Sequence[PhaseStateSet], k: int) -> OracleReport
 
 def oracle_verify(state_sets: Sequence[PhaseStateSet],
                   cuts: list[int] | None = None) -> list[OracleReport]:
-    """Decide triviality of every requested cut by the exact route."""
+    """Decide every requested cut (all by default) by the exact route.
+
+    Each cut's d_k * D**2 pair slots are held to the cap before the family
+    is laid out, once, as one member cube, where a tuple in two supports
+    raises InternalConsistencyError.  Each bijection is a permutation, which
+    `PhaseStateSet` checks once and then keeps read-only.
+    """
     state_sets = list(state_sets)
     radix = shared_radix(state_sets)
-    if cuts is None:
-        cuts = list(range(len(radix)))
-    return [exact_nullspace(state_sets, k) for k in cuts]
+    cuts = _requested_cuts(len(radix), cuts)
+    for k in cuts:
+        caps.check(radix[k] * (math.prod(radix) // radix[k]) ** 2, "same-digit pair slots")
+    sizes = np.array([ss.s for ss in state_sets], dtype=np.int64)
+    size = sizes.repeat(sizes)                          # s of each member's set
+    base = (sizes.cumsum() - sizes).repeat(sizes)       # first class node of its set
+    f = np.concatenate([ss.bijection for ss in state_sets])
+    cube = member_cube(radix, [ss.support for ss in state_sets])
+    return [_decide_cut(k, cut_table(cube, k), f, size, base) for k in cuts]
 
 
 def oracle_overall(reports: Sequence[OracleReport]) -> str:
@@ -208,7 +180,9 @@ class ConstraintSystem:
 def assemble_constraints(state_sets: Sequence[PhaseStateSet], k: int) -> ConstraintSystem:
     """Reshape every state to unit norm with party k in front."""
     state_sets = list(state_sets)
-    radix, d_k, D = _cut_shape(state_sets, k)
+    radix = shared_radix(state_sets)
+    _requested_cuts(len(radix), [k])
+    d_k, D = radix[k], math.prod(radix) // radix[k]
 
     blocks = []
     for ss in state_sets:

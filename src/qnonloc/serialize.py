@@ -15,8 +15,9 @@ A set key names an integer label when it is that integer's own text ("3",
 "-1"); any other key, "01" or " 2" say, is a text label, so no two keys
 name one set.  A file that is not UTF-8 is refused like malformed JSON.
 
-Reading validates each set's rows as one integer array (shape, digit range
-against the radix, duplicates within a set) and the sets as one SetFamily,
+Reading refuses a cube of more than 2**62 tuples before any row, then
+validates each set's rows as one integer array (shape, digit range against
+the radix, duplicates within a set) and the sets as one SetFamily,
 which refuses a tuple in two sets; only a document that fails is scanned
 row by row, to name the first offending field in document order.  A
 modified family's `meta` is derived from d, n and `xi_prime`, whose radix
@@ -25,12 +26,14 @@ must be uniform and whose digit must lie in 1..d-1 and be admissible; a
 the derived value is refused, and one that is absent is derived.  The
 writer and the reader share that derivation, which builds no digit rows.
 Then, with n >= 3, each set must be the one `ModifiedFamily(d, n,
-xi_prime)` builds, and reading returns that built family.
+xi_prime)` builds, and reading returns that built family.  The writer
+refuses what the reader refuses of a radix or a set, in its words.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, NoReturn
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import caps
 from .errors import FamilyFormatError, InadmissibleXiError, InternalConsistencyError
-from .lattice import (Label, ModifiedFamily, SetFamily, TupleSet, _derived_meta,
+from .lattice import (_RANK_LIMIT, Label, ModifiedFamily, SetFamily, TupleSet, _derived_meta,
                       build_modified_family, choose_xi)
 
 if TYPE_CHECKING:  # annotations only: reading and writing families loads none of these
@@ -67,11 +70,15 @@ def _meta(d: int, n: int, xi: int) -> dict[str, Any]:
 
 
 def family_to_json(family: SetFamily) -> dict[str, Any]:
-    meta = (_meta(family.radix[0], len(family.radix), family.xi)
+    """The family's document, refused as the reader would refuse it."""
+    d, n = _radix_out(family.radix), len(family.radix)
+    _radix_in(d, n)
+    meta = (_meta(family.radix[0], n, family.xi)
             if isinstance(family, ModifiedFamily) else {})
     sets = {_label_out(l): ts.members().tolist() for l, ts in family.items()}
-    return {"d": _radix_out(family.radix), "n": len(family.radix),
-            "sets": sets, "meta": meta}
+    if not all(sets.values()):  # the reader's row scan names the first empty set
+        _raise_first_fault(sets, family.radix)
+    return {"d": d, "n": n, "sets": sets, "meta": meta}
 
 
 def _label_out(label: Label) -> str:
@@ -101,22 +108,8 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily:
     for key in ("d", "n", "sets"):
         if key not in doc:
             raise FamilyFormatError(f"missing required field {key!r}")
-    n = doc["n"]
-    if not isinstance(n, int) or n < 1:
-        raise FamilyFormatError(f"n: expected a positive integer, got {n!r}")
-    d = doc["d"]
-    if isinstance(d, int):
-        if d < 2:
-            raise FamilyFormatError(f"d: expected an integer >= 2, got {d}")
-        radix = (d,) * n
-    elif isinstance(d, list):
-        if len(d) != n:
-            raise FamilyFormatError(f"d: list length {len(d)} does not match n={n}")
-        if not all(isinstance(x, int) and x >= 2 for x in d):
-            raise FamilyFormatError(f"d: every entry must be an integer >= 2, got {d}")
-        radix = tuple(d)
-    else:
-        raise FamilyFormatError(f"d: expected integer or list, got {type(d).__name__}")
+    radix = _radix_in(doc["d"], doc["n"])
+    n = len(radix)
 
     raw_sets = doc["sets"]
     if not isinstance(raw_sets, dict) or not raw_sets:
@@ -172,6 +165,30 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily:
                                     f"xi_prime={xi}")
         return built
     return family
+
+
+def _radix_in(d: Any, n: Any) -> tuple[int, ...]:
+    """The radix a document's d and n declare: n > 0 parties, each with at
+    least 2 digits, and a cube that int64 ranks can index."""
+    if not isinstance(n, int) or n < 1:
+        raise FamilyFormatError(f"n: expected a positive integer, got {n!r}")
+    if isinstance(d, int):
+        if d < 2:
+            raise FamilyFormatError(f"d: expected an integer >= 2, got {d}")
+    elif isinstance(d, list):
+        if len(d) != n:
+            raise FamilyFormatError(f"d: list length {len(d)} does not match n={n}")
+        if not all(isinstance(x, int) and x >= 2 for x in d):
+            raise FamilyFormatError(f"d: every entry must be an integer >= 2, got {d}")
+    else:
+        raise FamilyFormatError(f"d: expected integer or list, got {type(d).__name__}")
+    # every entry is at least 2, so any 63 of them pass _RANK_LIMIT = 2**62:
+    # no more are multiplied, or built from an integer d
+    radix = tuple(d) if isinstance(d, list) else (d,) * min(n, 63)
+    if math.prod(radix[:63]) > _RANK_LIMIT:
+        raise FamilyFormatError(f"d: {n} parties of these digits give more than 2**62 "
+                                "tuples, too many to index")
+    return radix
 
 
 def _rows_to_set(rows: Any, radix: tuple[int, ...]) -> TupleSet | None:

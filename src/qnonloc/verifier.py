@@ -21,7 +21,10 @@ the cap (`caps`).  With every label resolved, triviality of the whole
 measurement reduces to two global conditions: every pair of residuals must
 admit a common extension digit inside the family union, and the residual
 footprints of the labels must form a connected overlap graph, whose
-components the oracle's union-find (`lattice._components`) labels.
+components the oracle's union-find (`lattice._components`) labels.  Either
+failing proves the cut nontrivial for every bijection: residuals with no
+common digit leave their entry met by no pair, and split footprints split
+the diagonal into free classes.
 
 The one entry point, `verify_strongest_nonlocality`, returns one
 `CutReport` per cut.  It stacks the tables of the requested cuts with the
@@ -41,8 +44,8 @@ from enum import Enum
 import numpy as np
 
 from . import caps
-from .lattice import (_BLOCK_ENTRIES, Label, SetFamily, _components, cut_table, member_cube,
-                      sorted_unique)
+from .lattice import (_BLOCK_ENTRIES, Label, SetFamily, _components, _requested_cuts, cut_table,
+                      member_cube, sorted_unique)
 
 
 class Condition(str, Enum):
@@ -237,31 +240,24 @@ class CutReport:
 
 
 def _cut_overall(conditions: dict[Label, LabelVerdict], pair: bool, conn: bool) -> str:
-    if any(not v.condition.resolved() for v in conditions.values()):
-        return "inconclusive"
-    return "trivial" if (pair and conn) else "nontrivial"
+    if not (pair and conn):
+        return "nontrivial"
+    resolved = all(v.condition.resolved() for v in conditions.values())
+    return "trivial" if resolved else "inconclusive"
 
 
 def verify_strongest_nonlocality(family: SetFamily, cuts: list[int] | None = None) -> list[CutReport]:
     """Run the combinatorial checks on every requested cut.
 
-    "trivial" needs every label resolved plus pair covering plus
-    connectivity; with all labels resolved and a global condition failing the
-    cut is "nontrivial"; any unresolved label leaves it "inconclusive".
+    A failed global condition (pair covering or connectivity) makes the cut
+    "nontrivial", whatever the labels; with both holding, "trivial" needs
+    every label resolved, and any unresolved label leaves it "inconclusive".
     The family is laid out once, as each tuple's label index; each cut's
     table is a transposed copy of that cube.  Cuts with the same d_k are
     stacked into blocks of at most _BLOCK_ENTRIES table entries (a larger
     cut is a block of its own), and the three checks run once per block.
     """
-    n = len(family.radix)
-    if n < 2:
-        raise ValueError("verification needs at least two parties")
-    if cuts is None:
-        cuts = list(range(n))
-    for k in cuts:
-        if not 0 <= k < n:
-            raise ValueError(f"cut {k} out of range for arity {n}")
-
+    cuts = _requested_cuts(len(family.radix), cuts)
     sizes = [len(ts) for ts in family.sets()]
     label = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
     # an empty entry numbers member -1, which picks the -1 appended last

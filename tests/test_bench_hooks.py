@@ -40,7 +40,7 @@ def test_tracer_records_verify_and_oracle_spans():
 
     names = {s["name"] for s in tracer.spans}
     assert {"verifier.verify_strongest_nonlocality", "oracle.oracle_verify",
-            "oracle.exact_nullspace", "oracle.iter_row_batches"} <= names
+            "oracle.iter_row_batches"} <= names
     assert (q.verify_strongest_nonlocality, q.oracle_verify, oracle.oracle_verify,
             oracle.ConstraintSystem.iter_row_batches) == originals
     # the counts the tracer reads off the dense reference: D = 9, N = 18

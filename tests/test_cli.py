@@ -361,13 +361,13 @@ def test_written_report_stops_at_the_cut_over_the_witness_cap(tmp_path, monkeypa
     path = tmp_path / "idx.json"
     q.save_family(q.build_index_family(2, 4), path)
     decided = []
-    exact_nullspace = oracle.exact_nullspace
+    decide_cut = oracle._decide_cut
 
-    def counted(state_sets, k):
+    def counted(k, *layout):
         decided.append(k)
-        return exact_nullspace(state_sets, k)
+        return decide_cut(k, *layout)
 
-    monkeypatch.setattr(oracle, "exact_nullspace", counted)
+    monkeypatch.setattr(oracle, "_decide_cut", counted)
     monkeypatch.setenv(caps.ENV_VAR, "200")
     for argv in (["--format", "json"], ["--out", str(tmp_path / "report.json")]):
         decided.clear()

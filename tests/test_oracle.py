@@ -35,15 +35,27 @@ def test_exact_route_held_to_cap(bell_family, ex1_family, monkeypatch):
     # a Bell cut broadcasts d_k * D**2 = 2 * 2**2 = 8 slots
     states = q.family_states(bell_family)
     monkeypatch.setenv("QNONLOC_CAP", "8")
-    assert q.exact_nullspace(states, 0).nullspace_dim == 1
+    assert q.oracle_verify(states, cuts=[0])[0].nullspace_dim == 1
 
-    def no_table(*args):
-        raise AssertionError("cut laid out past the cap")
+    # the product basis of (2, 3) has 3 * 2**2 = 12 slots at cut 1 and
+    # 2 * 3**2 = 18 at cut 0: both fit a cap of 18
+    product = q.family_states(q.SetFamily((2, 3), {
+        i: q.TupleSet((2, 3), [i]) for i in range(6)}))
+    monkeypatch.setenv("QNONLOC_CAP", "18")
+    assert [r.nullspace_dim for r in q.oracle_verify(product, cuts=[1, 0])] == [2, 3]
 
-    monkeypatch.setattr("qnonloc.oracle.cut_table", no_table)
+    def no_layout(*args):
+        raise AssertionError("family laid out past the cap")
+
+    monkeypatch.setattr("qnonloc.oracle.member_cube", no_layout)
+    monkeypatch.setattr("qnonloc.oracle.cut_table", no_layout)
     monkeypatch.setenv("QNONLOC_CAP", "7")
     with pytest.raises(ResourceLimitError):
-        q.exact_nullspace(states, 0)
+        q.oracle_verify(states, cuts=[0])
+    # every requested cut is checked before the first is laid out
+    monkeypatch.setenv("QNONLOC_CAP", "17")
+    with pytest.raises(ResourceLimitError, match="18 same-digit pair slots"):
+        q.oracle_verify(product, cuts=[1, 0])
     monkeypatch.undo()
     # modified (4,3): the checker's cube of 64 and its 240 co-occurrence
     # counts fit a cap of 240, the oracle's 4 * 16**2 = 1024 slots do not
@@ -59,7 +71,7 @@ def test_exact_route_memory_stays_small():
     states = q.family_states(q.build_index_family(2, 9))
     tracemalloc.start()
     try:
-        report = q.exact_nullspace(states, 1)
+        report = q.oracle_verify(states, cuts=[1])[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -75,7 +87,7 @@ def test_bell_cut_is_trivial(bell_family):
         assert res.dim == 1
         assert res.rows_total == res.rows_kept == 12
         assert res.identity_residual <= 1e-12
-        rep = q.exact_nullspace(states, k)
+        rep = q.oracle_verify(states, cuts=[k])[0]
         assert (rep.nullspace_dim, rep.verdict, rep.witness) == (1, "trivial", None)
 
 
@@ -91,7 +103,7 @@ def test_single_state_all_operators_allowed():
 def test_product_basis_witness(product_family):
     states = q.family_states(product_family)
     assert hermitian_nullspace(assemble_constraints(states, 0)).dim == 2
-    rep = q.exact_nullspace(states, 0)
+    rep = q.oracle_verify(states, cuts=[0])[0]
     assert (rep.k, rep.D, rep.nullspace_dim, rep.verdict) == (0, 2, 2, "nontrivial")
     _assert_witness(rep.witness, states, 0)
 
@@ -145,7 +157,7 @@ def test_bijection_invariance_of_verdict(d3_minimal_family):
         bij = rng.permutation(len(sup))
         states.append(q.PhaseStateSet(sup, label, bijection=bij))
     for k in range(3):
-        rep = q.exact_nullspace(states, k)
+        rep = q.oracle_verify(states, cuts=[k])[0]
         assert (rep.nullspace_dim, rep.verdict, rep.witness) == (1, "trivial", None)
 
 
@@ -206,7 +218,7 @@ def _assert_witness(W, states, k, tol=1e-9):
 
 def _assert_exact_matches_dense(states):
     for k in range(len(states[0].radix)):
-        exact = q.exact_nullspace(states, k)
+        exact = q.oracle_verify(states, cuts=[k])[0]
         system = assemble_constraints(states, k)
         dense = hermitian_nullspace(system)
         assert (exact.k, exact.D) == (k, system.D)

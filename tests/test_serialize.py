@@ -139,11 +139,40 @@ def test_mixed_radix_document():
      "meta.xi_prime"),
     ({"d": 4, "n": 3, "sets": {"0": [[0, 0, 1]]}, "meta": {"xi_prime": 4, "case": "I"}},
      "meta.xi_prime"),
+    # cubes past 2**62 tuples, which int64 ranks cannot index
+    ({"d": 2, "n": 70, "sets": {"0": [[0] * 70]}},
+     "d: 70 parties of these digits give more than 2**62 tuples"),
+    ({"d": [2] * 63, "n": 63, "sets": {"0": [[0] * 63]}}, "d: 63 parties of these digits"),
+    ({"d": 3, "n": 40, "sets": {"0": [[0] * 40]}}, "d: 40 parties of these digits"),
+    ({"d": [2] * 61 + [3], "n": 62, "sets": {"0": [[0] * 62]}}, "more than 2**62 tuples"),
 ])
 def test_validation_errors(doc, fragment):
     with pytest.raises(FamilyFormatError) as exc:
         q.family_from_json(doc)
     assert fragment in str(exc.value)
+
+
+def test_largest_indexable_cube_reads():
+    fam = q.family_from_json({"d": 2, "n": 62, "sets": {"0": [[1] * 62]}})
+    assert fam.radix == (2,) * 62 and fam.total_size() == 1
+
+
+def test_writer_refuses_what_the_reader_refuses(tmp_path):
+    path = tmp_path / "fam.json"
+    one_digit = q.SetFamily((1, 2), {0: q.TupleSet.from_tuples((1, 2), [(0, 1)])})
+    empty = q.SetFamily((2, 2), {0: q.TupleSet.from_tuples((2, 2), [(0, 1)]),
+                                 "x": q.TupleSet((2, 2), [])})
+    for fam, doc in [
+        (one_digit, {"d": [1, 2], "n": 2, "sets": {"0": [[0, 1]]}}),
+        (empty, {"d": 2, "n": 2, "sets": {"0": [[0, 1]], "x": []}}),
+    ]:
+        with pytest.raises(FamilyFormatError) as read:
+            q.family_from_json(doc)
+        with pytest.raises(FamilyFormatError) as written:
+            q.save_family(fam, path)
+        assert str(written.value) == str(read.value)
+        assert not path.exists()
+    assert str(read.value) == "sets['x']: expected a nonempty list of tuples"
 
 
 def test_load_rejects_invalid_json(tmp_path):
@@ -314,17 +343,21 @@ def _admissible(d, n):
     return [x for x in range(1, d) if q.diagonal_home(x, n, d) in q.kept_labels(d)]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(families())
 def test_dumps_family_matches_indented_json(fam):
+    # a file holds no radix entry below 2 and no empty set, and the writer
+    # refuses what the reader would
+    if min(fam.radix) < 2 or not all(len(ts) for _, ts in fam.items()):
+        with pytest.raises(FamilyFormatError, match=r"^(d|sets\[.*\]): "):
+            q.dumps_family(fam)
+        return
     text = q.dumps_family(fam)
     assert text == json.dumps(q.family_to_json(fam), indent=2, ensure_ascii=False) + "\n"
-    # each family reads back as itself, of its own type and bytes, unless the
-    # file format refuses it: a file holds no radix entry below 2 and no empty set
-    if min(fam.radix) >= 2 and all(len(ts) for _, ts in fam.items()):
-        back = q.family_from_json(json.loads(text))
-        assert back == fam and type(back) is type(fam)
-        assert q.dumps_family(back) == text
+    # each family reads back as itself, of its own type and bytes
+    back = q.family_from_json(json.loads(text))
+    assert back == fam and type(back) is type(fam)
+    assert q.dumps_family(back) == text
 
 
 def _reference_family_from_json(doc):

@@ -101,7 +101,7 @@ def test_gram_radix_mismatch():
 
 
 @pytest.mark.parametrize("check", [
-    q.gram_check, q.genuine_entanglement_check, lambda sets: q.exact_nullspace(sets, 0),
+    q.gram_check, q.genuine_entanglement_check, lambda sets: q.oracle_verify(sets, cuts=[0])[0],
 ], ids=["gram", "entanglement", "oracle"])
 def test_state_set_input_checked_once(check):
     a = q.PhaseStateSet(q.TupleSet.from_tuples((2, 2), [(0, 0)]))

@@ -127,8 +127,10 @@ def test_connectivity(ex1_family, product_family):
 @pytest.mark.parametrize("k", [-1, 3])
 def test_checks_reject_cut_out_of_range(k):
     fam = q.build_modified_family(4, 3)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=f"cut {k} out of range for arity 3"):
         cut(fam, k)
+    with pytest.raises(ValueError, match=f"cut {k} out of range for arity 3"):
+        q.oracle_verify(q.family_states(fam), cuts=[0, k])
 
 
 def test_checks_reject_overlapping_sets():
@@ -322,8 +324,8 @@ def test_connectivity_of_many_labels_stays_small():
 
 
 def test_family_laid_out_once_per_call(ex1_family, monkeypatch):
-    # every cut's table is a transposed copy of one member cube
-    from qnonloc import verifier
+    # on both routes every cut's table is a transposed copy of one member cube
+    from qnonloc import oracle, verifier
     calls = []
 
     def counting(radix, sets):
@@ -331,15 +333,22 @@ def test_family_laid_out_once_per_call(ex1_family, monkeypatch):
         return member_cube(radix, sets)
 
     monkeypatch.setattr(verifier, "member_cube", counting)
+    monkeypatch.setattr(oracle, "member_cube", counting)
     reports = q.verify_strongest_nonlocality(ex1_family)
     assert [r.overall for r in reports] == ["trivial"] * 3
+    assert calls == [(4, 4, 4)]
+    calls.clear()
+    reports = q.oracle_verify(q.family_states(ex1_family))
+    assert [r.verdict for r in reports] == ["trivial"] * 3
     assert calls == [(4, 4, 4)]
 
 
 def test_verify_rejects_single_party():
     fam = q.SetFamily((3,), {0: q.TupleSet.from_tuples((3,), [(0,)])})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a cut needs at least two parties"):
         q.verify_strongest_nonlocality(fam)
+    with pytest.raises(ValueError, match="a cut needs at least two parties"):
+        q.oracle_verify(q.family_states(fam))
 
 
 def test_checks_match_reference_on_built_families(built_slice):
@@ -357,6 +366,21 @@ def test_checks_match_reference_on_built_families(built_slice):
             assert report.connectivity == conn, (name, k)
             seen.update(v.condition for v in conditions.values())
     assert seen == set(Condition)
+
+
+def test_failed_global_condition_is_nontrivial(built_slice):
+    """A cut failing pair covering or connectivity is nontrivial whatever its
+    labels resolve to, and the oracle leaves it at least two free classes."""
+    failed = 0
+    for name, fam in built_slice:
+        reports = q.verify_strongest_nonlocality(fam)
+        ks = [r.k for r in reports if not (r.pair_covering and r.connectivity)]
+        assert all(reports[k].overall == "nontrivial" for k in ks), name
+        if ks:
+            dims = [r.nullspace_dim for r in q.oracle_verify(q.family_states(fam), cuts=ks)]
+            assert min(dims) >= 2, (name, ks, dims)
+        failed += len(ks)
+    assert failed > len(built_slice)
 
 
 # ------------------------------------------------------------ stacked cuts
