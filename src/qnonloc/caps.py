@@ -12,7 +12,9 @@ for the dense reference's row matrix, the d**2 cells of the diagonal-home
 grid, and the numbers a state export (sum of s * (n + 1): each set's
 support and bijection) or a verify JSON's witnesses (2 * sum of D**2,
 checked after each cut) would write.  The QNONLOC_CAP environment
-variable, one positive integer read on every call, is the only override.
+variable, one positive integer, is the only override.  It is read on every
+`check`, except that each call of either route reads it once at entry,
+after checking its cuts, and passes it to every check of that call.
 
 The checker decides cuts of one d_k together, in blocks (`verifier`).  Its
 counts are still checked cut by cut, so a block allocates the sum of its
@@ -45,9 +47,11 @@ def enum_cap() -> int:
     return cap
 
 
-def check(count: int, what: str) -> None:
-    """Raise ResourceLimitError when `count` (of `what`) exceeds the cap."""
-    limit = enum_cap()
+def check(count: int, what: str, *, limit: int | None = None) -> None:
+    """Raise ResourceLimitError when `count` (of `what`) exceeds the cap:
+    `limit`, a value `enum_cap` returned, or else the cap read now."""
+    if limit is None:
+        limit = enum_cap()
     if count > limit:
         raise ResourceLimitError(
             f"{count} {what} exceed enumeration cap {limit} (set {ENV_VAR} to raise it)")

@@ -44,6 +44,16 @@ def _parse_xi(raw: str) -> int | str:
             f"--xi must be an integer or one of smallest/structured, got {raw!r}")
 
 
+def _parse_cut(raw: str) -> int | str:
+    if raw == "all":
+        return raw
+    try:
+        return int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f'--cut must be a cut index 0..n-1 or "all", got {raw!r}') from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnonloc",
@@ -66,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "all-but-one cut.  The oracle decides every cut by integer "
                     "bookkeeping, with no tolerance.")
     p.add_argument("family", help="family JSON path")
-    p.add_argument("--cut", default="all", help='cut index or "all" (default)')
+    p.add_argument("--cut", type=_parse_cut, default="all",
+                   help='cut index or "all" (default)')
     p.add_argument("--combinatorial-only", action="store_true",
                    help="skip the exact oracle")
     p.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
@@ -122,7 +133,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     fam = load_family(args.family)
     # both routes refuse a cut out of range before any work
-    cuts = list(range(len(fam.radix))) if args.cut == "all" else [int(args.cut)]
+    cuts = list(range(len(fam.radix))) if args.cut == "all" else [args.cut]
 
     reports = verify_strongest_nonlocality(fam, cuts=cuts)
     comb_overall = overall_verdict(reports)
@@ -187,21 +198,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    from .tables import (all_comparison_tables, comparison_to_json, diagonal_table,
-                         render_comparison, render_diagonal)
+    from .tables import (all_comparison_tables, diagonal_table, render_comparison,
+                         render_diagonal)
 
     # every file is rendered before any is written or printed, so a refused
     # run leaves no output
     tables = all_comparison_tables()
     if args.fmt == "json":
-        doc = {"comparison": [comparison_to_json(t) for t in tables]}
+        doc = {"comparison": tables}
         if args.diagonal is not None:
             doc["diagonal"] = {"d": args.diagonal,
                                "grid": diagonal_table(args.diagonal).tolist()}
         files = {"tables.json": dumps_canonical(doc)}
     else:
         ext = "csv" if args.fmt == "csv" else "txt"
-        files = {f"comparison_d{t.d}.{ext}": render_comparison(t, args.fmt) for t in tables}
+        files = {f"comparison_d{t['d']}.{ext}": render_comparison(t, args.fmt) for t in tables}
         if args.diagonal is not None:
             files[f"diagonal_d{args.diagonal}.{ext}"] = render_diagonal(args.diagonal, args.fmt)
 

@@ -14,7 +14,6 @@ read each cut from it (`cut_table`) and share the union-find `_components`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -108,13 +107,14 @@ def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return lab
 
 
-def member_cube(radix: tuple[int, ...], sets: Sequence[TupleSet]) -> np.ndarray:
+def member_cube(radix: tuple[int, ...], sets: Sequence[TupleSet], *,
+                limit: int | None = None) -> np.ndarray:
     """Radix-shaped array numbering each tuple's member (counting through
     `sets` in order), or -1 where none sits.  It has an entry per tuple of
-    the cube, which is held to the cap; a tuple in two sets is an
-    InternalConsistencyError."""
+    the cube, which is held to the cap (`limit`, as `caps.check` reads it);
+    a tuple in two sets is an InternalConsistencyError."""
     total = math.prod(radix)
-    caps.check(total, "tuples in the cube")
+    caps.check(total, "tuples in the cube", limit=limit)
     ranks = np.concatenate([ts.ranks for ts in sets])
     cube = np.full(total, -1, dtype=np.int64)
     cube[ranks] = np.arange(len(ranks))
@@ -347,7 +347,8 @@ def choose_xi(d: int, n: int, strategy: int | str = "smallest") -> int:
 
     A nonzero digit xi is admissible when its diagonal home is a kept label.
     "smallest" returns the least admissible digit, "structured" the digit of
-    the case split on n mod d.  An integer is validated and returned as-is.
+    the case split on n mod d.  An integer must be an admissible digit in
+    1..d-1, and is returned as-is.
     """
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
@@ -357,8 +358,8 @@ def choose_xi(d: int, n: int, strategy: int | str = "smallest") -> int:
         return x != 0 and diagonal_home(x, n, d) in kept
 
     if isinstance(strategy, int) and not isinstance(strategy, bool):
-        if not 0 <= strategy < d:
-            raise InadmissibleXiError(f"xi={strategy} outside Z_{d}")
+        if not 1 <= strategy < d:
+            raise InadmissibleXiError(f"xi={strategy} outside 1..{d - 1}")
         if not admissible(strategy):
             raise InadmissibleXiError(
                 f"xi={strategy} maps to label {diagonal_home(strategy, n, d)}, "
@@ -464,29 +465,3 @@ def construction_size(d: int, n: int) -> int:
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
     return len(kept_labels(d)) * d ** (n - 1)
-
-
-@dataclass(frozen=True)
-class ReferenceSizes:
-    """Published comparison sizes for orthogonal genuinely entangled sets.
-
-    d3_minimum is the size of the minimal d = 3 construction, and
-    informational for other d.
-    """
-
-    d: int
-    n: int
-    li_oges: int
-    lower_bound: int
-    d3_minimum: int
-
-
-def reference_sizes(d: int, n: int) -> ReferenceSizes:
-    if d < 2 or n < 1:
-        raise ValueError("need d >= 2 and n >= 1")
-    return ReferenceSizes(
-        d=d, n=n,
-        li_oges=d**n - (d - 1) ** n + 1,
-        lower_bound=d ** (n - 1) + 1,
-        d3_minimum=2 * 3 ** (n - 1),
-    )

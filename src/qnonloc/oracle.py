@@ -134,21 +134,23 @@ def oracle_verify(state_sets: Sequence[PhaseStateSet],
                   cuts: list[int] | None = None) -> list[OracleReport]:
     """Decide every requested cut (all by default) by the exact route.
 
-    Each cut's d_k * D**2 pair slots are held to the cap before the family
-    is laid out, once, as one member cube, where a tuple in two supports
-    raises InternalConsistencyError.  Each bijection is a permutation, which
+    The cap is read once.  Each cut's d_k * D**2 pair slots are held to it
+    before the family is laid out, once, as one member cube, where a tuple
+    in two supports raises InternalConsistencyError.  Each bijection is a permutation, which
     `PhaseStateSet` checks once and then keeps read-only.
     """
     state_sets = list(state_sets)
     radix = shared_radix(state_sets)
     cuts = _requested_cuts(len(radix), cuts)
+    limit = caps.enum_cap()
     for k in cuts:
-        caps.check(radix[k] * (math.prod(radix) // radix[k]) ** 2, "same-digit pair slots")
+        caps.check(radix[k] * (math.prod(radix) // radix[k]) ** 2, "same-digit pair slots",
+                   limit=limit)
     sizes = np.array([ss.s for ss in state_sets], dtype=np.int64)
     size = sizes.repeat(sizes)                          # s of each member's set
     base = (sizes.cumsum() - sizes).repeat(sizes)       # first class node of its set
     f = np.concatenate([ss.bijection for ss in state_sets])
-    cube = member_cube(radix, [ss.support for ss in state_sets])
+    cube = member_cube(radix, [ss.support for ss in state_sets], limit=limit)
     return [_decide_cut(k, cut_table(cube, k), f, size, base) for k in cuts]
 
 

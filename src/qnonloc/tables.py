@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import caps
-from .lattice import build_modified_family, construction_size, reference_sizes
+from .lattice import build_modified_family, construction_size
 
-DEFAULT_TABLE_N = (3, 4, 5, 6, 7, 8)
+TABLE_N = (3, 4, 5, 6, 7, 8)
 DEFAULT_TABLE_D = (4, 5, 6, 7)
 
 # cross-checks by enumeration stay cheap enough for interactive table dumps;
@@ -17,36 +15,29 @@ DEFAULT_TABLE_D = (4, 5, 6, 7)
 TABLES_CHECK_CAP = 10**5
 
 
-@dataclass(frozen=True)
-class SizeTable:
-    """One comparison table: published reference sizes vs this construction."""
-
-    d: int
-    n_values: tuple[int, ...]
-    reference: tuple[int, ...]
-    this_work: tuple[int, ...]
-    lower_bound: tuple[int, ...]
-    enumerated: tuple[bool, ...]       # True where an explicit build confirmed the formula
-
-
-def comparison_table(d: int, n_values: tuple[int, ...] = DEFAULT_TABLE_N) -> SizeTable:
-    ref, work, low, checked = [], [], [], []
-    for n in n_values:
-        sizes = reference_sizes(d, n)
-        ref.append(sizes.li_oges)
-        low.append(sizes.lower_bound)
-        work.append(construction_size(d, n))
-        do_check = d**n <= min(TABLES_CHECK_CAP, caps.enum_cap())
-        if do_check:
-            # the build compares its size with construction_size and raises on a mismatch
+def comparison_table(d: int) -> dict:
+    """The one dict `tables --format json` writes for d: sizes of orthogonal
+    genuinely entangled sets in (C^d)^N for N in TABLE_N, the published
+    count d**N - (d-1)**N + 1, this construction (`construction_size`) and
+    the lower bound d**(N-1) + 1.  `enumerated` is true where the cube d**N
+    fits TABLES_CHECK_CAP and the cap, and a build confirmed the size (it
+    raises on a mismatch)."""
+    limit = min(TABLES_CHECK_CAP, caps.enum_cap())
+    enumerated = [d**n <= limit for n in TABLE_N]
+    for n, check in zip(TABLE_N, enumerated):
+        if check:
             build_modified_family(d, n)
-        checked.append(do_check)
-    return SizeTable(d=d, n_values=tuple(n_values), reference=tuple(ref),
-                     this_work=tuple(work), lower_bound=tuple(low),
-                     enumerated=tuple(checked))
+    return {
+        "d": d,
+        "n": list(TABLE_N),
+        "reference": [d**n - (d - 1) ** n + 1 for n in TABLE_N],
+        "this_work": [construction_size(d, n) for n in TABLE_N],
+        "lower_bound": [d ** (n - 1) + 1 for n in TABLE_N],
+        "enumerated": enumerated,
+    }
 
 
-def all_comparison_tables() -> list[SizeTable]:
+def all_comparison_tables() -> list[dict]:
     return [comparison_table(d) for d in DEFAULT_TABLE_D]
 
 
@@ -69,21 +60,10 @@ def _grid(rows: list[list[str]], fmt: str) -> str:
     return "".join("  ".join(c.rjust(w) for c, w in zip(r, widths)) + "\n" for r in rows)
 
 
-def render_comparison(table: SizeTable, fmt: str) -> str:
-    return _grid([[f"d={table.d}"] + [f"N={n}" for n in table.n_values],
-                  ["Ref."] + [str(x) for x in table.reference],
-                  ["This work"] + [str(x) for x in table.this_work]], fmt)
-
-
-def comparison_to_json(table: SizeTable) -> dict:
-    return {
-        "d": table.d,
-        "n": list(table.n_values),
-        "reference": list(table.reference),
-        "this_work": list(table.this_work),
-        "lower_bound": list(table.lower_bound),
-        "enumerated": list(table.enumerated),
-    }
+def render_comparison(table: dict, fmt: str) -> str:
+    return _grid([[f"d={table['d']}"] + [f"N={n}" for n in table["n"]],
+                  ["Ref."] + [str(x) for x in table["reference"]],
+                  ["This work"] + [str(x) for x in table["this_work"]]], fmt)
 
 
 def render_diagonal(d: int, fmt: str) -> str:

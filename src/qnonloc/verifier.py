@@ -75,7 +75,8 @@ class LabelVerdict:
 _UNRESOLVED = LabelVerdict(Condition.UNRESOLVED)
 
 
-def _classify(tables: np.ndarray, labels: list[Label]) -> list[dict[Label, LabelVerdict]]:
+def _classify(tables: np.ndarray, labels: list[Label],
+              limit: int) -> list[dict[Label, LabelVerdict]]:
     """Assign each label of each stacked cut the first sufficient condition
     that resolves it.
 
@@ -104,7 +105,7 @@ def _classify(tables: np.ndarray, labels: list[Label]) -> list[dict[Label, Label
         verdicts[c][labels[i]] = LabelVerdict(Condition.SINGLETON, target_digit=first[c][i])
     cut, U = (~resolved[:, :L]).nonzero()  # target j is label U[j] of cut cut[j]
     for n_targets in np.bincount(cut, minlength=C).tolist():
-        caps.check(d_k * d_k * n_targets * (L + 1), "co-occurrence counts")
+        caps.check(d_k * d_k * n_targets * (L + 1), "co-occurrence counts", limit=limit)
 
     # one bincount per row g keeps the index within the size of the tables
     slot = np.full((C, L + 1), -1)
@@ -182,7 +183,7 @@ def _classify(tables: np.ndarray, labels: list[Label]) -> list[dict[Label, Label
     return [{l: v.get(l, _UNRESOLVED) for l in labels} for v in verdicts]
 
 
-def _pair_covering(tables: np.ndarray) -> list[bool]:
+def _pair_covering(tables: np.ndarray, limit: int) -> list[bool]:
     """Every two residual tuples of a cut must share an extension digit
     whose insertions at k both land inside the family union.
 
@@ -204,7 +205,7 @@ def _pair_covering(tables: np.ndarray) -> list[bool]:
     owner = rows[:, 0].astype(np.int64) * 256 + rows[:, 1]
     R = np.bincount(owner, minlength=C)
     for r in R.tolist():
-        caps.check(r * r, "residual row pairs")
+        caps.check(r * r, "residual row pairs", limit=limit)
     ext = np.ones((C, R.max(), 8 * (width - 2)), dtype=np.float32)
     ext[owner, np.arange(len(rows)) - (R.cumsum() - R)[owner]] = np.unpackbits(rows[:, 2:], axis=1)
     return (ext @ ext.transpose(0, 2, 1) > 0).all(axis=(1, 2)).tolist()
@@ -252,16 +253,18 @@ def verify_strongest_nonlocality(family: SetFamily, cuts: list[int] | None = Non
     A failed global condition (pair covering or connectivity) makes the cut
     "nontrivial", whatever the labels; with both holding, "trivial" needs
     every label resolved, and any unresolved label leaves it "inconclusive".
-    The family is laid out once, as each tuple's label index; each cut's
-    table is a transposed copy of that cube.  Cuts with the same d_k are
-    stacked into blocks of at most _BLOCK_ENTRIES table entries (a larger
-    cut is a block of its own), and the three checks run once per block.
+    The cap is read once, and the family laid out once, as each tuple's
+    label index; each cut's table is a transposed copy of that cube.  Cuts
+    with the same d_k are stacked into blocks of at most _BLOCK_ENTRIES
+    table entries (a larger cut is a block of its own), and the three checks
+    run once per block.
     """
     cuts = _requested_cuts(len(family.radix), cuts)
+    limit = caps.enum_cap()
     sizes = [len(ts) for ts in family.sets()]
     label = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
     # an empty entry numbers member -1, which picks the -1 appended last
-    cube = np.append(label, np.int32(-1))[member_cube(family.radix, family.sets())]
+    cube = np.append(label, np.int32(-1))[member_cube(family.radix, family.sets(), limit=limit)]
     # every cut's table holds the whole cube
     per_block = max(1, _BLOCK_ENTRIES // cube.size)
     groups: dict[int, list[int]] = {}
@@ -272,8 +275,8 @@ def verify_strongest_nonlocality(family: SetFamily, cuts: list[int] | None = Non
         for start in range(0, len(group), per_block):
             block = group[start:start + per_block]
             tables = np.stack([cut_table(cube, cuts[i]) for i in block])
-            checks = zip(block, _classify(tables, family.labels), _pair_covering(tables),
-                         _connectivity(tables, len(family)))
+            checks = zip(block, _classify(tables, family.labels, limit),
+                         _pair_covering(tables, limit), _connectivity(tables, len(family)))
             for i, conditions, pair, conn in checks:
                 reports[i] = CutReport(k=cuts[i], conditions=conditions, pair_covering=pair,
                                        connectivity=conn,

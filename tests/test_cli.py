@@ -190,6 +190,8 @@ def test_tables_json(capsys):
     assert main(["tables", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [t["d"] for t in doc["comparison"]] == [4, 5, 6, 7]
+    keys = ["d", "n", "reference", "this_work", "lower_bound", "enumerated"]
+    assert all(list(t) == keys for t in doc["comparison"])
 
 
 def test_export_idempotent(tmp_path, capsys):
@@ -445,6 +447,14 @@ def test_malformed_env_cap_is_an_error(tmp_path, monkeypatch, capsys, raw):
 def test_parser_rejects_bad_xi():
     with pytest.raises(SystemExit):
         main(["construct", "--d", "4", "--n", "3", "--xi", "weird"])
+
+
+def test_parser_rejects_bad_cut(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", str(GOLDEN), "--cut", "x"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --cut: --cut must be a cut index 0..n-1 or \"all\", got 'x'" in err
 
 
 def test_import_refuses_modified_sets_that_differ(tmp_path, capsys):

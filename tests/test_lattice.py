@@ -215,8 +215,10 @@ def test_choose_xi_strategies():
     assert q.choose_xi(6, 4, "structured") == 3
     # xi = 3 homes to label 1 at d=4, n=3: also admissible
     assert q.choose_xi(4, 3, 3) == 3
-    with pytest.raises(InadmissibleXiError):
-        q.choose_xi(4, 3, 0)
+    # xi is a nonzero digit: 0 is refused for its range, not for its home
+    for xi in (0, 4):
+        with pytest.raises(InadmissibleXiError, match=rf"^xi={xi} outside 1\.\.3$"):
+            q.choose_xi(4, 3, xi)
     with pytest.raises(ValueError):
         q.choose_xi(4, 3, "fancy")
 
@@ -262,7 +264,7 @@ def test_modified_family_small_d_flagged():
     assert fam.labels == [0, 1, "extra"]
     assert fam.total_size() == q.construction_size(2, 3) == 8
     d3 = q.build_modified_family(3, 3)
-    assert d3.total_size() == 18 == q.reference_sizes(3, 3).d3_minimum
+    assert d3.total_size() == 18
 
 
 def test_modified_family_validation():
@@ -347,16 +349,3 @@ def test_construction_size_frozen_rows():
     }
     for d, expect in rows.items():
         assert [q.construction_size(d, n) for n in range(3, 9)] == expect
-
-
-def test_reference_sizes_frozen_rows():
-    rows = {
-        4: [38, 176, 782, 3368, 14198, 58976],
-        5: [62, 370, 2102, 11530, 61742, 325090],
-        6: [92, 672, 4652, 31032, 201812, 1288992],
-        7: [128, 1106, 9032, 70994, 543608, 4085186],
-    }
-    for d, expect in rows.items():
-        assert [q.reference_sizes(d, n).li_oges for n in range(3, 9)] == expect
-    assert q.reference_sizes(3, 3).d3_minimum == 18
-    assert q.reference_sizes(5, 4).lower_bound == 5**3 + 1

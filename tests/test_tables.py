@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qnonloc.tables import (all_comparison_tables, comparison_table,
-                            comparison_to_json, diagonal_table,
+from qnonloc.tables import (all_comparison_tables, comparison_table, diagonal_table,
                             render_comparison, render_diagonal)
 
 FROZEN_THIS_WORK = {
@@ -24,27 +23,27 @@ FROZEN_REFERENCE = {
 @pytest.mark.parametrize("d", sorted(FROZEN_THIS_WORK))
 def test_frozen_rows(d):
     table = comparison_table(d)
-    assert table.n_values == (3, 4, 5, 6, 7, 8)
-    assert table.this_work == FROZEN_THIS_WORK[d]
-    assert table.reference == FROZEN_REFERENCE[d]
-    assert table.lower_bound == tuple(d ** (n - 1) + 1 for n in table.n_values)
+    assert table["n"] == [3, 4, 5, 6, 7, 8]
+    assert tuple(table["this_work"]) == FROZEN_THIS_WORK[d]
+    assert tuple(table["reference"]) == FROZEN_REFERENCE[d]
+    assert table["lower_bound"] == [d ** (n - 1) + 1 for n in table["n"]]
     # every size clears the lower bound; the published count is not always
     # beaten (at N = 3, d = 4 this work has 48 against 38)
-    assert all(w > lb for w, lb in zip(table.this_work, table.lower_bound))
+    assert all(w > lb for w, lb in zip(table["this_work"], table["lower_bound"]))
 
 
 def test_enumerated_flags():
     table = comparison_table(4)
     # 4^n <= 10^5 holds up to n=8 except... 4^8=65536 <= 10^5, all checked
-    assert table.enumerated == (True,) * 6
+    assert table["enumerated"] == [True] * 6
     table7 = comparison_table(7)
     # 7^n <= 10^5 only for n <= 5
-    assert table7.enumerated == (True, True, True, False, False, False)
+    assert table7["enumerated"] == [True, True, True, False, False, False]
 
 
 def test_all_comparison_tables():
     got = all_comparison_tables()
-    assert [t.d for t in got] == [4, 5, 6, 7]
+    assert [t["d"] for t in got] == [4, 5, 6, 7]
 
 
 def test_exact_csv_d4():
@@ -73,8 +72,7 @@ def test_text_render_alignment():
 
 
 def test_json_render_round_trips():
-    doc = comparison_to_json(comparison_table(6))
-    text = json.dumps(doc)
+    text = json.dumps(comparison_table(6))
     back = json.loads(text)
     assert back["d"] == 6
     assert tuple(back["this_work"]) == FROZEN_THIS_WORK[6]
@@ -115,10 +113,11 @@ def test_diagonal_rejects_small_d():
 
 
 def test_enumeration_cross_check_runs():
-    # d=3 is below the guaranteed dimension range but still enumerates
-    table = comparison_table(3, n_values=(3, 4))
-    assert table.enumerated == (True, True)
-    assert table.this_work == (18, 54)
+    # d=3 is below the guaranteed dimension range but still enumerates, at
+    # every N since 3**8 <= 10**5
+    table = comparison_table(3)
+    assert table["enumerated"] == [True] * 6
+    assert table["this_work"][:2] == [18, 54]
 
 
 def test_tables_fast():

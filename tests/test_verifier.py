@@ -328,9 +328,9 @@ def test_family_laid_out_once_per_call(ex1_family, monkeypatch):
     from qnonloc import oracle, verifier
     calls = []
 
-    def counting(radix, sets):
+    def counting(radix, sets, *, limit=None):
         calls.append(radix)
-        return member_cube(radix, sets)
+        return member_cube(radix, sets, limit=limit)
 
     monkeypatch.setattr(verifier, "member_cube", counting)
     monkeypatch.setattr(oracle, "member_cube", counting)
@@ -341,6 +341,25 @@ def test_family_laid_out_once_per_call(ex1_family, monkeypatch):
     reports = q.oracle_verify(q.family_states(ex1_family))
     assert [r.verdict for r in reports] == ["trivial"] * 3
     assert calls == [(4, 4, 4)]
+
+
+def test_cap_read_once_per_call(ex1_family, monkeypatch):
+    # each route reads QNONLOC_CAP once a call and hands it to every check
+    from qnonloc import caps
+    reads = []
+
+    def counting():
+        reads.append(None)
+        return caps.DEFAULT_ENUM_CAP
+
+    monkeypatch.setattr(caps, "enum_cap", counting)
+    states = q.family_states(ex1_family)
+    for call in (lambda: q.verify_strongest_nonlocality(ex1_family),
+                 lambda: q.oracle_verify(states, cuts=[1]),
+                 lambda: q.oracle_verify(states)):
+        reads.clear()
+        call()
+        assert len(reads) == 1
 
 
 def test_verify_rejects_single_party():
@@ -381,6 +400,28 @@ def test_failed_global_condition_is_nontrivial(built_slice):
             assert min(dims) >= 2, (name, ks, dims)
         failed += len(ks)
     assert failed > len(built_slice)
+
+
+def test_decided_cuts_hold_under_every_bijection(built_slice):
+    """The checker reads supports only, so a cut it decides is decided the
+    same way by the oracle under any bijection: two seeded random ones per
+    family with d**n <= 256."""
+    rng = np.random.default_rng(20261020)
+    checked = 0
+    for name, fam in built_slice:
+        if math.prod(fam.radix) > 256:
+            continue
+        decided = {r.k: r.overall for r in q.verify_strongest_nonlocality(fam)
+                   if r.overall != "inconclusive"}
+        if not decided:
+            continue
+        for _ in range(2):
+            states = [q.PhaseStateSet(ts, label=l, bijection=rng.permutation(len(ts)))
+                      for l, ts in fam.items()]
+            for r in q.oracle_verify(states, cuts=list(decided)):
+                assert r.verdict == decided[r.k], (name, r.k)
+            checked += len(decided)
+    assert checked >= 2500
 
 
 # ------------------------------------------------------------ stacked cuts
@@ -464,9 +505,9 @@ def test_cuts_stack_by_digit_count_in_blocks(monkeypatch, build, shapes):
     from qnonloc import verifier
     seen = []
 
-    def recording(tables, labels):
+    def recording(tables, labels, limit):
         seen.append(tables.shape)
-        return classify(tables, labels)
+        return classify(tables, labels, limit)
 
     classify = verifier._classify
     monkeypatch.setattr(verifier, "_classify", recording)
