@@ -101,7 +101,8 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily:
     Digits must lie inside the declared radix, tuples must have arity n, no
     tuple may repeat inside a set or across sets.  Violations raise
     FamilyFormatError naming the offending field.  JSON booleans count as
-    the digits 0 and 1, as Python's `isinstance(True, int)` has it.
+    the digits 0 and 1, as Python's `isinstance(True, int)` has it, but not
+    as n or xi'.
     """
     if not isinstance(doc, dict):
         raise FamilyFormatError("document must be a JSON object")
@@ -133,7 +134,7 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily:
             raise FamilyFormatError("meta: modified families need a uniform radix")
         d = radix[0]
         xi = meta["xi_prime"]
-        if not isinstance(xi, int) or not 1 <= xi < d:
+        if not isinstance(xi, int) or isinstance(xi, bool) or not 1 <= xi < d:
             raise FamilyFormatError(f"meta.xi_prime: expected an integer in 1..{d - 1}, "
                                     f"got {xi!r}")
         try:
@@ -170,7 +171,7 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily:
 def _radix_in(d: Any, n: Any) -> tuple[int, ...]:
     """The radix a document's d and n declare: n > 0 parties, each with at
     least 2 digits, and a cube that int64 ranks can index."""
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise FamilyFormatError(f"n: expected a positive integer, got {n!r}")
     if isinstance(d, int):
         if d < 2:

@@ -33,7 +33,9 @@ class PhaseStateSet:
     multiple of gcd(m, s) exactly gcd(m, s) times, and the corresponding root
     sums vanish as full geometric series.  So the states of one set are
     orthogonal, with no floating point, as soon as f is a permutation of
-    0..s-1.  That is checked once here, and `bijection` is read-only after.
+    0..s-1.  That is checked once here, on an integer array only (floats,
+    strings and booleans are refused, not converted), and `bijection` is
+    read-only after.
     """
 
     def __init__(self, support: TupleSet, label: Label | None = None,
@@ -46,9 +48,10 @@ class PhaseStateSet:
         if bijection is None:
             f = np.arange(s, dtype=np.int64)
         else:
-            f = np.array(bijection, dtype=np.int64)
-            if sorted(f.tolist()) != list(range(s)):
+            f = np.asarray(bijection)
+            if f.dtype.kind not in "iu" or sorted(f.tolist()) != list(range(s)):
                 raise ValueError("bijection must be a permutation of 0..s-1")
+            f = f.astype(np.int64)
         f.flags.writeable = False
         self._bijection = f
 

@@ -13,7 +13,11 @@ A label is "resolved" when one of three sufficient conditions forces any
 orthogonality-preserving operator to be proportional to the identity on that
 label's classes: a singleton class, a tight cover of one of its classes by
 same-digit classes of other labels, or a cover contributed entirely by
-already-resolved labels (iterated to a fixed point).  Both covers read one
+already-resolved labels.  Chained covers go in rounds to a fixed point: a
+round admits exactly the labels resolved before it and resolves every
+label it finds covered, so a chained cover cites only labels resolved in
+earlier rounds, and no verdict depends on how the labels are numbered
+beyond which contributor is named as tight.  Both covers read one
 co-occurrence count per cut over the U labels with no singleton class:
 [j, tau, g, v] counts the columns where row tau holds the j-th of them and
 row g holds label v (v = L: empty), d_k**2 * U * (L + 1) entries held to
@@ -63,7 +67,8 @@ class LabelVerdict:
     """How one label is resolved: the digit of its deciding class and, for a
     cover of that class, the common digit, the labels whose classes there
     contribute, and the first of them meeting the class in one column, if
-    any (the cover is then tight)."""
+    any (the cover is then tight).  A chained cover's contributors are
+    labels resolved in rounds before the one that resolved this label."""
 
     condition: Condition
     target_digit: int | None = None
@@ -81,14 +86,16 @@ def _classify(tables: np.ndarray, labels: list[Label],
     that resolves it.
 
     Singleton classes are claimed first, then tight covers with unrestricted
-    contributors, then covers drawn solely from resolved labels, iterated
-    until nothing changes.  Each label tries its classes in ascending digit
-    and each class its common digits in ascending order; a cover lists as
-    contributors every admitted label other than the target that has a
-    class at the common digit.  The final resolved set does not depend on
-    label order: each pass only grows it monotonically.  A label of one cut
-    is a different target from the same label of another: the co-occurrence
-    count is keyed by (cut, unresolved label).
+    contributors, then chained covers drawn solely from resolved labels, in
+    rounds until one finds nothing.  A round admits exactly the labels
+    resolved before it and resolves every target it finds, in every cut at
+    once, so a chained cover cites only labels of earlier rounds, and the
+    rounds reach the one least fixed point whatever the label order.  Each
+    label tries its classes in ascending digit and each class its common
+    digits in ascending order; a cover lists as contributors every admitted
+    label other than the target that has a class at the common digit.  A
+    label of one cut is a different target from the same label of another:
+    the co-occurrence count is keyed by (cut, unresolved label).
     """
     C, d_k, D = tables.shape
     L = len(labels)
@@ -149,37 +156,25 @@ def _classify(tables: np.ndarray, labels: list[Label],
     js = tight.reshape(len(U), d_k * d_k).any(axis=1).nonzero()[0]
     record(Condition.TIGHT_COVER, js, tight[js], np.arange(L + 1) != U[js, None])
 
-    # chained: only resolved labels are admitted, so each cut's labels go in
-    # order within a pass.  blocked[j, tau, g] counts the columns where row g
-    # holds a label not admitted for target j there; it falls as the cut
-    # resolves labels, and (tau, g) is found at 0.  One step resolves the
-    # first target found in each cut, whose pass goes on with the targets
-    # after it; a cut with none found ends its pass.  A cut's other targets
-    # meet the same state again in the next pass, so passes may run in step
-    # across cuts.
+    # chained, in rounds: a round admits the labels its cut resolved before it
+    # and resolves every target it finds.  blocked[j, tau, g] counts the
+    # columns where row g holds a label not admitted for target j, and
+    # (tau, g) is found at 0; after a round it falls by the counts of the
+    # labels the target's cut resolved in that round.
     blocked = (count @ ~resolved[cut, None, :, None])[..., 0]
-    grew = True
-    while grew:
-        grew = False
-        rest = (~resolved[cut, U]).nonzero()[0]
-        while len(rest):
-            found = target[rest] & (blocked[rest] == 0)
-            at = found.reshape(len(rest), d_k * d_k).any(axis=1).nonzero()[0]
-            if not len(at):
-                break
-            first_of_cut = np.ones(len(at), dtype=bool)
-            first_of_cut[1:] = cut[rest[at[1:]]] != cut[rest[at[:-1]]]
-            at = at[first_of_cut]
-            js = rest[at]
-            record(Condition.CHAINED_COVER, js, found[at], resolved[cut[js]])
-            grew = True
-            new = np.full(C, -1)  # the label each cut resolved in this step
-            new[cut[js]] = U[js]
-            open_ = ((new[cut] >= 0) & ~resolved[cut, U]).nonzero()[0]
-            blocked[open_] -= count[open_, :, :, new[cut[open_]]]
-            after = np.full(C, len(U))
-            after[cut[js]] = js
-            rest = rest[rest > after[cut[rest]]]
+    rest = (~resolved[cut, U]).nonzero()[0]
+    while len(rest):
+        found = target[rest] & (blocked[rest] == 0)
+        hit = found.reshape(len(rest), d_k * d_k).any(axis=1)
+        if not hit.any():
+            break
+        js, rest = rest[hit], rest[~hit]
+        record(Condition.CHAINED_COVER, js, found[hit], resolved[cut[js]])
+        new = np.zeros((C, L + 1), dtype=bool)  # the labels each cut resolved in this round
+        new[cut[js], U[js]] = True
+        now = new.any(axis=0).nonzero()[0]  # so the product below is no larger than count
+        falls = count[rest[:, None], :, :, now] * new[cut[rest, None], now][..., None, None]
+        blocked[rest] -= falls.sum(axis=1)
     return [{l: v.get(l, _UNRESOLVED) for l in labels} for v in verdicts]
 
 

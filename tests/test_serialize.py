@@ -97,6 +97,10 @@ def test_mixed_radix_document():
     assert out["d"] == [2, 3]
 
 
+# a modified (4,4) document whose xi' = 1 is admissible
+_MODIFIED_4_4 = q.family_to_json(q.build_modified_family(4, 4, xi=1))
+
+
 @pytest.mark.parametrize("doc,fragment", [
     ([1, 2], "JSON object"),
     ({"d": 3, "sets": {}}, "missing required field 'n'"),
@@ -145,6 +149,10 @@ def test_mixed_radix_document():
     ({"d": [2] * 63, "n": 63, "sets": {"0": [[0] * 63]}}, "d: 63 parties of these digits"),
     ({"d": 3, "n": 40, "sets": {"0": [[0] * 40]}}, "d: 40 parties of these digits"),
     ({"d": [2] * 61 + [3], "n": 62, "sets": {"0": [[0] * 62]}}, "more than 2**62 tuples"),
+    # a boolean is a digit in a row, but not a count
+    ({"d": 2, "n": True, "sets": {"0": [[0]]}}, "n: expected a positive integer, got True"),
+    ({**_MODIFIED_4_4, "meta": {**_MODIFIED_4_4["meta"], "xi_prime": True}},
+     "meta.xi_prime: expected an integer in 1..3, got True"),
 ])
 def test_validation_errors(doc, fragment):
     with pytest.raises(FamilyFormatError) as exc:

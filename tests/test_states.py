@@ -113,11 +113,12 @@ def test_state_set_input_checked_once(check):
 
 
 def test_bad_bijection_rejected():
+    # non-integers are refused, not truncated, parsed or read as digits
     support = q.TupleSet.from_tuples((2, 2), [(0, 0), (1, 1)])
-    with pytest.raises(ValueError):
-        q.PhaseStateSet(support, bijection=[0, 0])
-    with pytest.raises(ValueError):
-        q.PhaseStateSet(support, bijection=[0, 1, 2])
+    for bijection in ([0, 0], [0, 1, 2], [0, 1.7], [0.0, 1.0], ["0", "1"], [False, True],
+                      np.array([1, 0], dtype=np.float64)):
+        with pytest.raises(ValueError, match="permutation of 0..s-1"):
+            q.PhaseStateSet(support, bijection=bijection)
 
 
 # ------------------------------------------------------------ schmidt rank

@@ -65,8 +65,8 @@ def test_classify_singletons(product_family):
 
 
 def test_classify_chained_cover_in_second_pass():
-    # at k = 0 label 1 is covered by the singleton label 2 only after label 0
-    # was tried, and label 0 needs label 1, so a second chained pass decides it
+    # at k = 0 label 1 is covered by the singleton label 2 in the first
+    # chained round, and label 0 needs label 1, so the second round decides it
     radix = (3, 4)
     fam = q.SetFamily(radix, {
         0: q.TupleSet.from_tuples(radix, [(0, 2), (0, 3)]),
@@ -196,7 +196,8 @@ def reference_checks(fam, k):
         return grew
 
     resolve(Condition.TIGHT_COVER, None, True)
-    while resolve(Condition.CHAINED_COVER, resolved, False):
+    # each chained round admits exactly the labels resolved before it
+    while resolve(Condition.CHAINED_COVER, frozenset(resolved), False):
         pass
     conditions = {l: verdicts.get(l, LabelVerdict(Condition.UNRESOLVED)) for l in order}
 
@@ -473,7 +474,7 @@ def test_chained_covers_admit_the_labels_resolved_before_them():
     # sets Z_i hold row 0 at columns 2i, 2i + 1 and row 1 at 2i + 2, 2i + 3,
     # so Z_i's row-0 class is covered at digit 1 by Z_(i-1) alone; Z_0's
     # cover, by the singletons 4 and 5, is tight.  Numbered along the chain
-    # it resolves in one pass, numbered against it one link a pass.
+    # or against it, it resolves one link a round.
     radix = (2, 10)
 
     def chain(names):
@@ -490,6 +491,38 @@ def test_chained_covers_admit_the_labels_resolved_before_them():
         for i in (1, 2, 3):
             expected = tuple(sorted(names[:i])) + (4, 5)
             assert verdicts[names[i]] == LabelVerdict(Condition.CHAINED_COVER, 0, 1, expected)
+
+
+def test_verdicts_do_not_depend_on_label_numbering(built_slice):
+    """Reversing the integer labels of a family renames its verdicts and
+    changes nothing else: each label keeps its condition, target digit,
+    common digit and contributors, and its tight label, which the smallest
+    label index picks, is still a contributor meeting the class in one
+    column."""
+    for name, fam in built_slice:
+        top = max((l for l in fam.labels if isinstance(l, int)), default=0)
+        old = {(top - l if isinstance(l, int) else l): l for l in fam.labels}
+        renamed = q.SetFamily(fam.radix, {new: fam[l] for new, l in old.items()})
+        reports = zip(q.verify_strongest_nonlocality(fam), q.verify_strongest_nonlocality(renamed))
+        for report, other in reports:
+            k = report.k
+
+            def cls(l, g):
+                return {tuple(np.delete(t, k)) for t in fam[l].members() if t[k] == g}
+
+            for new, v in other.conditions.items():
+                l = old[new]
+                want = report.conditions[l]
+                where = (name, k, l)
+                assert (v.condition, v.target_digit, v.common_digit) == (
+                    want.condition, want.target_digit, want.common_digit), where
+                assert {old[x] for x in v.contributor_labels} == set(want.contributor_labels), where
+                assert (v.tight_label is None) == (want.tight_label is None), where
+                if v.tight_label is not None:
+                    tight = old[v.tight_label]
+                    assert tight in want.contributor_labels, where
+                    meet = cls(tight, v.common_digit) & cls(l, v.target_digit)
+                    assert len(meet) == 1, where
 
 
 @pytest.mark.parametrize("build, shapes", [
