@@ -10,11 +10,12 @@ d_k * D**2 for the exact oracle on a cut (its same-digit pair slots,
 checked for every requested cut before it builds anything), N (N - 1) D**2
 for the dense reference's row matrix, the d**2 cells of the diagonal-home
 grid, and the numbers a state export (sum of s * (n + 1): each set's
-support and bijection) or a verify JSON's witnesses (2 * sum of D**2,
-checked after each cut) would write.  The QNONLOC_CAP environment
-variable, one positive integer, is the only override.  It is read on every
-`check`, except that each call of either route reads it once at entry,
-after checking its cuts, and passes it to every check of that call.
+support and bijection) or a verify JSON's witnesses (2 * D**2 summed over
+the nontrivial cuts, checked once, before any witness is built) would
+write.  The QNONLOC_CAP environment variable, one positive integer, is the
+only override.  It is read on every `check`, except that each call of
+either route reads it once at entry, after checking its cuts, and passes
+it to every check of that call.
 
 The checker decides cuts of one d_k together, in blocks (`verifier`).  Its
 counts are still checked cut by cut, so a block allocates the sum of its

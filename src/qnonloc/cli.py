@@ -8,9 +8,9 @@ the combinatorial conditions are sufficient but not exhaustive.  The oracle
 compares integers, so verify takes no tolerance.  QNONLOC_CAP, the one
 cap (`caps`), is checked at the start of every run; a malformed value, or
 work over the cap (written witnesses and state exports included), is an
-error and the run exits 2, like any other invalid input.  A written report
-decides the cuts one at a time and stops at the first whose witness takes
-the written numbers over the cap.
+error and the run exits 2, like any other invalid input.  The oracle
+decides every selected cut in one call; a written report's witnesses are
+held to the cap once, before any is built.
 
 Layers load on first use: each command imports the layers it runs inside
 its own function.  `construct`, `import` and `export` load only lattice and
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import caps
@@ -145,17 +144,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         from .oracle import oracle_overall, oracle_verify
         from .states import family_states
 
-        states = family_states(fam)
-        oracle_reports, witness_numbers = [], 0
-        # one cut at a time, so a written report stops at the cut whose
-        # witness takes the written numbers over the cap
-        for k in cuts:
-            [report] = oracle_verify(states, cuts=[k])
-            if writes and report.witness is not None:
-                witness_numbers += 2 * report.witness.size
-                caps.check(witness_numbers, "numbers in the witnesses")
-            # text output shows no witness, so it keeps none
-            oracle_reports.append(report if writes else replace(report, witness=None))
+        oracle_reports = oracle_verify(family_states(fam), cuts=cuts)
+        if writes:
+            caps.check(sum(2 * r.D**2 for r in oracle_reports if r.free_class is not None),
+                       "numbers in the witnesses")
         # both decide when the checker is not inconclusive: they must agree
         for comb, orc in zip(reports, oracle_reports):
             if comb.overall in ("trivial", "nontrivial") and orc.verdict != comb.overall:

@@ -222,24 +222,23 @@ class TupleSet:
 class SetFamily:
     """Labeled collection of pairwise-disjoint TupleSets over one radix.
 
-    Sets that share a tuple are refused with a ValueError.  Label order is
-    canonical: integer labels ascending, then string labels.
+    Sets that share a tuple, and a label that is not an int or a str (a
+    bool or a numpy integer say), are refused with a ValueError.  Label
+    order is canonical: integer labels ascending, then string labels.
     """
 
     def __init__(self, radix: Sequence[int], sets: dict[Label, TupleSet]):
         self.radix = _check_radix(radix)
         if not sets:
             raise ValueError("family must contain at least one set")
-        ordered: dict[Label, TupleSet] = {}
-        int_labels = sorted(l for l in sets if isinstance(l, int))
-        str_labels = sorted(l for l in sets if isinstance(l, str))
-        for l in int_labels + str_labels:
-            ts = sets[l]
+        for l in sets:
+            if isinstance(l, bool) or not isinstance(l, (int, str)):
+                raise ValueError(f"set label {l!r} is neither an int nor a str")
+        self._sets = {l: sets[l] for l in sorted(sets, key=lambda l: (isinstance(l, str), l))}
+        for l, ts in self._sets.items():
             if ts.radix != self.radix:
                 raise ValueError(f"set {l!r} has radix {ts.radix}, family has {self.radix}")
-            ordered[l] = ts
-        self._sets = ordered
-        if has_repeat(np.concatenate([ts.ranks for ts in ordered.values()])):
+        if has_repeat(np.concatenate([ts.ranks for ts in self._sets.values()])):
             raise ValueError("member sets are not pairwise disjoint")
 
     @property

@@ -24,8 +24,8 @@ Connected components of that equality graph are the entry classes
 also runs); the complex solution space has one dimension per class not
 forced to 0, and since it is closed under adjoints this is also the real
 dimension of its Hermitian part.  It is all integer bookkeeping, with no
-tolerance; a nontrivial cut's witness, the traceless part of X + X^T for
-the indicator X of a free class, is real (float64) and symmetric.
+tolerance; a nontrivial cut keeps one free class, and its witness, the
+traceless part of X + X^T for the class indicator X, is built when read.
 Its work and memory follow the d_k * D**2 slots of the same-digit pair
 mask, which is what the one cap (`caps`) bounds on each cut.
 
@@ -60,8 +60,19 @@ class OracleReport:
     k: int
     D: int
     nullspace_dim: int
-    verdict: str                       # "trivial" | "nontrivial"
-    witness: np.ndarray | None = None  # real symmetric, traceless, unit Frobenius norm
+    verdict: str                          # "trivial" | "nontrivial"
+    free_class: np.ndarray | None = None  # entries x * D + y of one free class
+
+    @property
+    def witness(self) -> np.ndarray | None:
+        """Built on each read: the traceless part of X + X^T at unit norm, X the class indicator."""
+        if self.free_class is None:
+            return None
+        D = self.D
+        X = np.bincount(self.free_class, minlength=D * D).reshape(D, D).astype(np.float64)
+        H = X + X.T
+        W = H - (np.trace(H) / D) * np.eye(D)
+        return W / np.linalg.norm(W)
 
 
 def _decide_cut(k: int, owner: np.ndarray, f: np.ndarray, size: np.ndarray,
@@ -121,13 +132,11 @@ def _decide_cut(k: int, owner: np.ndarray, f: np.ndarray, size: np.ndarray,
     # a class holding the whole diagonal and nothing else has a zero
     # traceless part, so one of the first two classes gives the witness.
     for c in classes[:2]:
-        X = (comp == c).reshape(D, D).astype(np.float64)
-        H = X + X.T
-        W = H - (np.trace(H) / D) * np.eye(D)
-        if W.any():
+        entries = (comp == c).nonzero()[0]
+        if not np.array_equal(entries, np.arange(0, D * D, D + 1)):
             break
     return OracleReport(k=k, D=D, nullspace_dim=len(classes), verdict="nontrivial",
-                        witness=W / np.linalg.norm(W))
+                        free_class=entries)
 
 
 def oracle_verify(state_sets: Sequence[PhaseStateSet],

@@ -256,19 +256,14 @@ def cut_report_to_json(report: CutReport) -> dict[str, Any]:
     }
 
 
-def _complex_matrix_out(mat: np.ndarray | None) -> list | None:
-    if mat is None:
-        return None
-    return np.stack((np.real(mat), np.imag(mat)), axis=-1).tolist()
-
-
 def oracle_report_to_json(report: OracleReport) -> dict[str, Any]:
+    W = report.witness  # real, written as [re, im] pairs
     return {
         "k": report.k,
         "D": report.D,
         "nullspace_dim": report.nullspace_dim,
         "verdict": report.verdict,
-        "witness": _complex_matrix_out(report.witness),
+        "witness": None if W is None else np.stack((W, np.zeros_like(W)), axis=-1).tolist(),
     }
 
 

@@ -49,7 +49,7 @@ class PhaseStateSet:
             f = np.arange(s, dtype=np.int64)
         else:
             f = np.asarray(bijection)
-            if f.dtype.kind not in "iu" or sorted(f.tolist()) != list(range(s)):
+            if f.dtype.kind not in "iu" or f.ndim != 1 or sorted(f.tolist()) != list(range(s)):
                 raise ValueError("bijection must be a permutation of 0..s-1")
             f = f.astype(np.int64)
         f.flags.writeable = False

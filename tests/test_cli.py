@@ -356,32 +356,45 @@ def test_env_cap_bounds_written_witnesses(tmp_path, monkeypatch, capsys):
     assert [len(r["witness"]) for r in doc["oracle"]] == [2, 2]
 
 
-def test_written_report_stops_at_the_cut_over_the_witness_cap(tmp_path, monkeypatch, capsys):
+def test_written_report_over_the_witness_cap_builds_no_witness(tmp_path, monkeypatch, capsys):
     # index (2,4) is nontrivial at cuts 1 and 2, each with an 8 x 8 witness of
-    # 128 numbers: under a cap of 200 a written report is refused at cut 2,
-    # and cut 3 is never decided
+    # 128 numbers.  One oracle call decides each cut once; under a cap of 200
+    # a written report is then refused before any witness is built, and text
+    # output builds none at all
     path = tmp_path / "idx.json"
     q.save_family(q.build_index_family(2, 4), path)
-    decided = []
+    decided, built = [], []
     decide_cut = oracle._decide_cut
+    witness = oracle.OracleReport.witness
 
     def counted(k, *layout):
         decided.append(k)
         return decide_cut(k, *layout)
 
+    def counted_witness(report):
+        built.append(report.k)
+        return witness.fget(report)
+
     monkeypatch.setattr(oracle, "_decide_cut", counted)
+    monkeypatch.setattr(oracle.OracleReport, "witness", property(counted_witness))
     monkeypatch.setenv(caps.ENV_VAR, "200")
     for argv in (["--format", "json"], ["--out", str(tmp_path / "report.json")]):
         decided.clear()
         assert main(["verify", str(path), *argv]) == 2
-        assert "witnesses" in capsys.readouterr().err
-        assert decided == [0, 1, 2]
+        assert "256 numbers in the witnesses" in capsys.readouterr().err
+        assert decided == [0, 1, 2, 3] and built == []
     assert not (tmp_path / "report.json").exists()
-    # text output writes no witness, so every cut is decided
     decided.clear()
     assert main(["verify", str(path)]) == 1
-    assert decided == [0, 1, 2, 3]
+    assert decided == [0, 1, 2, 3] and built == []
     capsys.readouterr()
+    # at the cap the report is written, and each cut's witness is read once
+    monkeypatch.setenv(caps.ENV_VAR, "256")
+    decided.clear()
+    assert main(["verify", str(path), "--format", "json"]) == 1
+    assert decided == [0, 1, 2, 3] and built == [0, 1, 2, 3]
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["witness"] is not None for r in doc["oracle"]] == [False, True, True, False]
 
 
 def test_env_cap_bounds_cover_counts(tmp_path, monkeypatch, capsys):

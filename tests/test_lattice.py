@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -295,6 +296,19 @@ def test_modified_family_is_disjoint_partition_piece(d, n):
             removed = {t for home, t in fam.removed if home == l}
             assert set(fam[l]) == digit_sum_class(d, n, l) - removed
         assert set(fam[q.EXTRA_LABEL]) == {(0,) * n, (xi,) * n}
+
+
+def test_set_family_refuses_labels_not_int_or_str():
+    # a label is an int or a str: a numpy integer sorts with neither, and a
+    # bool would be written as "True" and read back as a string
+    a = q.TupleSet.from_tuples((2, 2), [(0, 0)])
+    b = q.TupleSet.from_tuples((2, 2), [(1, 1)])
+    for bad in (np.int64(0), True, 1.0, (0,), None):
+        with pytest.raises(ValueError, match=f"set label {re.escape(repr(bad))} "):
+            q.SetFamily((2, 2), {bad: a, 1: b})
+        with pytest.raises(ValueError, match="neither an int nor a str"):
+            q.SetFamily((2, 2), {bad: a})
+    assert q.SetFamily((2, 2), {0: a, "x": b}).labels == [0, "x"]
 
 
 def test_modified_family_is_a_set_family(ex1_family):

@@ -300,15 +300,16 @@ def test_oracle_report_json_shape(product_family):
     json.dumps(doc)
 
 
-def test_oracle_report_witness_keeps_imaginary_parts():
-    # exact-route witnesses are real, so a hand-made one carries the imaginary parts
-    w = np.array([[0.5, 0.25 - 0.5j], [0.25 + 0.5j, complex(-0.5, -0.0)]])
-    doc = q.oracle_report_to_json(q.OracleReport(k=1, D=2, nullspace_dim=2,
-                                                 verdict="nontrivial", witness=w))
-    assert doc["witness"] == [[[0.5, 0.0], [0.25, -0.5]], [[0.25, 0.5], [-0.5, 0.0]]]
+def test_oracle_report_witness_written_as_re_im_pairs():
+    # a hand-made free class {(0, 0), (0, 1)} at D = 2: X + X^T = [[2, 1], [1, 0]],
+    # whose traceless part [[1, 1], [1, -1]] has norm 2; every number is a float
+    rep = q.OracleReport(k=1, D=2, nullspace_dim=2, verdict="nontrivial",
+                         free_class=np.array([0, 1]))
+    doc = q.oracle_report_to_json(rep)
     assert json.dumps(doc["witness"]) == (
-        "[[[0.5, 0.0], [0.25, -0.5]], [[0.25, 0.5], [-0.5, -0.0]]]")
+        "[[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [-0.5, 0.0]]]")
     assert all(type(x) is float for row in doc["witness"] for z in row for x in z)
+    assert rep.witness.tolist() == [[0.5, 0.5], [0.5, -0.5]]
 
 
 def test_oracle_report_trivial_witness_null(bell_family):

@@ -113,10 +113,11 @@ def test_state_set_input_checked_once(check):
 
 
 def test_bad_bijection_rejected():
-    # non-integers are refused, not truncated, parsed or read as digits
+    # non-integers and arrays that are not 1-d are refused, not truncated,
+    # parsed, flattened or read as digits
     support = q.TupleSet.from_tuples((2, 2), [(0, 0), (1, 1)])
     for bijection in ([0, 0], [0, 1, 2], [0, 1.7], [0.0, 1.0], ["0", "1"], [False, True],
-                      np.array([1, 0], dtype=np.float64)):
+                      np.array([1, 0], dtype=np.float64), 0, np.int64(1), [[0, 1]], [[1], [0]]):
         with pytest.raises(ValueError, match="permutation of 0..s-1"):
             q.PhaseStateSet(support, bijection=bijection)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,6 +343,26 @@ def test_family_laid_out_once_per_call(ex1_family, monkeypatch):
     reports = q.oracle_verify(q.family_states(ex1_family))
     assert [r.verdict for r in reports] == ["trivial"] * 3
     assert calls == [(4, 4, 4)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_lays_the_family_out_once_per_route(fmt, monkeypatch, capsys):
+    # `qnonloc verify` makes one checker call and one oracle call for every
+    # cut, so the golden file's member cube is laid out exactly twice
+    from qnonloc import oracle, verifier
+    from qnonloc.cli import main
+    calls = []
+
+    def counting(radix, sets, *, limit=None):
+        calls.append(radix)
+        return member_cube(radix, sets, limit=limit)
+
+    monkeypatch.setattr(verifier, "member_cube", counting)
+    monkeypatch.setattr(oracle, "member_cube", counting)
+    golden = Path(__file__).parent / "data" / "modified_4_3_xi2.json"
+    assert main(["verify", str(golden), "--format", fmt]) == 0
+    assert calls == [(4, 4, 4)] * 2
+    capsys.readouterr()
 
 
 def test_cap_read_once_per_call(ex1_family, monkeypatch):
