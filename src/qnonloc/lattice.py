@@ -40,8 +40,8 @@ def _check_radix(radix: Sequence[int]) -> tuple[int, ...]:
     radix = tuple(int(d) for d in radix)
     if len(radix) == 0:
         raise ValueError("radix must have at least one position")
-    if any(d < 1 for d in radix):
-        raise ValueError(f"radix entries must be >= 1, got {radix}")
+    if any(d < 2 for d in radix):
+        raise ValueError(f"radix entries must be >= 2, got {radix}")
     if math.prod(radix) > _RANK_LIMIT:
         raise ValueError("radix product too large to index")
     return radix
@@ -124,15 +124,20 @@ def member_cube(radix: tuple[int, ...], sets: Sequence[TupleSet], *,
 
 
 def _requested_cuts(n: int, cuts: Sequence[int] | None) -> list[int]:
-    """The cuts of an n-party family a call decides, every one by default;
-    a ValueError, before any work, unless n >= 2 and each lies in 0..n-1."""
+    """The cuts of an n-party family a call decides, every one by default,
+    as Python ints; a ValueError, before any work, unless n >= 2 and the
+    request names at least one cut, each an integer (not a bool) in 0..n-1."""
     if n < 2:
         raise ValueError("a cut needs at least two parties")
     cuts = list(range(n)) if cuts is None else list(cuts)
+    if not cuts:
+        raise ValueError("no cut requested")
     for k in cuts:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"cut {k!r} is not an integer")
         if not 0 <= k < n:
             raise ValueError(f"cut {k} out of range for arity {n}")
-    return cuts
+    return [int(k) for k in cuts]
 
 
 def cut_table(cube: np.ndarray, k: int) -> np.ndarray:
@@ -143,18 +148,27 @@ def cut_table(cube: np.ndarray, k: int) -> np.ndarray:
     return cube.reshape(-1, d_k, lo).transpose(1, 0, 2).reshape(d_k, -1)
 
 
+def _label_in(key: str) -> Label:
+    """The label a set key names: an integer when the key is that integer's
+    own text ("3", "-1"), so that no two keys name one label; else the key."""
+    try:
+        return int(key) if str(int(key)) == key else key
+    except ValueError:
+        return key
+
+
 class TupleSet:
-    """Immutable set of same-radix digit tuples in canonical (lexicographic) order."""
+    """Immutable nonempty set of same-radix digit tuples in canonical
+    (lexicographic) order; no tuple, or a radix entry below 2, is a ValueError."""
 
     __slots__ = ("radix", "ranks")
 
     def __init__(self, radix: Sequence[int], ranks: np.ndarray):
         self.radix = _check_radix(radix)
         ranks = np.asarray(ranks, dtype=np.int64)
-        if ranks.ndim != 1:
-            raise ValueError("ranks must be a 1-d array")
-        total = math.prod(self.radix)
-        if len(ranks) and (ranks.min() < 0 or ranks.max() >= total):
+        if ranks.ndim != 1 or not len(ranks):
+            raise ValueError("ranks must be a nonempty 1-d array")
+        if ranks.min() < 0 or ranks.max() >= math.prod(self.radix):
             raise ValueError("rank out of range for radix")
         ranks = sorted_unique(ranks)
         ranks.setflags(write=False)
@@ -164,11 +178,10 @@ class TupleSet:
 
     @classmethod
     def from_tuples(cls, radix: Sequence[int], tuples: Iterable[Sequence[int]]) -> "TupleSet":
-        radix = _check_radix(radix)
         rows = [tuple(int(x) for x in t) for t in tuples]
-        if not rows:
-            return cls(radix, np.empty(0, dtype=np.int64))
-        return cls.from_digits(radix, np.asarray(rows, dtype=np.int64))
+        # no rows reshape to (0, n), for TupleSet to refuse; rows of other arity do not fit
+        digits = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(radix))
+        return cls.from_digits(radix, digits)
 
     @classmethod
     def from_digits(cls, radix: Sequence[int], digits: np.ndarray) -> "TupleSet":
@@ -191,10 +204,10 @@ class TupleSet:
         return map(tuple, self.members().tolist())
 
     def __contains__(self, item: Sequence[int]) -> bool:
-        t = tuple(int(x) for x in item)
+        t = tuple(item)  # an entry that is not an integer (a bool is one) is in no set
         if len(t) != len(self.radix):
             return False
-        if any(x < 0 or x >= d for x, d in zip(t, self.radix)):
+        if not all(isinstance(x, (int, np.integer)) and 0 <= x < d for x, d in zip(t, self.radix)):
             return False
         r = _encode(np.asarray([t], dtype=np.int64), self.radix)[0]
         i = np.searchsorted(self.ranks, r)
@@ -222,9 +235,11 @@ class TupleSet:
 class SetFamily:
     """Labeled collection of pairwise-disjoint TupleSets over one radix.
 
-    Sets that share a tuple, and a label that is not an int or a str (a
-    bool or a numpy integer say), are refused with a ValueError.  Label
-    order is canonical: integer labels ascending, then string labels.
+    No set, sets that share a tuple, a label that is not an int or a str (a
+    bool or a numpy integer say) and a str that is an int's own text ("3",
+    which a file reads as 3) are refused with a ValueError.  Its sets are
+    nonempty over radix entries >= 2, so every SetFamily can be written.
+    Label order is canonical: integer labels ascending, then string labels.
     """
 
     def __init__(self, radix: Sequence[int], sets: dict[Label, TupleSet]):
@@ -234,6 +249,8 @@ class SetFamily:
         for l in sets:
             if isinstance(l, bool) or not isinstance(l, (int, str)):
                 raise ValueError(f"set label {l!r} is neither an int nor a str")
+            if isinstance(l, str) and _label_in(l) != l:
+                raise ValueError(f"set label {l!r} is an int's text, so a file reads it as an int")
         self._sets = {l: sets[l] for l in sorted(sets, key=lambda l: (isinstance(l, str), l))}
         for l, ts in self._sets.items():
             if ts.radix != self.radix:
@@ -407,17 +424,14 @@ class ModifiedFamily(SetFamily):
             raise ValueError("n must be >= 3")
         self._xi = choose_xi(d, n, xi)
 
-        # the constant tuple (x, ..., x) has rank x * (d**n - 1) / (d - 1)
-        unit = (d**n - 1) // (d - 1)
+        # the constant tuple (x, ..., x) has rank x * (d**n - 1) / (d - 1); a
+        # constant left in a kept set overlaps "extra", which SetFamily refuses
+        consts = [0, self._xi * (d**n - 1) // (d - 1)]
         base = build_index_family(d, n)
-        sets: dict[Label, TupleSet] = {t: base[t] for t in kept_labels(d)}
-        for t in {0, diagonal_home(self._xi, n, d)}:
-            consts = [x * unit for x in (0, self._xi) if diagonal_home(x, n, d) == t]
-            gone = np.isin(sets[t].ranks, consts)
-            if np.count_nonzero(gone) != len(consts):
-                raise InternalConsistencyError(f"a constant tuple is missing from its home set {t}")
-            sets[t] = TupleSet(base.radix, sets[t].ranks[~gone])
-        sets[EXTRA_LABEL] = TupleSet(base.radix, [0, self._xi * unit])
+        sets: dict[Label, TupleSet] = {
+            t: TupleSet(base.radix, base[t].ranks[~np.isin(base[t].ranks, consts)])
+            for t in kept_labels(d)}
+        sets[EXTRA_LABEL] = TupleSet(base.radix, consts)
         super().__init__(base.radix, sets)
 
         expected = construction_size(d, n)

@@ -27,7 +27,8 @@ the derived value is refused, and one that is absent is derived.  The
 writer and the reader share that derivation, which builds no digit rows.
 Then, with n >= 3, each set must be the one `ModifiedFamily(d, n,
 xi_prime)` builds, and reading returns that built family.  The writer
-refuses what the reader refuses of a radix or a set, in its words.
+only formats: `TupleSet` and `SetFamily` refuse each radix and set the
+reader refuses.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from . import caps
 from .errors import FamilyFormatError, InadmissibleXiError, InternalConsistencyError
 from .lattice import (_RANK_LIMIT, Label, ModifiedFamily, SetFamily, TupleSet, _derived_meta,
-                      build_modified_family, choose_xi)
+                      _label_in, build_modified_family, choose_xi)
 
 if TYPE_CHECKING:  # annotations only: reading and writing families loads none of these
     from .oracle import OracleReport
@@ -70,28 +71,16 @@ def _meta(d: int, n: int, xi: int) -> dict[str, Any]:
 
 
 def family_to_json(family: SetFamily) -> dict[str, Any]:
-    """The family's document, refused as the reader would refuse it."""
-    d, n = _radix_out(family.radix), len(family.radix)
-    _radix_in(d, n)
-    meta = (_meta(family.radix[0], n, family.xi)
-            if isinstance(family, ModifiedFamily) else {})
+    """The family's document, formatted only: `TupleSet` and `SetFamily`
+    refuse each radix and set the reader refuses."""
+    n = len(family.radix)
+    meta = _meta(family.radix[0], n, family.xi) if isinstance(family, ModifiedFamily) else {}
     sets = {_label_out(l): ts.members().tolist() for l, ts in family.items()}
-    if not all(sets.values()):  # the reader's row scan names the first empty set
-        _raise_first_fault(sets, family.radix)
-    return {"d": d, "n": n, "sets": sets, "meta": meta}
+    return {"d": _radix_out(family.radix), "n": n, "sets": sets, "meta": meta}
 
 
 def _label_out(label: Label) -> str:
     return str(label)
-
-
-def _label_in(key: str) -> Label:
-    """The label a set key names: an integer when the key is that integer's
-    own text, so that no two keys name one label; else the key itself."""
-    try:
-        return int(key) if str(int(key)) == key else key
-    except ValueError:
-        return key
 
 
 def family_from_json(doc: dict[str, Any]) -> SetFamily:
@@ -280,11 +269,9 @@ _DIGIT = "\n" + " " * 8
 def _rows_text(rows: list[list[int]]) -> str:
     """`json.dumps(rows, indent=2)` at depth 2, from the compact encoding.
 
-    Exact for nonempty rows of integers, where the compact text has a comma
-    only between two digits or two rows.
+    Exact for nonempty rows of integers, as every set's are, where the
+    compact text has a comma only between two digits or two rows.
     """
-    if not rows:
-        return "[]"
     body = (json.dumps(rows, separators=(",", ":"))[2:-2]
             .replace(",", "," + _DIGIT)
             .replace("]," + _DIGIT + "[", _ROW + "]," + _ROW + "[" + _DIGIT))

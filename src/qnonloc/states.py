@@ -40,8 +40,6 @@ class PhaseStateSet:
 
     def __init__(self, support: TupleSet, label: Label | None = None,
                  bijection: Sequence[int] | None = None):
-        if len(support) == 0:
-            raise ValueError("support must be nonempty")
         self.support = support
         self.label = label
         s = len(support)

@@ -26,6 +26,11 @@ def test_tupleset_roundtrip_and_membership():
     assert (0, 1) in ts and (2, 2) in ts and (1, 1) not in ts
     assert ts.tuples() == [(0, 1), (2, 2)]  # lexicographic order
     assert (0, 1, 0) not in ts
+    # an entry that is not an integer is in no set, unconverted; a bool is a
+    # digit, as in the reader
+    assert (np.int64(2), 2) in ts and (False, True) in ts
+    for item in [(0.7, 1.2), ("0", 1), (0, 1.0), (np.float64(2), 2), (None, 1)]:
+        assert item not in ts
 
 
 def test_tupleset_rejects_out_of_range():
@@ -33,6 +38,20 @@ def test_tupleset_rejects_out_of_range():
         q.TupleSet.from_tuples((2, 2), [(0, 2)])
     with pytest.raises(ValueError):
         q.TupleSet.from_tuples((2, 2), [(0,)])
+
+
+def test_tupleset_refuses_one_digit_parties_and_no_tuples(ex1_family):
+    # modified (4,3) has the flagship's states with an empty set beside them,
+    # which once made the checker call every cut nontrivial
+    for empty in (lambda: q.TupleSet((4, 4, 4), []),
+                  lambda: q.TupleSet.from_tuples((4, 4, 4), [])):
+        with pytest.raises(ValueError, match="ranks must be a nonempty 1-d array"):
+            q.SetFamily((4, 4, 4), {**dict(ex1_family.items()), "empty": empty()})
+    for radix in [(1,), (1, 2), (2, 1, 3), (3, 0)]:
+        with pytest.raises(ValueError, match=r"radix entries must be >= 2"):
+            q.TupleSet(radix, [0])
+        with pytest.raises(ValueError, match=r"radix entries must be >= 2"):
+            q.TupleSet.from_tuples(radix, [(0,) * len(radix)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -58,10 +77,11 @@ def test_sort_helpers_match_numpy_unique_on_packed_rows(width, rows):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(1, 6), min_size=1, max_size=5), st.data())
+@given(st.lists(st.integers(2, 6), min_size=1, max_size=5), st.data())
 def test_cut_table_matches_digit_deletion(radix, data):
     total = math.prod(radix)
-    ranks = np.array(sorted(data.draw(st.sets(st.integers(0, total - 1), max_size=40))),
+    ranks = np.array(sorted(data.draw(st.sets(st.integers(0, total - 1), min_size=1,
+                                              max_size=40))),
                      dtype=np.int64)
     digits = _decode(ranks, radix)
     cube = member_cube(tuple(radix), [q.TupleSet(radix, ranks)])

@@ -1,11 +1,13 @@
 import itertools
+import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qnonloc as q
@@ -134,6 +136,24 @@ def test_checks_reject_cut_out_of_range(k):
         q.oracle_verify(q.family_states(fam), cuts=[0, k])
 
 
+def test_requested_cuts_are_nonempty_lists_of_integers():
+    fam = q.build_modified_family(4, 3)
+    states = q.family_states(fam)
+    for route in (lambda c: q.verify_strongest_nonlocality(fam, cuts=c),
+                  lambda c: q.oracle_verify(states, cuts=c)):
+        # no cut would read as a trivial family
+        with pytest.raises(ValueError, match="no cut requested"):
+            route([])
+        for bad in (True, 1.0, "1", np.float64(1)):
+            with pytest.raises(ValueError, match=f"cut {re.escape(repr(bad))} is not an integer"):
+                route([0, bad])
+        # numpy integers are read as the ints they hold
+        reports = route([np.int64(1), np.uint8(2)])
+        assert [r.k for r in reports] == [1, 2] and all(type(r.k) is int for r in reports)
+    report = q.oracle_verify(states, cuts=[np.int64(1)])[0]
+    assert json.loads(q.dumps_canonical(q.oracle_report_to_json(report)))["k"] == 1
+
+
 def test_checks_reject_overlapping_sets():
     # set 3 repeats set 0, as the oracle and the Gram check would both notice
     f = q.build_index_family(3, 2)
@@ -222,10 +242,11 @@ def reference_checks(fam, k):
 @st.composite
 def small_families(draw):
     """Random labelings of a small mixed-radix cube of two to four parties
-    (the checker refuses one).  Half of them label by a weighted digit sum,
-    then move a few tuples to the last label and drop a few more, as the
-    modified construction does; that gives covers."""
-    radix = draw(st.lists(st.sampled_from([1, 1, 2, 3, 4, 9, 10]), min_size=2, max_size=4)
+    (the checker refuses one), each label holding at least one tuple.  Half
+    of them label by a weighted digit sum, then move a few tuples to the last
+    label and drop a few more, as the modified construction does; that gives
+    covers."""
+    radix = draw(st.lists(st.sampled_from([2, 3, 4, 9, 10]), min_size=2, max_size=4)
                  .filter(lambda r: math.prod(r) <= 200))
     labels = draw(st.lists(st.one_of(st.integers(0, 6), st.sampled_from(["extra", "a"])),
                            min_size=1, max_size=5, unique=True))
@@ -241,9 +262,10 @@ def small_families(draw):
     else:
         owner = draw(st.lists(st.integers(-1, L - 1),
                               min_size=len(cube), max_size=len(cube)))
-    sets = {l: q.TupleSet.from_tuples(radix, [t for t, o in zip(cube, owner) if o == i])
-            for i, l in enumerate(labels)}
-    return q.SetFamily(radix, sets)
+    members = {l: [t for t, o in zip(cube, owner) if o == i] for i, l in enumerate(labels)}
+    assume(any(members.values()))
+    return q.SetFamily(radix, {l: q.TupleSet.from_tuples(radix, ts)
+                               for l, ts in members.items() if ts})
 
 
 @settings(max_examples=150, deadline=None)
