@@ -37,6 +37,10 @@ _BLOCK_ENTRIES = 8192
 
 
 def _check_radix(radix: Sequence[int]) -> tuple[int, ...]:
+    radix = tuple(radix)
+    for d in radix:
+        if not isinstance(d, (int, np.integer)):  # a bool is an int
+            raise ValueError(f"radix entry {d!r} is not an integer")
     radix = tuple(int(d) for d in radix)
     if len(radix) == 0:
         raise ValueError("radix must have at least one position")
@@ -159,7 +163,8 @@ def _label_in(key: str) -> Label:
 
 class TupleSet:
     """Immutable nonempty set of same-radix digit tuples in canonical
-    (lexicographic) order; no tuple, or a radix entry below 2, is a ValueError."""
+    (lexicographic) order; no tuple, a radix entry below 2, or a digit or
+    radix entry that is not an int, a bool or a numpy integer is a ValueError."""
 
     __slots__ = ("radix", "ranks")
 
@@ -178,15 +183,20 @@ class TupleSet:
 
     @classmethod
     def from_tuples(cls, radix: Sequence[int], tuples: Iterable[Sequence[int]]) -> "TupleSet":
-        rows = [tuple(int(x) for x in t) for t in tuples]
+        """From digit tuples, as `from_digits` takes their matrix, whose
+        inferred dtype keeps a digit that is not an integer for it to refuse."""
+        rows = [tuple(t) for t in tuples]
         # no rows reshape to (0, n), for TupleSet to refuse; rows of other arity do not fit
-        digits = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(radix))
-        return cls.from_digits(radix, digits)
+        digits = np.array(rows) if rows else np.empty(0, dtype=np.int64)
+        return cls.from_digits(radix, digits.reshape(len(rows), len(radix)))
 
     @classmethod
     def from_digits(cls, radix: Sequence[int], digits: np.ndarray) -> "TupleSet":
-        """From an integer digit matrix, one row per tuple; repeated rows collapse."""
+        """From an integer or bool digit matrix, one row per tuple; repeated
+        rows collapse.  A matrix of any other dtype is a ValueError."""
         radix = _check_radix(radix)
+        if digits.dtype.kind not in "biu":
+            raise ValueError(f"digits must be integers, got a matrix of dtype {digits.dtype}")
         if digits.ndim != 2 or digits.shape[1] != len(radix):
             raise ValueError(f"digit matrix of shape {digits.shape} does not fit radix {radix}")
         bad = ((digits < 0) | (digits >= np.asarray(radix))).any(axis=0)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, NoReturn
 
@@ -183,14 +182,19 @@ def _radix_in(d: Any, n: Any) -> tuple[int, ...]:
 
 def _rows_to_set(rows: Any, radix: tuple[int, ...]) -> TupleSet | None:
     """One set's rows as a TupleSet, or None unless they are a nonempty list
-    of distinct lists of len(radix) integers inside the radix."""
-    if (not isinstance(rows, list) or not rows
-            or not all(issubclass(t, list) for t in set(map(type, rows)))
-            or not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(rows))))):
+    of distinct lists of len(radix) integers inside the radix.
+
+    The rows are read as one array of numpy's inferred dtype, so no digit's
+    type is scanned in Python: a float, string, null or integer past int64
+    gives a dtype that `TupleSet.from_digits` refuses, a nested or missing
+    digit makes the rows ragged, and JSON booleans stay the digits 0 and 1.
+    """
+    if not isinstance(rows, list) or not rows or not all(
+            issubclass(t, list) for t in set(map(type, rows))):
         return None
     try:
-        ts = TupleSet.from_digits(radix, np.array(rows, dtype=np.int64))
-    except (ValueError, OverflowError):  # ragged rows, digits outside the radix or int64
+        ts = TupleSet.from_digits(radix, np.array(rows))
+    except (ValueError, OverflowError):  # ragged rows, a digit not an integer or outside the radix
         return None
     return ts if len(ts) == len(rows) else None
 

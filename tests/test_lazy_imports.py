@@ -102,9 +102,9 @@ COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv, layers", COMMANDS,
-                         ids=[" ".join(Path(a).name for a in argv) for argv, _ in COMMANDS])
-def test_command_loads_only_its_layers(tmp_path, argv, layers):
+def _loaded(tmp_path, argv):
+    """The qnonloc and numpy.ma modules the command loads, run in a fresh
+    interpreter from `tmp_path`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -113,6 +113,22 @@ def test_command_loads_only_its_layers(tmp_path, argv, layers):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(loaded_path.read_text()))
+    return set(json.loads(loaded_path.read_text()))
+
+
+@pytest.mark.parametrize("argv, layers", COMMANDS,
+                         ids=[" ".join(Path(a).name for a in argv) for argv, _ in COMMANDS])
+def test_command_loads_only_its_layers(tmp_path, argv, layers):
+    loaded = _loaded(tmp_path, argv)
     assert "numpy.ma" not in loaded
     assert {m.removeprefix("qnonloc.") for m in loaded} & OPTIONAL == layers
+
+
+def test_checking_cuts_on_their_distinct_columns_loads_only_the_verifier(tmp_path):
+    # the golden file's cuts are stacked; each cut of modified (4, 7) has
+    # 16384 entries, so the checker sorts out its distinct columns
+    path = tmp_path / "modified_4_7.json"
+    q.save_family(q.build_modified_family(4, 7), path)
+    loaded = _loaded(tmp_path, ["verify", "--combinatorial-only", "--format", "json", str(path)])
+    assert "numpy.ma" not in loaded
+    assert {m.removeprefix("qnonloc.") for m in loaded} & OPTIONAL == {"verifier"}

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,18 +178,34 @@ def test_largest_indexable_cube_reads():
 
 
 def test_constructors_refuse_what_the_reader_refuses():
-    # a radix-1 party and an empty set are refused where a family is built,
-    # so the writer has nothing left to refuse; the reader keeps its words
+    # a radix-1 party, an empty set and a digit or radix entry that is not
+    # an integer are refused where a family is built, so the writer has
+    # nothing left to refuse; the reader keeps its words
     with pytest.raises(ValueError, match=r"radix entries must be >= 2, got \(1, 2\)"):
         q.SetFamily((1, 2), {0: q.TupleSet.from_tuples((1, 2), [(0, 1)])})
     with pytest.raises(ValueError, match="nonempty"):
         q.SetFamily((2, 2), {0: q.TupleSet.from_tuples((2, 2), [(0, 1)]),
                              "x": q.TupleSet((2, 2), [])})
+    # a digit or radix entry that is not an integer is refused, not truncated
+    for build, message in [
+        (lambda: q.TupleSet.from_tuples((2, 2), [(0.7, 1.9)]), "dtype float64"),
+        (lambda: q.TupleSet.from_tuples((3, 3), [("1", "2")]), "dtype <U1"),
+        (lambda: q.TupleSet((2.9, "3"), [0]), "radix entry 2.9 is not an integer"),
+        (lambda: q.TupleSet.from_digits((3, 3), np.array([[0.5, 1.7]])), "dtype float64"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
     for doc, message in [
         ({"d": [1, 2], "n": 2, "sets": {"0": [[0, 1]]}},
          "d: every entry must be an integer >= 2, got [1, 2]"),
         ({"d": 2, "n": 2, "sets": {"0": [[0, 1]], "x": []}},
          "sets['x']: expected a nonempty list of tuples"),
+        ({"d": 2, "n": 2, "sets": {"0": [[0.7, 1.9]]}},
+         "sets['0'][0]: digit 0.7 out of range at position 0 (radix 2)"),
+        ({"d": 3, "n": 2, "sets": {"0": [["1", "2"]]}},
+         "sets['0'][0]: digit '1' out of range at position 0 (radix 3)"),
+        ({"d": [2.9, "3"], "n": 2, "sets": {"0": [[0, 1]]}},
+         "d: every entry must be an integer >= 2, got [2.9, '3']"),
     ]:
         with pytest.raises(FamilyFormatError) as read:
             q.family_from_json(doc)

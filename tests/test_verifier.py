@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import qnonloc as q
 from qnonloc.errors import InternalConsistencyError
-from qnonloc.lattice import member_cube
+from qnonloc.lattice import cut_table, member_cube
 from qnonloc.verifier import Condition, LabelVerdict
 
 
@@ -568,25 +568,125 @@ def test_verdicts_do_not_depend_on_label_numbering(built_slice):
                     assert len(meet) == 1, where
 
 
-@pytest.mark.parametrize("build, shapes", [
-    (lambda: q.build_index_family(6, 4), [(4, 6, 216)]),
-    (lambda: q.build_index_family(3, 7), [(3, 3, 729), (3, 3, 729), (1, 3, 729)]),
-    (lambda: q.build_modified_family(4, 7), [(1, 4, 4096)] * 7),
+@pytest.mark.parametrize("build, blocks", [
+    (lambda: q.build_index_family(6, 4), [((4, 6, 216), None)]),
+    (lambda: q.build_index_family(3, 7), [((3, 3, 729), None)] * 2 + [((1, 3, 729), None)]),
+    (lambda: q.build_modified_family(4, 7), [((1, 4, 6), 4096)] * 7),
     (lambda: q.SetFamily((4, 2, 3, 2), {0: q.TupleSet((4, 2, 3, 2), np.arange(48))}),
-     [(1, 4, 12), (2, 2, 24), (1, 3, 16)]),
+     [((1, 4, 12), None), ((2, 2, 24), None), ((1, 3, 16), None)]),
 ], ids=["index(6,4)", "index(3,7)", "modified(4,7)", "mixed"])
-def test_cuts_stack_by_digit_count_in_blocks(monkeypatch, build, shapes):
-    # a block holds cuts of one d_k and at most 8192 table entries, and a
-    # cut larger than that is a block of its own
+def test_cuts_stack_by_digit_count_in_blocks(monkeypatch, build, blocks):
+    # a block holds cuts of one d_k and at most 8192 table entries; a cut of
+    # more than 4096 entries is a block of its own, checked on its distinct
+    # columns, weighted by the D columns they stand for
     from qnonloc import verifier
     seen = []
 
-    def recording(tables, labels, limit):
-        seen.append(tables.shape)
-        return classify(tables, labels, limit)
+    def recording(tables, labels, limit, weights):
+        seen.append((tables.shape, None if weights is None else int(weights.sum())))
+        return classify(tables, labels, limit, weights)
 
     classify = verifier._classify
     monkeypatch.setattr(verifier, "_classify", recording)
     q.verify_strongest_nonlocality(build())
-    assert seen == shapes
+    assert seen == blocks
 
+
+def _cut_tables(fam):
+    """Each cut's full (d_k, D) label table, as the checker lays it out."""
+    sizes = [len(ts) for ts in fam.sets()]
+    label = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    cube = np.append(label, np.int32(-1))[member_cube(fam.radix, fam.sets())]
+    return [cut_table(cube, k) for k in range(len(fam.radix))]
+
+
+@pytest.mark.parametrize("d, n", [(4, 6), (4, 7), (4, 8), (4, 9), (3, 8)])
+def test_modified_cuts_have_d_plus_2_distinct_columns(d, n):
+    # a column's labels follow its residual's digit sum mod d, except at the
+    # two constant residuals, whose tuples moved to "extra": so the checker's
+    # work on a merged cut does not grow with D
+    from qnonloc.verifier import _distinct_columns
+    for table in _cut_tables(q.build_modified_family(d, n)):
+        columns, weights = _distinct_columns(table)
+        assert columns.shape == (1, d, d + 2)
+        assert weights.sum() == d ** (n - 1)
+
+
+def _random_labeling(radix, n_labels, seed):
+    """Each tuple of the cube in one of `n_labels` sets or, one in ten, in
+    none, so that most columns of a cut differ."""
+    rng = np.random.default_rng(seed)
+    owner = rng.integers(0, n_labels, math.prod(radix))
+    owner[rng.random(len(owner)) < 0.1] = -1
+    return q.SetFamily(radix, {l: q.TupleSet(radix, np.flatnonzero(owner == l))
+                               for l in range(n_labels) if (owner == l).any()})
+
+
+@pytest.fixture(scope="module")
+def merged_battery():
+    """(name, family): families each of whose cuts has more than 4096
+    entries, so every cut is checked on its distinct columns; between them
+    they reach every condition, verdict and failed global condition."""
+    return [("modified(4,7)", q.build_modified_family(4, 7)),
+            ("modified(3,8)", q.build_modified_family(3, 8)),
+            ("modified(4,7,2) without 0", q.build_modified_family(4, 7, 2).drop(0)),
+            ("modified(3,9,1) without 1", q.build_modified_family(3, 9, 1).drop(1)),
+            ("modified(5,6)", q.build_modified_family(5, 6)),
+            ("index(2,13)", q.build_index_family(2, 13)),
+            ("index(4,7)", q.build_index_family(4, 7)),
+            ("random Z_5^6", _random_labeling((5,) * 6, 7, 20261020)),
+            ("random Z_4^7", _random_labeling((4,) * 7, 60, 20261021)),
+            ("random Z_2^13", _random_labeling((2,) * 13, 500, 20261022))]
+
+
+def test_merged_cuts_match_the_full_tables(merged_battery):
+    """The checks on a cut's distinct columns report what they report on its
+    full table: every label verdict, pair covering, connectivity, overall."""
+    from qnonloc.verifier import (CutReport, _classify, _connectivity, _cut_overall,
+                                  _distinct_columns, _pair_covering)
+    seen, distinct = set(), []
+    for name, fam in merged_battery:
+        reports = q.verify_strongest_nonlocality(fam)
+        for k, table in enumerate(_cut_tables(fam)):
+            assert table.size > 4096, name
+            full = table[None]
+            conditions = _classify(full, fam.labels, 10**7, None)[0]
+            pair = _pair_covering(full, 10**7)[0]
+            conn = _connectivity(full, len(fam))[0]
+            want = CutReport(k, conditions, pair, conn, _cut_overall(conditions, pair, conn))
+            assert reports[k] == want, (name, k)
+            seen.update(v.condition for v in conditions.values())
+            seen.update([("pair", pair), ("conn", conn)])
+            distinct.append(_distinct_columns(table)[0].shape[2] / table.shape[1])
+        seen.add(q.overall_verdict(reports))
+    assert seen == {*Condition, "trivial", "inconclusive", "nontrivial",
+                    ("pair", True), ("pair", False), ("conn", True), ("conn", False)}
+    assert max(distinct) > 0.9  # the random labelings leave few columns alike
+
+
+def test_merged_cuts_refuse_the_full_tables_counts(monkeypatch):
+    """A merged cut holds to the cap the co-occurrence count and row pairs
+    of its full table, so one below either is refused with that count."""
+    from qnonloc.errors import ResourceLimitError
+    # 300 sets of about 50 tuples: no singleton class, so all 300 are targets
+    many = _random_labeling((4,) * 7, 300, 7)
+    # one set of half the (16, 16, 16, 2) cube: cut 0 has one target and
+    # close to 512 distinct extension rows
+    rng = np.random.default_rng(8)
+    one = q.SetFamily((16, 16, 16, 2), {0: q.TupleSet((16, 16, 16, 2),
+                                                      np.flatnonzero(rng.random(8192) < 0.5))})
+    for fam, what in [(many, "co-occurrence counts"), (one, "residual row pairs")]:
+        table = _cut_tables(fam)[0]
+        d_k, L = table.shape[0], len(fam)
+        sizes = np.stack([np.bincount(row[row >= 0], minlength=L) for row in table])
+        U = int((~(sizes == 1).any(axis=0)).sum())
+        rows = np.unique(table >= 0, axis=1).shape[1]
+        count = d_k * d_k * U * (L + 1) if what == "co-occurrence counts" else rows * rows
+        assert count > math.prod(fam.radix)
+        monkeypatch.setenv("QNONLOC_CAP", str(count - 1))
+        with pytest.raises(ResourceLimitError) as exc:
+            q.verify_strongest_nonlocality(fam, cuts=[0])
+        assert str(exc.value) == (f"{count} {what} exceed enumeration cap {count - 1} "
+                                  "(set QNONLOC_CAP to raise it)")
+        monkeypatch.setenv("QNONLOC_CAP", str(count))
+        q.verify_strongest_nonlocality(fam, cuts=[0])
