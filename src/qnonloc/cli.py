@@ -21,7 +21,6 @@ plus states and oracle unless --combinatorial-only; `tables` adds tables.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -110,7 +109,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if args.out:
         save_family(fam, args.out)
     if states_text is not None:
-        Path(args.states_out).write_text(states_text)
+        Path(args.states_out).write_text(states_text, encoding="utf-8")
     summary = {
         "d": args.d, "n": args.n, "xi_prime": fam.xi, "case": fam.case,
         "labels": [str(l) for l in fam.labels], "size": fam.total_size(),
@@ -166,7 +165,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             doc["agreement"] = disagreements or "consistent"
         text = dumps_canonical(doc)
         if args.out:
-            Path(args.out).write_text(text)
+            Path(args.out).write_text(text, encoding="utf-8")
         if args.fmt == "json":
             print(text, end="")
     if args.fmt == "text":
@@ -212,7 +211,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            (out_dir / name).write_text(text)
+            (out_dir / name).write_text(text, encoding="utf-8")
     else:
         for text in files.values():
             print(text, end="" if args.fmt == "json" else "\n")
@@ -253,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     except QnonlocError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1 if args.command == "import" else 2
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

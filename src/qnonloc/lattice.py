@@ -163,19 +163,22 @@ def _label_in(key: str) -> Label:
 
 class TupleSet:
     """Immutable nonempty set of same-radix digit tuples in canonical
-    (lexicographic) order; no tuple, a radix entry below 2, or a digit or
-    radix entry that is not an int, a bool or a numpy integer is a ValueError."""
+    (lexicographic) order; no tuple, a radix entry below 2, a digit or
+    radix entry that is not an int, a bool or a numpy integer, or a rank array
+    whose dtype is not an integer one is a ValueError."""
 
     __slots__ = ("radix", "ranks")
 
     def __init__(self, radix: Sequence[int], ranks: np.ndarray):
         self.radix = _check_radix(radix)
-        ranks = np.asarray(ranks, dtype=np.int64)
+        ranks = np.asarray(ranks)
         if ranks.ndim != 1 or not len(ranks):
             raise ValueError("ranks must be a nonempty 1-d array")
+        if ranks.dtype.kind not in "iu":
+            raise ValueError(f"ranks must be integers, got an array of dtype {ranks.dtype}")
         if ranks.min() < 0 or ranks.max() >= math.prod(self.radix):
             raise ValueError("rank out of range for radix")
-        ranks = sorted_unique(ranks)
+        ranks = sorted_unique(ranks.astype(np.int64, copy=False))
         ranks.setflags(write=False)
         self.ranks = ranks
 

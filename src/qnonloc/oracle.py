@@ -26,8 +26,9 @@ forced to 0, and since it is closed under adjoints this is also the real
 dimension of its Hermitian part.  It is all integer bookkeeping, with no
 tolerance; a nontrivial cut keeps one free class, and its witness, the
 traceless part of X + X^T for the class indicator X, is built when read.
-Its work and memory follow the d_k * D**2 slots of the same-digit pair
-mask, which is what the one cap (`caps`) bounds on each cut.
+Its boolean masks follow the d_k * D**2 slots of the same-digit pair
+mask, which is what the one cap (`caps`) bounds on each cut; its integer
+work follows the pairs within a set.
 
 The dense route (`assemble_constraints` -> `ConstraintSystem.iter_row_batches`
 -> `hermitian_nullspace`) is a test-only reference for the nullspace
@@ -97,14 +98,12 @@ def _decide_cut(k: int, owner: np.ndarray, f: np.ndarray, size: np.ndarray,
     group = base[owner]  # each member's set, by its first class node; empty slots lie outside both
     within = both & (group[:, :, None] == group[:, None, :])
     forced = np.logical_or.reduce(both ^ within).ravel()
-    # the class node of every slot, read where the slot holds a pair within a set
-    fo = f[owner]
-    shift = fo[:, :, None] - fo[:, None, :]
-    shift %= size[owner][:, :, None]
-    shift += group[:, :, None]
-    slot = np.flatnonzero(within)
-    cls = shift.ravel()[slot]
-    entry = slot % (D * D)
+    # each pair within a set, at its entry and its shift's class node
+    g, x, y = within.nonzero()
+    m = owner[g, x]
+    cls = (f[m] - f[owner[g, y]]) % size[m] + base[m]
+    entry = x * D + y
+    del g, x, y, m  # before the union-find, which sets the peak on large cuts
 
     # a class meets s pairs in all; fewer same-digit ones means a zero pair,
     # and so does one at a forced entry

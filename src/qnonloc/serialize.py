@@ -13,7 +13,9 @@ because the rows hold only integers; `d`, `n` and `meta` go through
 
 A set key names an integer label when it is that integer's own text ("3",
 "-1"); any other key, "01" or " 2" say, is a text label, so no two keys
-name one set.  A file that is not UTF-8 is refused like malformed JSON.
+name one set.  Files are read and written as UTF-8 whatever the locale,
+and a file that is not UTF-8 is refused like malformed JSON.  A `meta`
+that is present must be an object.
 
 Reading refuses a cube of more than 2**62 tuples before any row, then
 validates each set's rows as one integer array (shape, digit range against
@@ -111,7 +113,7 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily:
     except ValueError:  # a tuple in two sets
         _raise_first_fault(raw_sets, radix)
 
-    meta = doc.get("meta") or {}
+    meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise FamilyFormatError("meta: expected an object")
     if "xi_prime" in meta or "case" in meta:
@@ -299,12 +301,12 @@ def dumps_family(family: SetFamily) -> str:
 
 
 def save_family(family: SetFamily, path: str | Path) -> None:
-    Path(path).write_text(dumps_family(family))
+    Path(path).write_text(dumps_family(family), encoding="utf-8")
 
 
 def load_family(path: str | Path) -> SetFamily:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FamilyFormatError(f"invalid JSON: {e}") from e
     return family_from_json(doc)

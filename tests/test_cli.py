@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -509,3 +512,29 @@ def test_verify_decides_past_d64(tmp_path, capsys, d, n):
     assert [r["D"] for r in doc["oracle"]] == [d ** (n - 1)] * n
     assert [r["nullspace_dim"] for r in doc["oracle"]] == [1] * n
     assert doc["agreement"] == "consistent"
+
+
+@pytest.mark.parametrize("name", ["index_3_3", "product_2_2"])
+def test_verify_json_bytes_of_nontrivial_families(tmp_path, monkeypatch, capsys,
+                                                  product_family, name):
+    family = {"index_3_3": q.build_index_family(3, 3), "product_2_2": product_family}[name]
+    # run from tmp_path, so the report names the family "fam.json"
+    q.save_family(family, tmp_path / "fam.json")
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "fam.json", "--format", "json"]) == 1
+    golden = Path(__file__).parent / "data" / f"verify_{name}.json"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # an ASCII locale without Python's UTF-8 mode or locale coercion
+    text = q.dumps_family(q.SetFamily((2, 2), {"é": q.TupleSet.from_tuples((2, 2), [(0, 1)])}))
+    (tmp_path / "in.json").write_bytes(text.encode("utf-8"))
+    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "qnonloc.cli", "export", "in.json",
+                           "--out", "out.json"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.json").read_bytes() == text.encode("utf-8")

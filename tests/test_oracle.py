@@ -66,8 +66,8 @@ def test_exact_route_held_to_cap(bell_family, ex1_family, monkeypatch):
 
 
 def test_exact_route_memory_stays_small():
-    # index (2,9), cut 1: the pair broadcast has 2 * 256**2 slots; the shift
-    # arithmetic runs on within-set pairs only, from boolean-mask gathers
+    # index (2,9), cut 1: the pair masks are boolean over 2 * 256**2 slots;
+    # the class nodes and entries are integers at the within-set pairs only
     states = q.family_states(q.build_index_family(2, 9))
     tracemalloc.start()
     try:

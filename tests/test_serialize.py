@@ -165,6 +165,9 @@ _MODIFIED_4_4 = q.family_to_json(q.build_modified_family(4, 4, xi=1))
     ({"d": 2, "n": True, "sets": {"0": [[0]]}}, "n: expected a positive integer, got True"),
     ({**_MODIFIED_4_4, "meta": {**_MODIFIED_4_4["meta"], "xi_prime": True}},
      "meta.xi_prime: expected an integer in 1..3, got True"),
+    # a meta that is present and falsy is refused like any other non-object
+    *[({"d": 2, "n": 1, "sets": {"0": [[0]]}, "meta": meta}, "meta: expected an object")
+      for meta in ([], 0, False, "", None)],
 ])
 def test_validation_errors(doc, fragment):
     with pytest.raises(FamilyFormatError) as exc:
@@ -192,6 +195,11 @@ def test_constructors_refuse_what_the_reader_refuses():
         (lambda: q.TupleSet.from_tuples((3, 3), [("1", "2")]), "dtype <U1"),
         (lambda: q.TupleSet((2.9, "3"), [0]), "radix entry 2.9 is not an integer"),
         (lambda: q.TupleSet.from_digits((3, 3), np.array([[0.5, 1.7]])), "dtype float64"),
+        # and so is a rank that is not an integer
+        (lambda: q.TupleSet((2, 2), [1.9]), "dtype float64"),
+        (lambda: q.TupleSet((2, 2), ["3"]), "dtype <U1"),
+        (lambda: q.TupleSet((2, 2), [True]), "dtype bool"),
+        (lambda: q.TupleSet((2, 2), np.array([2.5])), "dtype float64"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
