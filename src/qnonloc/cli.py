@@ -10,7 +10,8 @@ cap (`caps`), is checked at the start of every run; a malformed value, or
 work over the cap (written witnesses and state exports included), is an
 error and the run exits 2, like any other invalid input.  The oracle
 decides every selected cut in one call; a written report's witnesses are
-held to the cap once, before any is built.
+held to the cap once, before any is built.  Files and stdout are UTF-8
+whatever the locale.
 
 Layers load on first use: each command imports the layers it runs inside
 its own function.  `construct`, `import` and `export` load only lattice and
@@ -245,6 +246,10 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # stdout is UTF-8 whatever the locale, as the files are; a label need not be ASCII
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)
     try:
         caps.enum_cap()  # reject a malformed QNONLOC_CAP before any work

@@ -19,16 +19,18 @@ invertible, so the constraints reduce to equalities between entries of Pi:
   bijection order, so entries with the same shift (f_i - f_j) mod s are
   equal, and a shift meeting a pair with different digits at k is 0.
 
-Connected components of that equality graph are the entry classes
-(`lattice._components`, the union-find the checker's connectivity test
-also runs); the complex solution space has one dimension per class not
-forced to 0, and since it is closed under adjoints this is also the real
-dimension of its Hermitian part.  It is all integer bookkeeping, with no
-tolerance; a nontrivial cut keeps one free class, and its witness, the
-traceless part of X + X^T for the class indicator X, is built when read.
-Its boolean masks follow the d_k * D**2 slots of the same-digit pair
-mask, which is what the one cap (`caps`) bounds on each cut; its integer
-work follows the pairs within a set.
+Connected components of that equality graph, over the pairs of the shifts
+not already 0 (`lattice._components`, the union-find the checker's
+connectivity test also runs), are the entry classes; a class is 0 when it
+holds an entry forced or zeroed before the union-find.  The complex
+solution space has one dimension per class not forced to 0, and since it
+is closed under adjoints this is also the real dimension of its Hermitian
+part.  It is all integer bookkeeping, with no tolerance; a nontrivial cut
+keeps one free class, and its witness, the traceless part of X + X^T for
+the class indicator X, is built when read.  Its boolean masks follow the
+d_k * D**2 slots of the same-digit pair mask, which is what the one cap
+(`caps`) bounds on each cut; its integer work follows the pairs within a
+set, and its union-find only those of the shifts that can be free.
 
 The dense route (`assemble_constraints` -> `ConstraintSystem.iter_row_batches`
 -> `hermitian_nullspace`) is a test-only reference for the nullspace
@@ -83,41 +85,55 @@ def _decide_cut(k: int, owner: np.ndarray, f: np.ndarray, size: np.ndarray,
     Member m has bijection value f[m] and set size size[m]; its set's class
     nodes start at base[m].
 
-    Nodes are the D**2 entries, one zero node and one class node per shift
-    of each set.  Slot (g, x, y) of the (d_k, D, D) pair mask pairs the
-    members at columns x and y of row g, at entry x * D + y.  A pair across
-    sets forces its entry to 0; a pair within a set joins its entry to its
-    shift's class, and a class with fewer than s same-digit pairs, or with
-    one at a forced entry, joins zero.  The dimension counts the free
-    classes; one free class other than the diagonal raises
-    InternalConsistencyError, as the states cannot have been orthogonal.
+    Nodes are the D**2 entries, numbered first, and one class node per
+    shift of each set; there is no zero node.  Slot (g, x, y) of the
+    (d_k, D, D) pair mask pairs the members at columns x and y of row g, at
+    entry x * D + y.  A pair across sets forces its entry to 0.  A class
+    with fewer than s same-digit pairs is 0, and zeroes each entry it
+    meets; every pair of another class joins its entry to the class node.
+    Zeros are marked after the union-find: a component is 0 iff it holds a
+    forced or zeroed entry, so a class that meets a forced entry needs no
+    rule of its own.  The dimension counts the free classes; one free class
+    other than the diagonal raises InternalConsistencyError, as the states
+    cannot have been orthogonal.
     """
     D = owner.shape[1]
     hit = owner >= 0
     both = hit[:, :, None] & hit[:, None, :]
     group = base[owner]  # each member's set, by its first class node; empty slots lie outside both
     within = both & (group[:, :, None] == group[:, None, :])
-    forced = np.logical_or.reduce(both ^ within).ravel()
-    # each pair within a set, at its entry and its shift's class node
+    zero = np.logical_or.reduce(both ^ within).ravel()  # the forced entries so far
+    del both
+    # each pair within a set, at its entry and its shift's class node.  Each
+    # full-size temporary goes once read, since together they set the peak
+    # on large cuts; the three pair coordinates share one buffer.
     g, x, y = within.nonzero()
-    m = owner[g, x]
-    cls = (f[m] - f[owner[g, y]]) % size[m] + base[m]
+    del within
+    m = owner[g, y]  # in the same set as owner[g, x]
+    cls = f[owner[g, x]]
+    cls -= f[m]
+    cls %= size[m]
+    cls += base[m]
     entry = x * D + y
-    del g, x, y, m  # before the union-find, which sets the peak on large cuts
+    del g, x, y, m
 
     # a class meets s pairs in all; fewer same-digit ones means a zero pair,
-    # and so does one at a forced entry
-    dead = np.bincount(cls, minlength=len(size)) < size
-    dead[cls[forced[entry]]] = True
-    zero = D * D
-    a = zero + 1 + np.concatenate([cls, dead.nonzero()[0]])
-    b = np.concatenate([entry, np.full(len(a) - len(cls), zero)])
-    lab = _components(zero + 1 + len(size), a, b)
+    # so the class is 0 and zeroes every entry it meets.  Only the other
+    # classes' pairs are edges.
+    dead = (np.bincount(cls, minlength=len(size)) < size)[cls]
+    zero[entry[dead]] = True
+    live = ~dead
+    a, b = D * D + cls[live], entry[live]
+    del cls, entry, dead, live
+    lab = _components(D * D + len(size), a, b)
 
-    # a component is labelled by its smallest node, an entry if it holds one
-    comp = lab[:zero]
-    free = (comp != lab[zero]) & ~forced
-    classes = (free & (comp == np.arange(zero))).nonzero()[0]
+    # a component is labelled by its smallest node, an entry if it holds
+    # one, and is 0 iff it holds a zeroed entry
+    comp = lab[:D * D]
+    zeroed = np.zeros(D * D, dtype=bool)
+    zeroed[comp[zero]] = True
+    free = ~zeroed[comp]
+    classes = (free & (comp == np.arange(D * D))).nonzero()[0]
     if len(classes) < 2:
         if not (len(classes) == 1 and np.count_nonzero(free[::D + 1]) == D
                 and np.count_nonzero(free) == D):

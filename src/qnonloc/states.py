@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import _BLOCK_ENTRIES, Label, SetFamily, TupleSet, _decode, has_repeat
+from .lattice import (_BLOCK_ENTRIES, Label, SetFamily, TupleSet, _decode, _weights,
+                      has_repeat)
 
 
 class PhaseStateSet:
@@ -130,11 +131,12 @@ def genuine_entanglement_check(state_sets: Iterable[PhaseStateSet]) -> bool:
     is iff |S_A| * |S_B| == |S|.  Split m (0 <= m < 2**(n-1) - 1) puts
     party p on party 0's side iff bit p - 1 of m is set.  Splits go in
     blocks of at most _BLOCK_ENTRIES members x side columns, at least one
-    split a block.  A block ranks both sides of each of its splits, for
-    every member, with one product of the digits and a weight matrix (one
-    column per side); one lexsort along the member axis, by set and then
-    rank, counts the distinct ranks of each set.  The check stops at the
-    first block that holds a product split.
+    split a block.  A block ranks the left side of each of its splits, for
+    every member, with one product of the digits and the place values of
+    the left parties (one column per split); the right side's rank is the
+    member's rank minus its left side's.  One lexsort along the member
+    axis, by set and then rank, counts the distinct ranks of each set.
+    The check stops at the first block that holds a product split.
     """
     state_sets = list(state_sets)
     radix = shared_radix(state_sets)
@@ -143,7 +145,9 @@ def genuine_entanglement_check(state_sets: Iterable[PhaseStateSet]) -> bool:
         raise ValueError("entanglement needs at least two parties")
     sizes = np.array([ss.s for ss in state_sets])
     starts = sizes.cumsum() - sizes
-    digits = _decode(np.concatenate([ss.support.ranks for ss in state_sets]), radix)
+    ranks = np.concatenate([ss.support.ranks for ss in state_sets])
+    digits = _decode(ranks, radix)
+    weights = _weights(radix)[:, None]
     bit = np.arange(n - 1)[:, None]
     n_splits = 2 ** (n - 1) - 1
     per_block = max(1, _BLOCK_ENTRIES // (2 * len(digits)))
@@ -154,10 +158,10 @@ def genuine_entanglement_check(state_sets: Iterable[PhaseStateSet]) -> bool:
         m = np.arange(first, min(first + per_block, n_splits))
         left = np.ones((n, len(m)), dtype=bool)
         left[1:] = m >> bit & 1
-        inside = np.stack([left, ~left], axis=2).reshape(n, -1)  # (left, right) of each split
-        factor = np.where(inside, np.array(radix)[:, None], 1)
-        tail = np.cumprod(factor[::-1], axis=0)[::-1]  # product over parties p and after
-        rank = digits @ np.where(inside, tail // factor, 0)
+        # each side's digits keep their place value in the whole rank, so
+        # distinct strings give distinct sums: left sides, then right sides
+        rank = digits @ (left * weights)
+        rank = np.concatenate((rank, ranks[:, None] - rank), axis=1)
         # sorted by set, then rank, each set's distinct ranks start where the rank changes
         order = np.lexsort((rank, member_set[:, :rank.shape[1]]), axis=0)
         key = rank[order, np.arange(rank.shape[1])]
@@ -165,6 +169,6 @@ def genuine_entanglement_check(state_sets: Iterable[PhaseStateSet]) -> bool:
         new[1:] = key[1:] != key[:-1]
         new[starts] = True
         distinct = np.add.reduceat(new, starts, axis=0, dtype=np.int64)
-        if (distinct[:, 0::2] * distinct[:, 1::2] == sizes[:, None]).any():
+        if (distinct[:, :len(m)] * distinct[:, len(m):] == sizes[:, None]).any():
             return False
     return True

@@ -526,15 +526,40 @@ def test_verify_json_bytes_of_nontrivial_families(tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
 
-def test_files_are_utf8_whatever_the_locale(tmp_path):
-    # an ASCII locale without Python's UTF-8 mode or locale coercion
+# an ASCII locale without Python's UTF-8 mode or locale coercion
+_ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+
+def _accented_family(tmp_path) -> str:
+    """Write in.json, a family whose one set key is not ASCII, and return its text."""
     text = q.dumps_family(q.SetFamily((2, 2), {"é": q.TupleSet.from_tuples((2, 2), [(0, 1)])}))
     (tmp_path / "in.json").write_bytes(text.encode("utf-8"))
-    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    return text
+
+
+def _run_cli(tmp_path, argv, env):
+    """`python -m qnonloc.cli argv` in tmp_path, with env over the environment."""
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "qnonloc.cli", "export", "in.json",
-                           "--out", "out.json"], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", "qnonloc.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    text = _accented_family(tmp_path)
+    proc = _run_cli(tmp_path, ["export", "in.json", "--out", "out.json"], _ASCII_LOCALE)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out.json").read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [["import", "in.json"], ["verify", "in.json"],
+                                  ["verify", "in.json", "--format", "json"],
+                                  ["export", "in.json"]], ids=" ".join)
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, argv):
+    _accented_family(tmp_path)
+    utf8 = _run_cli(tmp_path, argv, {"PYTHONUTF8": "1"})
+    assert utf8.returncode in (0, 1), utf8.stderr
+    assert "é".encode("utf-8") in utf8.stdout
+    ascii_ = _run_cli(tmp_path, argv, _ASCII_LOCALE)
+    assert (ascii_.returncode, ascii_.stdout) == (utf8.returncode, utf8.stdout), ascii_.stderr

@@ -1,5 +1,9 @@
+import hashlib
 import itertools
+import json
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,3 +272,37 @@ def test_exact_route_rejects_non_orthogonal_input():
     other = q.TupleSet.from_tuples((2, 2), [(0, 1), (1, 1)])
     with pytest.raises(InternalConsistencyError):
         q.oracle_verify([q.PhaseStateSet(ts, 0), q.PhaseStateSet(other, 1)])
+
+
+PINNED_REPORTS = Path(__file__).parent / "data" / "oracle_reports.json"
+
+
+def _report_digests(bases):
+    """[nullspace_dim, free-class digest] of each cut, by family and bijection.
+
+    The families are the bases with d**n <= 256 and each of their one-set
+    ablations; each runs under the canonical bijection and the reversed one.
+    The digest is the first 16 hex digits of the SHA-256 of `free_class` as
+    little-endian int64, or None on a trivial cut.
+    """
+    out = {}
+    for name, fam in bases:
+        if math.prod(fam.radix) > 256:
+            continue
+        for tag, var in [("", fam)] + [(f"-{l}", fam.drop(l)) for l in fam.labels]:
+            reversed_ = [q.PhaseStateSet(ts, l, bijection=np.arange(len(ts))[::-1])
+                         for l, ts in var.items()]
+            for order, states in (("canonical", q.family_states(var)), ("reversed", reversed_)):
+                out[f"{name}{tag} {order}"] = [
+                    [r.nullspace_dim, None if r.free_class is None else
+                     hashlib.sha256(r.free_class.astype("<i8").tobytes()).hexdigest()[:16]]
+                    for r in q.oracle_verify(states)]
+    return out
+
+
+def test_oracle_reports_pinned(built_bases):
+    """Each cut's dimension and free class, and so its witness, as
+    tests/data/oracle_reports.json pins them (`_report_digests` of the built
+    bases, one family a line)."""
+    pinned = json.loads(PINNED_REPORTS.read_text(encoding="utf-8"))
+    assert _report_digests(built_bases) == pinned
