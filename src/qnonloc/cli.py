@@ -8,7 +8,8 @@ the combinatorial conditions are sufficient but not exhaustive.  The oracle
 compares integers, so verify takes no tolerance.  QNONLOC_CAP, the one
 cap (`caps`), is checked at the start of every run; a malformed value, or
 work over the cap (written witnesses and state exports included), is an
-error and the run exits 2, like any other invalid input.  The oracle
+error and the run exits 2, like any other invalid input; only `import`
+of a file that is not a valid family exits 1.  The oracle
 decides every selected cut in one call; a written report's witnesses are
 held to the cap once, before any is built.  Files and stdout are UTF-8
 whatever the locale.
@@ -26,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import caps
-from .errors import QnonlocError
+from .errors import FamilyFormatError, QnonlocError
 from .lattice import ModifiedFamily, build_modified_family
 from .serialize import (cut_report_to_json, dumps_canonical, dumps_family,
                         load_family, oracle_report_to_json, save_family,
@@ -256,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
         return _DISPATCH[args.command](args)
     except QnonlocError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1 if args.command == "import" else 2
+        return 1 if args.command == "import" and isinstance(e, FamilyFormatError) else 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

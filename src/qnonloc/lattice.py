@@ -130,10 +130,14 @@ def member_cube(radix: tuple[int, ...], sets: Sequence[TupleSet], *,
 def _requested_cuts(n: int, cuts: Sequence[int] | None) -> list[int]:
     """The cuts of an n-party family a call decides, every one by default,
     as Python ints; a ValueError, before any work, unless n >= 2 and the
-    request names at least one cut, each an integer (not a bool) in 0..n-1."""
+    request is a list of at least one cut, each an integer (not a bool) in
+    0..n-1."""
     if n < 2:
         raise ValueError("a cut needs at least two parties")
-    cuts = list(range(n)) if cuts is None else list(cuts)
+    try:
+        cuts = list(range(n)) if cuts is None else list(cuts)
+    except TypeError:
+        raise ValueError(f"cuts {cuts!r} is not a list of integers") from None
     if not cuts:
         raise ValueError("no cut requested")
     for k in cuts:
@@ -376,8 +380,8 @@ def choose_xi(d: int, n: int, strategy: int | str = "smallest") -> int:
 
     A nonzero digit xi is admissible when its diagonal home is a kept label.
     "smallest" returns the least admissible digit, "structured" the digit of
-    the case split on n mod d.  An integer must be an admissible digit in
-    1..d-1, and is returned as-is.
+    the case split on n mod d.  An integer (not a bool; a numpy integer
+    too) must be an admissible digit in 1..d-1, and is returned as an int.
     """
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
@@ -386,7 +390,8 @@ def choose_xi(d: int, n: int, strategy: int | str = "smallest") -> int:
     def admissible(x: int) -> bool:
         return x != 0 and diagonal_home(x, n, d) in kept
 
-    if isinstance(strategy, int) and not isinstance(strategy, bool):
+    if isinstance(strategy, (int, np.integer)) and not isinstance(strategy, bool):
+        strategy = int(strategy)
         if not 1 <= strategy < d:
             raise InadmissibleXiError(f"xi={strategy} outside 1..{d - 1}")
         if not admissible(strategy):

@@ -40,12 +40,12 @@ still holds each cut's own count, so a block allocates the sum of its cuts'
 checked counts.
 
 A cut of more than _BLOCK_ENTRIES // 2 entries is a block of its own, and
-is checked on its distinct columns, found by one sort: each weighs the
-class sizes and co-occurrence counts by the columns it stands for, while
-pair covering and connectivity read only which columns occur.  So every
-verdict and every checked count is the full table's, and the work after
-the sort follows the distinct columns, not D: a cut of modified (d, n) has
-d + 2 of them whatever n.
+is checked on its distinct columns, each kept at most twice, found by one
+sort: the cover search reads its counts only as 0, 1 or more, while pair
+covering and connectivity read only which columns occur.  So every verdict
+and every checked count is the full table's, and the work after the sort
+follows the distinct columns, not D: a cut of modified (d, n) has d + 2 of
+them whatever n.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class LabelVerdict:
 _UNRESOLVED = LabelVerdict(Condition.UNRESOLVED)
 
 
-def _classify(tables: np.ndarray, labels: list[Label], limit: int,
-              weights: np.ndarray | None) -> list[dict[Label, LabelVerdict]]:
+def _classify(tables: np.ndarray, labels: list[Label],
+              limit: int) -> list[dict[Label, LabelVerdict]]:
     """Assign each label of each stacked cut the first sufficient condition
     that resolves it.
 
@@ -105,17 +105,16 @@ def _classify(tables: np.ndarray, labels: list[Label], limit: int,
     label of one cut is a different target from the same label of another:
     the co-occurrence count is keyed by (cut, unresolved label).
 
-    `weights`, given for a block of one cut's distinct columns, holds how
-    many columns of the cut each stands for, and weighs the class sizes and
-    co-occurrence counts by them; `None` counts each column once.
+    Each count is read only as 0, 1 or more: class sizes as > 0 and == 1,
+    co-occurrence counts as own + empty == 0 and == 1, and `blocked`, a sum
+    of them, as == 0.  So a third copy of a column changes no verdict and no
+    checked count, and a table may keep each distinct column at most twice.
     """
     C, d_k, D = tables.shape
     L = len(labels)
     lab = tables % (L + 1)  # an empty entry reads as label L, which nothing admits
     row = np.arange(0, C * d_k * (L + 1), L + 1).reshape(C, d_k, 1)
-    w = None if weights is None else np.broadcast_to(weights, lab.shape).ravel()
-    sizes = np.bincount((lab + row).ravel(), w,
-                        minlength=C * d_k * (L + 1)).reshape(C, d_k, L + 1)
+    sizes = np.bincount((lab + row).ravel(), minlength=C * d_k * (L + 1)).reshape(C, d_k, L + 1)
     sizes[..., L] = 0  # so label L is never present, single or resolved
     present = sizes > 0
     single = sizes == 1
@@ -136,11 +135,10 @@ def _classify(tables: np.ndarray, labels: list[Label], limit: int,
     tau = at // D % d_k
     key = (u[at] * d_k + tau) * (L + 1)
     at -= tau * D
-    w = None if weights is None else weights[at % D]
     lab = lab.ravel()
     count = np.empty((len(U), d_k, d_k, L + 1), dtype=np.int64)
     for g in range(d_k):
-        count[:, :, g] = np.bincount(key + lab[at + g * D], w, minlength=len(U) * d_k * (L + 1)
+        count[:, :, g] = np.bincount(key + lab[at + g * D], minlength=len(U) * d_k * (L + 1)
                                      ).reshape(len(U), d_k, L + 1)
     # class (tau, U[j]), where present, is covered at g when row g holds only
     # admitted labels there, so never at g == tau, where the target sits
@@ -239,14 +237,14 @@ def _connectivity(tables: np.ndarray, n_labels: int) -> list[bool]:
     return (lab.reshape(-1, n_labels) == base[:, None]).all(axis=1).tolist()
 
 
-def _distinct_columns(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A (d_k, D) label table's distinct columns, by one sort, as a block of
-    one cut, and how many columns of the table each stands for."""
+def _distinct_columns(table: np.ndarray) -> np.ndarray:
+    """A (d_k, D) label table's distinct columns, each kept at most twice,
+    by one sort, as a block of one cut."""
     table = np.take(table, np.lexsort(table), axis=1)  # faster than fancy indexing here
-    starts = np.ones(table.shape[1], dtype=bool)
-    starts[1:] = (table[:, 1:] != table[:, :-1]).any(axis=0)
-    starts = np.flatnonzero(starts)
-    return table[None, :, starts], np.diff(starts, append=table.shape[1])
+    # after the sort, a column is a third copy or more exactly when it equals the one two before
+    kept = np.ones(table.shape[1], dtype=bool)
+    kept[2:] = (table[:, 2:] != table[:, :-2]).any(axis=0)
+    return table[None, :, np.flatnonzero(kept)]
 
 
 @dataclass
@@ -278,7 +276,7 @@ def verify_strongest_nonlocality(family: SetFamily, cuts: list[int] | None = Non
     with the same d_k are stacked into blocks of at most _BLOCK_ENTRIES
     table entries, and the three checks run once per block.  A cut of more
     than _BLOCK_ENTRIES // 2 entries is a block of its own, checked on its
-    distinct columns with how many columns each stands for as weights.
+    distinct columns, each kept at most twice.
     """
     cuts = _requested_cuts(len(family.radix), cuts)
     limit = caps.enum_cap()
@@ -296,10 +294,10 @@ def verify_strongest_nonlocality(family: SetFamily, cuts: list[int] | None = Non
         for start in range(0, len(group), per_block):
             block = group[start:start + per_block]
             if cube.size > _BLOCK_ENTRIES // 2:  # a block of one cut: check its distinct columns
-                tables, weights = _distinct_columns(cut_table(cube, cuts[block[0]]))
+                tables = _distinct_columns(cut_table(cube, cuts[block[0]]))
             else:
-                tables, weights = np.stack([cut_table(cube, cuts[i]) for i in block]), None
-            checks = zip(block, _classify(tables, family.labels, limit, weights),
+                tables = np.stack([cut_table(cube, cuts[i]) for i in block])
+            checks = zip(block, _classify(tables, family.labels, limit),
                          _pair_covering(tables, limit), _connectivity(tables, len(family)))
             for i, conditions, pair, conn in checks:
                 reports[i] = CutReport(k=cuts[i], conditions=conditions, pair_covering=pair,

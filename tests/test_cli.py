@@ -320,6 +320,16 @@ def test_env_cap_respected(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_import_over_the_cap_exits_2(monkeypatch, capsys):
+    # a family too large for the cap is no invalid family: import exits 2,
+    # as export and verify do, and only a FamilyFormatError exits 1
+    monkeypatch.setenv(caps.ENV_VAR, "10")
+    for command in ("import", "export", "verify"):
+        assert main([command, str(GOLDEN)]) == 2
+    assert capsys.readouterr().err == 3 * (
+        "error: 64 tuples in the cube exceed enumeration cap 10 (set QNONLOC_CAP to raise it)\n")
+
+
 def test_env_cap_bounds_state_export(tmp_path, monkeypatch, capsys):
     # modified (4,3) exports sum(s * (n + 1)) = 48 * 4 = 192 numbers, each
     # set's support and bijection once; a refused export writes neither file

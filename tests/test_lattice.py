@@ -244,6 +244,20 @@ def test_choose_xi_strategies():
         q.choose_xi(4, 3, "fancy")
 
 
+def test_numpy_integer_xi_is_the_int_it_holds():
+    # stored as an int, so the family writes as the one built from xi=2,
+    # where json would refuse a numpy integer; a bool is no digit
+    assert type(q.choose_xi(4, 3, np.int64(2))) is int
+    with pytest.raises(InadmissibleXiError, match="^xi=1 maps to label 3"):
+        q.choose_xi(4, 3, np.uint8(1))
+    fam = q.ModifiedFamily(4, 3, np.int64(2))
+    assert type(fam.xi) is int
+    assert q.dumps_family(fam) == q.dumps_family(q.ModifiedFamily(4, 3, 2))
+    for bad in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            q.choose_xi(4, 3, bad)
+
+
 # -------------------------------------------------- modified construction
 
 def test_modified_family_structure(ex1_family):

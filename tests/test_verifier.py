@@ -144,6 +144,10 @@ def test_requested_cuts_are_nonempty_lists_of_integers():
         # no cut would read as a trivial family
         with pytest.raises(ValueError, match="no cut requested"):
             route([])
+        # a request that is not a list of cuts is refused before any work
+        for bad in (0, np.int64(1), 1.5):
+            with pytest.raises(ValueError, match=f"cuts {re.escape(repr(bad))} is not a list"):
+                route(bad)
         for bad in (True, 1.0, "1", np.float64(1)):
             with pytest.raises(ValueError, match=f"cut {re.escape(repr(bad))} is not an integer"):
                 route([0, bad])
@@ -569,22 +573,22 @@ def test_verdicts_do_not_depend_on_label_numbering(built_slice):
 
 
 @pytest.mark.parametrize("build, blocks", [
-    (lambda: q.build_index_family(6, 4), [((4, 6, 216), None)]),
-    (lambda: q.build_index_family(3, 7), [((3, 3, 729), None)] * 2 + [((1, 3, 729), None)]),
-    (lambda: q.build_modified_family(4, 7), [((1, 4, 6), 4096)] * 7),
+    (lambda: q.build_index_family(6, 4), [(4, 6, 216)]),
+    (lambda: q.build_index_family(3, 7), [(3, 3, 729)] * 2 + [(1, 3, 729)]),
+    (lambda: q.build_modified_family(4, 7), [(1, 4, 10)] * 7),
     (lambda: q.SetFamily((4, 2, 3, 2), {0: q.TupleSet((4, 2, 3, 2), np.arange(48))}),
-     [((1, 4, 12), None), ((2, 2, 24), None), ((1, 3, 16), None)]),
+     [(1, 4, 12), (2, 2, 24), (1, 3, 16)]),
 ], ids=["index(6,4)", "index(3,7)", "modified(4,7)", "mixed"])
 def test_cuts_stack_by_digit_count_in_blocks(monkeypatch, build, blocks):
     # a block holds cuts of one d_k and at most 8192 table entries; a cut of
     # more than 4096 entries is a block of its own, checked on its distinct
-    # columns, weighted by the D columns they stand for
+    # columns, each kept at most twice
     from qnonloc import verifier
     seen = []
 
-    def recording(tables, labels, limit, weights):
-        seen.append((tables.shape, None if weights is None else int(weights.sum())))
-        return classify(tables, labels, limit, weights)
+    def recording(tables, labels, limit):
+        seen.append(tables.shape)
+        return classify(tables, labels, limit)
 
     classify = verifier._classify
     monkeypatch.setattr(verifier, "_classify", recording)
@@ -607,9 +611,43 @@ def test_modified_cuts_have_d_plus_2_distinct_columns(d, n):
     # work on a merged cut does not grow with D
     from qnonloc.verifier import _distinct_columns
     for table in _cut_tables(q.build_modified_family(d, n)):
-        columns, weights = _distinct_columns(table)
-        assert columns.shape == (1, d, d + 2)
-        assert weights.sum() == d ** (n - 1)
+        columns = _distinct_columns(table)
+        assert columns.shape == (1, d, 2 * d + 2)
+        _, copies = np.unique(columns[0].T, axis=0, return_counts=True)
+        assert len(copies) == d + 2 and copies.max() == 2
+        # every kept column is one of the table's
+        assert {*map(tuple, columns[0].T)} == {*map(tuple, table.T)}
+
+
+@st.composite
+def repeating_tables(draw):
+    """A (d_k, D) label table over 1 to 5 labels, with some empty entries
+    (-1): up to 8 random columns, each repeated 1 to 5 times, in a random
+    order, so at most 40 columns."""
+    d_k, L = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    column = st.lists(st.integers(-1, L - 1), min_size=d_k, max_size=d_k)
+    columns = draw(st.lists(st.tuples(column, st.integers(1, 5)), min_size=1, max_size=8))
+    table = draw(st.permutations([c for c, times in columns for _ in range(times)]))
+    return np.array(table, dtype=np.int32).T, L
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeating_tables())
+def test_checks_on_columns_kept_at_most_twice_match_the_full_table(table_labels):
+    """Every count the checks read is read only as 0, 1 or more, so a table
+    with each distinct column kept at most twice gives the full table's
+    verdicts, pair covering and connectivity."""
+    from qnonloc.verifier import _classify, _connectivity, _distinct_columns, _pair_covering
+    table, L = table_labels
+    kept = _distinct_columns(table)
+    columns, copies = np.unique(kept[0].T, axis=0, return_counts=True)
+    all_columns, all_copies = np.unique(table.T, axis=0, return_counts=True)
+    assert np.array_equal(columns, all_columns)
+    assert np.array_equal(copies, np.minimum(all_copies, 2))
+    full, labels = table[None], list(range(L))
+    assert _classify(kept, labels, 10**7) == _classify(full, labels, 10**7)
+    assert _pair_covering(kept, 10**7) == _pair_covering(full, 10**7)
+    assert _connectivity(kept, L) == _connectivity(full, L)
 
 
 def _random_labeling(radix, n_labels, seed):
@@ -650,14 +688,14 @@ def test_merged_cuts_match_the_full_tables(merged_battery):
         for k, table in enumerate(_cut_tables(fam)):
             assert table.size > 4096, name
             full = table[None]
-            conditions = _classify(full, fam.labels, 10**7, None)[0]
+            conditions = _classify(full, fam.labels, 10**7)[0]
             pair = _pair_covering(full, 10**7)[0]
             conn = _connectivity(full, len(fam))[0]
             want = CutReport(k, conditions, pair, conn, _cut_overall(conditions, pair, conn))
             assert reports[k] == want, (name, k)
             seen.update(v.condition for v in conditions.values())
             seen.update([("pair", pair), ("conn", conn)])
-            distinct.append(_distinct_columns(table)[0].shape[2] / table.shape[1])
+            distinct.append(_distinct_columns(table).shape[2] / table.shape[1])
         seen.add(q.overall_verdict(reports))
     assert seen == {*Condition, "trivial", "inconclusive", "nontrivial",
                     ("pair", True), ("pair", False), ("conn", True), ("conn", False)}
