@@ -8,8 +8,10 @@ counts, U the sets with no singleton class out of L), R**2 for its pair
 covering on a cut (residual row pairs, R the distinct extension rows),
 d_k * D**2 for the exact oracle on a cut (its same-digit pair slots,
 checked for every requested cut before it builds anything), N (N - 1) D**2
-for the dense reference's row matrix, the d**2 cells of the diagonal-home
-grid, and the numbers a state export (sum of s * (n + 1): each set's
+for the dense reference's row matrix (checked before any amplitude is
+built), (2**(n-1) - 1) * m member splits for the genuine-entanglement check
+(m the members of all sets), the d**2 cells of the diagonal-home grid, and
+the numbers a state export (sum of s * (n + 1): each set's
 support and bijection) or a verify JSON's witnesses (2 * D**2 summed over
 the nontrivial cuts, checked once, before any witness is built) would
 write.  The QNONLOC_CAP environment variable, one positive integer, is the
@@ -17,11 +19,11 @@ only override.  It is read on every `check`, except that each call of
 either route reads it once at entry, after checking its cuts, and passes
 it to every check of that call.
 
-The checker decides cuts of one d_k together, in blocks (`verifier`).  Its
-counts are still checked cut by cut, so a block allocates the sum of its
-cuts' checked counts (pair covering pads each cut's rows to the block's
-largest R); a block holds at most 8192 table entries, so only cuts of at
-most 4096 entries share one.
+The checker decides a request in blocks (`verifier`).  Its counts are
+still checked cut by cut, so a block allocates the sum of its cuts' checked
+counts (pair covering pads each cut's rows to the block's largest R); a
+block holds at most 8192 table entries, and cuts share one only when every
+requested cut has the same d_k and each has at most 4096 entries.
 """
 
 from __future__ import annotations

@@ -132,8 +132,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .verifier import overall_verdict, verify_strongest_nonlocality
 
     fam = load_family(args.family)
-    # both routes refuse a cut out of range before any work
-    cuts = list(range(len(fam.radix))) if args.cut == "all" else [args.cut]
+    # both routes expand None to every cut, and refuse a cut out of range before any work
+    cuts = None if args.cut == "all" else [args.cut]
 
     reports = verify_strongest_nonlocality(fam, cuts=cuts)
     comb_overall = overall_verdict(reports)

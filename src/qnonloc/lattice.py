@@ -52,12 +52,8 @@ def _check_radix(radix: Sequence[int]) -> tuple[int, ...]:
 
 
 def _weights(radix: Sequence[int]) -> np.ndarray:
-    w = np.empty(len(radix), dtype=np.int64)
-    acc = 1
-    for p in range(len(radix) - 1, -1, -1):
-        w[p] = acc
-        acc *= radix[p]
-    return w
+    """Each position's place value: the product of the radix entries after it."""
+    return np.cumprod([1, *radix[::-1]], dtype=np.int64)[-2::-1]
 
 
 def _decode(ranks: np.ndarray, radix: Sequence[int]) -> np.ndarray:

@@ -77,6 +77,12 @@ class OracleReport:
         W = H - (np.trace(H) / D) * np.eye(D)
         return W / np.linalg.norm(W)
 
+    def __eq__(self, other: object) -> bool:
+        """Field by field, by value: a free class entry by entry, and None only to None."""
+        if not isinstance(other, OracleReport):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
 
 def _decide_cut(k: int, owner: np.ndarray, f: np.ndarray, size: np.ndarray,
                 base: np.ndarray) -> OracleReport:
@@ -204,11 +210,13 @@ class ConstraintSystem:
 
 
 def assemble_constraints(state_sets: Sequence[PhaseStateSet], k: int) -> ConstraintSystem:
-    """Reshape every state to unit norm with party k in front."""
+    """Reshape every state to unit norm with party k in front, after the row matrix's cap check."""
     state_sets = list(state_sets)
     radix = shared_radix(state_sets)
     _requested_cuts(len(radix), [k])
     d_k, D = radix[k], math.prod(radix) // radix[k]
+    N = sum(ss.s for ss in state_sets)
+    caps.check(N * (N - 1) * D * D, "entries in the row matrix")
 
     blocks = []
     for ss in state_sets:

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import caps
 from .lattice import (_BLOCK_ENTRIES, Label, SetFamily, TupleSet, _decode, _weights,
                       has_repeat)
 
@@ -136,7 +137,8 @@ def genuine_entanglement_check(state_sets: Iterable[PhaseStateSet]) -> bool:
     the left parties (one column per split); the right side's rank is the
     member's rank minus its left side's.  One lexsort along the member
     axis, by set and then rank, counts the distinct ranks of each set.
-    The check stops at the first block that holds a product split.
+    The (2**(n-1) - 1) * m member splits, m the members of all sets, are
+    held to the cap first, and the check stops at the first product split.
     """
     state_sets = list(state_sets)
     radix = shared_radix(state_sets)
@@ -146,10 +148,11 @@ def genuine_entanglement_check(state_sets: Iterable[PhaseStateSet]) -> bool:
     sizes = np.array([ss.s for ss in state_sets])
     starts = sizes.cumsum() - sizes
     ranks = np.concatenate([ss.support.ranks for ss in state_sets])
+    n_splits = 2 ** (n - 1) - 1
+    caps.check(n_splits * len(ranks), "member splits")
     digits = _decode(ranks, radix)
     weights = _weights(radix)[:, None]
     bit = np.arange(n - 1)[:, None]
-    n_splits = 2 ** (n - 1) - 1
     per_block = max(1, _BLOCK_ENTRIES // (2 * len(digits)))
     # each member's set, once for every side column of a block
     member_set = np.repeat(np.arange(len(sizes)), sizes * 2 * min(per_block, n_splits)

@@ -30,22 +30,21 @@ failing proves the cut nontrivial for every bijection: residuals with no
 common digit leave their entry met by no pair, and split footprints split
 the diagonal into free classes.
 
-The one entry point, `verify_strongest_nonlocality`, returns one
-`CutReport` per cut.  It stacks the tables of the requested cuts with the
-same d_k into blocks of at most _BLOCK_ENTRIES entries and runs each check
-once per block with a leading cut axis: the co-occurrence count is keyed by
-(cut, target label), pair covering deduplicates fill patterns per cut, and
-connectivity labels the components of cut-offset label nodes.  Every cap
-still holds each cut's own count, so a block allocates the sum of its cuts'
-checked counts.
+The one entry point, `verify_strongest_nonlocality`, walks the requested
+cuts once, in order, in blocks: as many cuts as fit _BLOCK_ENTRIES table
+entries when they all have one d_k, else one cut a block.  A block of
+several cuts stacks their tables and runs each check once with a leading
+cut axis: the co-occurrence count is keyed by (cut, target label), pair
+covering deduplicates fill patterns per cut, and connectivity labels the
+components of cut-offset label nodes.  Every cap still holds each cut's
+own count, so a block allocates the sum of its cuts' checked counts.
 
-A cut of more than _BLOCK_ENTRIES // 2 entries is a block of its own, and
-is checked on its distinct columns, each kept at most twice, found by one
-sort: the cover search reads its counts only as 0, 1 or more, while pair
-covering and connectivity read only which columns occur.  So every verdict
-and every checked count is the full table's, and the work after the sort
-follows the distinct columns, not D: a cut of modified (d, n) has d + 2 of
-them whatever n.
+A block of one cut is checked on its distinct columns, each kept at most
+twice, found by one sort: the cover search reads its counts only as 0, 1
+or more, while pair covering and connectivity read only which columns
+occur.  So every verdict and every checked count is the full table's, and
+the work after the sort follows the distinct columns, not D: a cut of
+modified (d, n) has d + 2 of them whatever n.
 """
 
 from __future__ import annotations
@@ -272,11 +271,9 @@ def verify_strongest_nonlocality(family: SetFamily, cuts: list[int] | None = Non
     "nontrivial", whatever the labels; with both holding, "trivial" needs
     every label resolved, and any unresolved label leaves it "inconclusive".
     The cap is read once, and the family laid out once, as each tuple's
-    label index; each cut's table is a transposed copy of that cube.  Cuts
-    with the same d_k are stacked into blocks of at most _BLOCK_ENTRIES
-    table entries, and the three checks run once per block.  A cut of more
-    than _BLOCK_ENTRIES // 2 entries is a block of its own, checked on its
-    distinct columns, each kept at most twice.
+    label index; each cut's table is a transposed copy of that cube.  The
+    three checks run once per block of cuts (see the module docstring), and
+    the reports come back in the order requested.
     """
     cuts = _requested_cuts(len(family.radix), cuts)
     limit = caps.enum_cap()
@@ -284,26 +281,20 @@ def verify_strongest_nonlocality(family: SetFamily, cuts: list[int] | None = Non
     label = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
     # an empty entry numbers member -1, which picks the -1 appended last
     cube = np.append(label, np.int32(-1))[member_cube(family.radix, family.sets(), limit=limit)]
-    # every cut's table holds the whole cube
-    per_block = max(1, _BLOCK_ENTRIES // cube.size)
-    groups: dict[int, list[int]] = {}
-    for i, k in enumerate(cuts):
-        groups.setdefault(family.radix[k], []).append(i)
-    reports: dict[int, CutReport] = {}  # by position in `cuts`
-    for group in groups.values():
-        for start in range(0, len(group), per_block):
-            block = group[start:start + per_block]
-            if cube.size > _BLOCK_ENTRIES // 2:  # a block of one cut: check its distinct columns
-                tables = _distinct_columns(cut_table(cube, cuts[block[0]]))
-            else:
-                tables = np.stack([cut_table(cube, cuts[i]) for i in block])
-            checks = zip(block, _classify(tables, family.labels, limit),
-                         _pair_covering(tables, limit), _connectivity(tables, len(family)))
-            for i, conditions, pair, conn in checks:
-                reports[i] = CutReport(k=cuts[i], conditions=conditions, pair_covering=pair,
-                                       connectivity=conn,
-                                       overall=_cut_overall(conditions, pair, conn))
-    return [reports[i] for i in range(len(cuts))]
+    # every cut's table holds the whole cube; only cuts of one d_k stack
+    one_d_k = len({family.radix[k] for k in cuts}) == 1
+    per_block = max(1, _BLOCK_ENTRIES // cube.size) if one_d_k else 1
+    reports = []
+    for start in range(0, len(cuts), per_block):
+        block = cuts[start:start + per_block]
+        # a block of one cut is checked on its distinct columns
+        tables = (_distinct_columns(cut_table(cube, block[0])) if per_block == 1
+                  else np.stack([cut_table(cube, k) for k in block]))
+        checks = zip(block, _classify(tables, family.labels, limit), _pair_covering(tables, limit),
+                     _connectivity(tables, len(family)))
+        reports += [CutReport(k, conditions, pair, conn, _cut_overall(conditions, pair, conn))
+                    for k, conditions, pair, conn in checks]
+    return reports
 
 
 def overall_verdict(reports: list[CutReport]) -> str:

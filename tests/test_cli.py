@@ -66,13 +66,17 @@ def test_verify_flags_oracle_trivial_on_combinatorial_nontrivial(
     q.save_family(q.SetFamily(radix, sets), path)
 
     def all_trivial(state_sets, cuts, **kwargs):
+        cuts = range(len(radix)) if cuts is None else cuts
         return [q.OracleReport(k=k, D=2, nullspace_dim=1, verdict="trivial") for k in cuts]
 
     monkeypatch.setattr("qnonloc.oracle.oracle_verify", all_trivial)
+    messages = [f"cut {k}: combinatorial nontrivial but oracle trivial" for k in (0, 1)]
     assert main(["verify", str(path), "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["agreement"] == [f"cut {k}: combinatorial nontrivial but oracle trivial"
-                                for k in (0, 1)]
+    assert doc["agreement"] == messages
+    assert main(["verify", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [f"DISAGREEMENT: {m}" for m in messages]
 
 
 def test_verify_single_cut_json(tmp_path, capsys):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import qnonloc as q
 from qnonloc.errors import InadmissibleXiError, InternalConsistencyError, ResourceLimitError
-from qnonloc.lattice import (_components, _decode, _encode, cut_table, has_repeat, member_cube,
-                             sorted_unique)
+from qnonloc.lattice import (_components, _decode, _encode, _weights, cut_table, has_repeat,
+                             member_cube, sorted_unique)
 
 
 def digit_sum_class(d, n, i):
@@ -39,6 +39,29 @@ def test_tupleset_rejects_out_of_range():
     with pytest.raises(ValueError):
         q.TupleSet.from_tuples((2, 2), [(0,)])
 
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: q.TupleSet((), [0]), ValueError, "radix must have at least one position"),
+    (lambda: q.TupleSet((2,) * 63, [0]), ValueError, "radix product too large to index"),
+    (lambda: q.TupleSet((2, 2), [4]), ValueError, "rank out of range for radix"),
+    (lambda: q.TupleSet((2, 2), [-1]), ValueError, "rank out of range for radix"),
+    (lambda: q.SetFamily((2,), {}), ValueError, "family must contain at least one set"),
+    (lambda: q.SetFamily((2, 2), {0: q.TupleSet((2, 3), [0])}), ValueError,
+     "set 0 has radix (2, 3), family has (2, 2)"),
+    (lambda: q.SetFamily((2,), {0: q.TupleSet((2,), [0])}).drop(7), KeyError, "7"),
+    (lambda: q.build_index_family(1, 3), ValueError, "d must be >= 2"),
+    (lambda: q.build_index_family(2, 0), ValueError, "n must be >= 1"),
+    (lambda: q.diagonal_home(4, 3, 4), ValueError, "need 0 <= xi < d"),
+    (lambda: q.diagonal_home(1, 0, 4), ValueError, "n must be >= 1"),
+    (lambda: q.choose_xi(1, 3), ValueError, "need d >= 2 and n >= 1"),
+    (lambda: q.construction_size(1, 3), ValueError, "need d >= 2 and n >= 1"),
+    (lambda: q.ModifiedFamily(1, 3), ValueError, "d must be >= 2"),
+], ids=["empty radix", "radix too large", "rank too large", "rank negative", "no set",
+        "radix mismatch", "drop missing", "index d", "index n", "home xi", "home n",
+        "choose_xi d", "size d", "modified d"])
+def test_lattice_refusals(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 def test_tupleset_refuses_one_digit_parties_and_no_tuples(ex1_family):
     # modified (4,3) has the flagship's states with an empty set beside them,
@@ -75,6 +98,15 @@ def test_sort_helpers_match_numpy_unique_on_packed_rows(width, rows):
     assert sorted_unique(view).tolist() == np.unique(view).tolist()
     assert has_repeat(view) == (len(np.unique(view)) != len(view))
 
+
+@given(st.lists(st.integers(2, 9), max_size=12) | st.just([2] * 62))
+def test_weights_are_place_values(radix):
+    # a loop reference: each place value is the product of the radix entries after it
+    expected, acc = [], 1
+    for d in reversed(radix):
+        expected.insert(0, acc)
+        acc *= d
+    assert _weights(radix).tolist() == expected
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(2, 6), min_size=1, max_size=5), st.data())

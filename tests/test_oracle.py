@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -136,6 +137,32 @@ def test_row_matrix_held_to_enumeration_cap(bell_family, monkeypatch):
     with pytest.raises(ResourceLimitError):
         hermitian_nullspace(sys)
 
+
+def test_dense_amplitudes_held_to_cap(monkeypatch):
+    # modified (4,4) has 192 states at D = 64: its row matrix is refused
+    # before a single amplitude is built
+    states = q.family_states(q.build_modified_family(4, 4))
+    count = 192 * 191 * 64 ** 2
+
+    def no_amplitudes(self):
+        raise AssertionError("amplitudes built past the cap")
+
+    monkeypatch.setattr(q.PhaseStateSet, "dense_all", no_amplitudes)
+    monkeypatch.setenv("QNONLOC_CAP", str(count - 1))
+    with pytest.raises(ResourceLimitError, match=f"{count} entries in the row matrix"):
+        assemble_constraints(states, 0)
+
+
+def test_oracle_reports_compare_by_value():
+    states = q.family_states(q.build_index_family(3, 3))
+    reports = q.oracle_verify(states)
+    assert [r.free_class is None for r in reports] == [True, False, True]
+    assert reports == q.oracle_verify(states)
+    changed = dataclasses.replace(reports[1], free_class=reports[1].free_class.copy())
+    changed.free_class[0] += 1
+    assert changed != reports[1]
+    assert dataclasses.replace(reports[1], free_class=None) != reports[1]
+    assert reports[1] != dataclasses.replace(reports[1], free_class=None)
 
 def test_oracle_verify_example(ex1_family):
     states = q.family_states(ex1_family.family)

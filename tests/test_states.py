@@ -179,6 +179,21 @@ def test_genuine_entanglement_small():
         q.genuine_entanglement_check(q.family_states(q.build_index_family(3, 1)))
 
 
+def test_genuine_entanglement_held_to_cap(monkeypatch):
+    # a GHZ pair is genuinely entangled, so no split stops the check early:
+    # its (2**(n-1) - 1) * 2 member splits are held to the cap before any work
+    def ghz(n):
+        return [q.PhaseStateSet(q.TupleSet((2,) * n, [0, 2 ** n - 1]))]
+
+    monkeypatch.setenv("QNONLOC_CAP", "14")
+    assert q.genuine_entanglement_check(ghz(4))
+    monkeypatch.setenv("QNONLOC_CAP", "13")
+    with pytest.raises(q.ResourceLimitError, match="14 member splits"):
+        q.genuine_entanglement_check(ghz(4))
+    monkeypatch.setenv("QNONLOC_CAP", "100000")
+    with pytest.raises(q.ResourceLimitError, match="1048574 member splits"):
+        q.genuine_entanglement_check(ghz(20))
+
 def test_genuine_entanglement_matches_per_state_ranks():
     flagship = q.build_modified_family(4, 3).family
     families = [q.build_index_family(2, 2), q.build_index_family(3, 3), flagship]

@@ -577,12 +577,13 @@ def test_verdicts_do_not_depend_on_label_numbering(built_slice):
     (lambda: q.build_index_family(3, 7), [(3, 3, 729)] * 2 + [(1, 3, 729)]),
     (lambda: q.build_modified_family(4, 7), [(1, 4, 10)] * 7),
     (lambda: q.SetFamily((4, 2, 3, 2), {0: q.TupleSet((4, 2, 3, 2), np.arange(48))}),
-     [(1, 4, 12), (2, 2, 24), (1, 3, 16)]),
+     [(1, 4, 2), (1, 2, 2), (1, 3, 2), (1, 2, 2)]),
 ], ids=["index(6,4)", "index(3,7)", "modified(4,7)", "mixed"])
 def test_cuts_stack_by_digit_count_in_blocks(monkeypatch, build, blocks):
-    # a block holds cuts of one d_k and at most 8192 table entries; a cut of
-    # more than 4096 entries is a block of its own, checked on its distinct
-    # columns, each kept at most twice
+    # a request over one d_k goes in blocks of at most 8192 table entries,
+    # and one over several d_k one cut a block, in the order requested; a
+    # block of one cut is checked on its distinct columns, each kept at most
+    # twice
     from qnonloc import verifier
     seen = []
 
