@@ -19,11 +19,13 @@ only override.  It is read on every `check`, except that each call of
 either route reads it once at entry, after checking its cuts, and passes
 it to every check of that call.
 
-The checker decides a request in blocks (`verifier`).  Its counts are
-still checked cut by cut, so a block allocates the sum of its cuts' checked
-counts (pair covering pads each cut's rows to the block's largest R); a
-block holds at most 8192 table entries, and cuts share one only when every
-requested cut has the same d_k and each has at most 4096 entries.
+The checker decides a request in blocks (`verifier`) of at most 8192
+table entries, and cuts share one only when every requested cut has the
+same d_k and each has at most 4096 entries.  A block is checked on its
+cuts' distinct columns, but its counts are still each cut's full-table
+counts, checked cut by cut, so a block allocates the sum of its cuts'
+checked counts (pair covering pads each cut's rows to the block's largest
+R).
 """
 
 from __future__ import annotations

@@ -44,8 +44,8 @@ import numpy as np
 
 from . import caps
 from .errors import FamilyFormatError, InadmissibleXiError, InternalConsistencyError
-from .lattice import (_RANK_LIMIT, Label, ModifiedFamily, SetFamily, TupleSet, _derived_meta,
-                      _label_in, build_modified_family, choose_xi)
+from .lattice import (_RANK_LIMIT, ModifiedFamily, SetFamily, TupleSet, _derived_meta, _label_in,
+                      build_modified_family, choose_xi)
 
 if TYPE_CHECKING:  # annotations only: reading and writing families loads none of these
     from .oracle import OracleReport
@@ -64,7 +64,7 @@ def _meta(d: int, n: int, xi: int) -> dict[str, Any]:
     meta: dict[str, Any] = {
         "case": case,
         "xi_prime": xi,
-        "removed": [[_label_out(l), list(t)] for l, t in removed],
+        "removed": [[str(l), list(t)] for l, t in removed],
     }
     if beyond_guarantee:
         meta["beyond_guarantee"] = True
@@ -76,12 +76,8 @@ def family_to_json(family: SetFamily) -> dict[str, Any]:
     refuse each radix and set the reader refuses."""
     n = len(family.radix)
     meta = _meta(family.radix[0], n, family.xi) if isinstance(family, ModifiedFamily) else {}
-    sets = {_label_out(l): ts.members().tolist() for l, ts in family.items()}
+    sets = {str(l): ts.members().tolist() for l, ts in family.items()}
     return {"d": _radix_out(family.radix), "n": n, "sets": sets, "meta": meta}
-
-
-def _label_out(label: Label) -> str:
-    return str(label)
 
 
 def family_from_json(doc: dict[str, Any]) -> SetFamily:
@@ -152,7 +148,7 @@ def family_from_json(doc: dict[str, Any]) -> SetFamily:
                 fault = "differs from the construction's set"
             else:
                 continue
-            raise FamilyFormatError(f"sets[{_label_out(label)!r}]: {fault} for d={d}, n={n}, "
+            raise FamilyFormatError(f"sets[{str(label)!r}]: {fault} for d={d}, n={n}, "
                                     f"xi_prime={xi}")
         return built
     return family
@@ -235,7 +231,7 @@ def states_to_json(state_sets: list[PhaseStateSet]) -> list[dict[str, Any]]:
     which are held to the cap."""
     caps.check(sum(ss.s * (len(ss.radix) + 1) for ss in state_sets),
                "numbers in the state export")
-    return [{"label": _label_out(ss.label), "s": ss.s,
+    return [{"label": str(ss.label), "s": ss.s,
              "support": ss.support.members().tolist(), "bijection": ss.bijection.tolist()}
             for ss in state_sets]
 
@@ -243,7 +239,7 @@ def states_to_json(state_sets: list[PhaseStateSet]) -> list[dict[str, Any]]:
 def cut_report_to_json(report: CutReport) -> dict[str, Any]:
     return {
         "k": report.k,
-        "conditions": {_label_out(l): v.condition.value
+        "conditions": {str(l): v.condition.value
                        for l, v in report.conditions.items()},
         "pair_covering": report.pair_covering,
         "connectivity": report.connectivity,

@@ -32,19 +32,18 @@ the diagonal into free classes.
 
 The one entry point, `verify_strongest_nonlocality`, walks the requested
 cuts once, in order, in blocks: as many cuts as fit _BLOCK_ENTRIES table
-entries when they all have one d_k, else one cut a block.  A block of
-several cuts stacks their tables and runs each check once with a leading
-cut axis: the co-occurrence count is keyed by (cut, target label), pair
-covering deduplicates fill patterns per cut, and connectivity labels the
-components of cut-offset label nodes.  Every cap still holds each cut's
+entries when they all have one d_k, else one cut a block.  A block is its
+cuts' tables side by side, reduced by one sort to each cut's distinct
+columns, each kept at most twice: one (d_k, W) table and the cut of each
+column.  The cover search reads its counts only as 0, 1 or more, while
+pair covering and connectivity read only which columns occur, so every
+verdict and every checked count is the full tables', and the work after
+the sort follows the distinct columns, not D: a cut of modified (d, n) has
+d + 2 of them whatever n.  Each check runs once a block, looking up each
+column's cut: the co-occurrence count is keyed by (cut, target label),
+pair covering deduplicates fill patterns per cut, and connectivity labels
+the components of cut-offset label nodes.  Every cap still holds each cut's
 own count, so a block allocates the sum of its cuts' checked counts.
-
-A block of one cut is checked on its distinct columns, each kept at most
-twice, found by one sort: the cover search reads its counts only as 0, 1
-or more, while pair covering and connectivity read only which columns
-occur.  So every verdict and every checked count is the full table's, and
-the work after the sort follows the distinct columns, not D: a cut of
-modified (d, n) has d + 2 of them whatever n.
 """
 
 from __future__ import annotations
@@ -87,10 +86,10 @@ class LabelVerdict:
 _UNRESOLVED = LabelVerdict(Condition.UNRESOLVED)
 
 
-def _classify(tables: np.ndarray, labels: list[Label],
+def _classify(table: np.ndarray, cut_of: np.ndarray, C: int, labels: list[Label],
               limit: int) -> list[dict[Label, LabelVerdict]]:
-    """Assign each label of each stacked cut the first sufficient condition
-    that resolves it.
+    """Assign each label of each of the block's C cuts the first sufficient
+    condition that resolves it; column x of `table` belongs to cut cut_of[x].
 
     Singleton classes are claimed first, then tight covers with unrestricted
     contributors, then chained covers drawn solely from resolved labels, in
@@ -109,10 +108,10 @@ def _classify(tables: np.ndarray, labels: list[Label],
     of them, as == 0.  So a third copy of a column changes no verdict and no
     checked count, and a table may keep each distinct column at most twice.
     """
-    C, d_k, D = tables.shape
+    d_k = len(table)
     L = len(labels)
-    lab = tables % (L + 1)  # an empty entry reads as label L, which nothing admits
-    row = np.arange(0, C * d_k * (L + 1), L + 1).reshape(C, d_k, 1)
+    lab = table % (L + 1)  # an empty entry reads as label L, which nothing admits
+    row = (cut_of * d_k + np.arange(d_k)[:, None]) * (L + 1)
     sizes = np.bincount((lab + row).ravel(), minlength=C * d_k * (L + 1)).reshape(C, d_k, L + 1)
     sizes[..., L] = 0  # so label L is never present, single or resolved
     present = sizes > 0
@@ -126,18 +125,15 @@ def _classify(tables: np.ndarray, labels: list[Label],
     for n_targets in np.bincount(cut, minlength=C).tolist():
         caps.check(d_k * d_k * n_targets * (L + 1), "co-occurrence counts", limit=limit)
 
-    # one bincount per row g keeps the index within the size of the tables
+    # one bincount per row g keeps the index within the size of the table
     slot = np.full((C, L + 1), -1)
     slot[cut, U] = np.arange(len(U))
-    u = slot[np.arange(C)[:, None, None], lab].ravel()
-    at = np.flatnonzero(u >= 0)  # entry (c, tau, col) sits at (c * d_k + tau) * D + col
-    tau = at // D % d_k
-    key = (u[at] * d_k + tau) * (L + 1)
-    at -= tau * D
-    lab = lab.ravel()
+    u = slot[cut_of, lab]
+    tau, col = (u >= 0).nonzero()  # entry (tau, col) holds target u[tau, col]
+    key = (u[tau, col] * d_k + tau) * (L + 1)
     count = np.empty((len(U), d_k, d_k, L + 1), dtype=np.int64)
     for g in range(d_k):
-        count[:, :, g] = np.bincount(key + lab[at + g * D], minlength=len(U) * d_k * (L + 1)
+        count[:, :, g] = np.bincount(key + lab[g, col], minlength=len(U) * d_k * (L + 1)
                                      ).reshape(len(U), d_k, L + 1)
     # class (tau, U[j]), where present, is covered at g when row g holds only
     # admitted labels there, so never at g == tau, where the target sits
@@ -190,7 +186,7 @@ def _classify(tables: np.ndarray, labels: list[Label],
     return [{l: v.get(l, _UNRESOLVED) for l in labels} for v in verdicts]
 
 
-def _pair_covering(tables: np.ndarray, limit: int) -> list[bool]:
+def _pair_covering(table: np.ndarray, cut_of: np.ndarray, C: int, limit: int) -> list[bool]:
     """Every two residual tuples of a cut must share an extension digit
     whose insertions at k both land inside the family union.
 
@@ -200,13 +196,12 @@ def _pair_covering(tables: np.ndarray, limit: int) -> list[bool]:
     rows of all digits, which meet every row but an empty one, and an empty
     row already fails on its own.
     """
-    C, d_k, D = tables.shape
-    width = 2 + (d_k + 7) // 8
+    width = 2 + (len(table) + 7) // 8
     # each row leads with its cut in two big-endian bytes (a block holds at most
     # _BLOCK_ENTRIES cuts), so the rows of a cut sort together
-    keyed = np.empty((C, D, width), dtype=np.uint8)
-    keyed[..., :2] = np.arange(C, dtype=">u2").view(np.uint8).reshape(C, 1, 2)
-    keyed[..., 2:] = np.packbits(tables.transpose(0, 2, 1) >= 0, axis=2)
+    keyed = np.empty((len(cut_of), width), dtype=np.uint8)
+    keyed[:, :2] = cut_of.astype(">u2").view(np.uint8).reshape(-1, 2)
+    keyed[:, 2:] = np.packbits(table.T >= 0, axis=1)
     rows = sorted_unique(keyed.view(np.dtype((np.void, width))).ravel())
     rows = rows.view(np.uint8).reshape(len(rows), width)
     owner = rows[:, 0].astype(np.int64) * 256 + rows[:, 1]
@@ -218,32 +213,36 @@ def _pair_covering(tables: np.ndarray, limit: int) -> list[bool]:
     return (ext @ ext.transpose(0, 2, 1) > 0).all(axis=(1, 2)).tolist()
 
 
-def _connectivity(tables: np.ndarray, n_labels: int) -> list[bool]:
+def _connectivity(table: np.ndarray, cut_of: np.ndarray, C: int, n_labels: int) -> list[bool]:
     """Each cut's labels form one component under "residual footprints
     intersect".
 
-    Label l of the c-th cut is node c * n_labels + l, so components never
-    cross cuts.  Each nonempty column of a label table links every label in
-    it to the largest one there, which keeps the components of the overlap
-    graph; a cut is connected when every label lies in the component of its
-    label 0.
+    Label l of cut c is node c * n_labels + l, so components never cross
+    cuts.  Each nonempty column of a label table links every label in it to
+    the largest one there, which keeps the components of the overlap graph;
+    a cut is connected when every label lies in the component of its label 0.
     """
-    base = np.arange(0, len(tables) * n_labels, n_labels)
-    node = tables + base[:, None, None]
-    hit = (tables >= 0).transpose(0, 2, 1)  # read column by column, so each column's hub repeats
-    hub = node.max(axis=1).ravel().repeat(hit.sum(axis=2).ravel())
-    lab = _components(len(tables) * n_labels, node.transpose(0, 2, 1)[hit], hub)
-    return (lab.reshape(-1, n_labels) == base[:, None]).all(axis=1).tolist()
+    node = (table + cut_of * n_labels).T
+    hit = table.T >= 0  # read column by column, so each column's hub repeats
+    hub = node.max(axis=1).repeat(hit.sum(axis=1))
+    lab = _components(C * n_labels, node[hit], hub)
+    return (lab.reshape(C, n_labels) == np.arange(0, C * n_labels, n_labels)[:, None]
+            ).all(axis=1).tolist()
 
 
-def _distinct_columns(table: np.ndarray) -> np.ndarray:
-    """A (d_k, D) label table's distinct columns, each kept at most twice,
-    by one sort, as a block of one cut."""
-    table = np.take(table, np.lexsort(table), axis=1)  # faster than fancy indexing here
-    # after the sort, a column is a third copy or more exactly when it equals the one two before
-    kept = np.ones(table.shape[1], dtype=bool)
-    kept[2:] = (table[:, 2:] != table[:, :-2]).any(axis=0)
-    return table[None, :, np.flatnonzero(kept)]
+def _distinct_columns(tables: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """A block of (d_k, D) cut tables as one (d_k, W) table of each cut's
+    distinct columns, each kept at most twice, by one sort, with the cut of
+    each column."""
+    table = np.concatenate(tables, axis=1)
+    cut_of = np.arange(len(tables)).repeat([t.shape[1] for t in tables])
+    order = np.lexsort((*table, cut_of))  # by cut, then by column
+    table, cut_of = np.take(table, order, axis=1), cut_of[order]  # faster than fancy indexing
+    # after the sort, a column is a third copy or more exactly when it equals
+    # the one two before in the same cut
+    kept = np.ones(len(cut_of), dtype=bool)
+    kept[2:] = (table[:, 2:] != table[:, :-2]).any(axis=0) | (cut_of[2:] != cut_of[:-2])
+    return table[:, kept], cut_of[kept]
 
 
 @dataclass
@@ -281,17 +280,17 @@ def verify_strongest_nonlocality(family: SetFamily, cuts: list[int] | None = Non
     label = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
     # an empty entry numbers member -1, which picks the -1 appended last
     cube = np.append(label, np.int32(-1))[member_cube(family.radix, family.sets(), limit=limit)]
-    # every cut's table holds the whole cube; only cuts of one d_k stack
+    # every cut's table holds the whole cube; only cuts of one d_k share a block
     one_d_k = len({family.radix[k] for k in cuts}) == 1
     per_block = max(1, _BLOCK_ENTRIES // cube.size) if one_d_k else 1
     reports = []
     for start in range(0, len(cuts), per_block):
         block = cuts[start:start + per_block]
-        # a block of one cut is checked on its distinct columns
-        tables = (_distinct_columns(cut_table(cube, block[0])) if per_block == 1
-                  else np.stack([cut_table(cube, k) for k in block]))
-        checks = zip(block, _classify(tables, family.labels, limit), _pair_covering(tables, limit),
-                     _connectivity(tables, len(family)))
+        table, cut_of = _distinct_columns([cut_table(cube, k) for k in block])
+        C = len(block)
+        checks = zip(block, _classify(table, cut_of, C, family.labels, limit),
+                     _pair_covering(table, cut_of, C, limit),
+                     _connectivity(table, cut_of, C, len(family)))
         reports += [CutReport(k, conditions, pair, conn, _cut_overall(conditions, pair, conn))
                     for k, conditions, pair, conn in checks]
     return reports

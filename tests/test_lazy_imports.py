@@ -125,8 +125,8 @@ def test_command_loads_only_its_layers(tmp_path, argv, layers):
 
 
 def test_checking_cuts_on_their_distinct_columns_loads_only_the_verifier(tmp_path):
-    # the golden file's cuts are stacked; each cut of modified (4, 7) has
-    # 16384 entries, so the checker sorts out its distinct columns
+    # the golden file's cuts share a block; each cut of modified (4, 7) has
+    # 16384 entries, so it fills a block of its own
     path = tmp_path / "modified_4_7.json"
     q.save_family(q.build_modified_family(4, 7), path)
     loaded = _loaded(tmp_path, ["verify", "--combinatorial-only", "--format", "json", str(path)])

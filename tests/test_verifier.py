@@ -501,7 +501,7 @@ def stacking_battery(built_bases):
 
 def test_stacked_cuts_match_single_cuts(stacking_battery):
     """Every cut of a block reports what it reports alone, whatever the
-    other cuts stacked with it resolve."""
+    other cuts there resolve."""
     seen = set()
     for name, fam in stacking_battery:
         reports = q.verify_strongest_nonlocality(fam)
@@ -573,23 +573,23 @@ def test_verdicts_do_not_depend_on_label_numbering(built_slice):
 
 
 @pytest.mark.parametrize("build, blocks", [
-    (lambda: q.build_index_family(6, 4), [(4, 6, 216)]),
-    (lambda: q.build_index_family(3, 7), [(3, 3, 729)] * 2 + [(1, 3, 729)]),
-    (lambda: q.build_modified_family(4, 7), [(1, 4, 10)] * 7),
+    (lambda: q.build_index_family(6, 4), [(4, (6, 48))]),
+    (lambda: q.build_index_family(3, 7), [(3, (3, 18))] * 2 + [(1, (3, 6))]),
+    (lambda: q.build_modified_family(4, 7), [(1, (4, 10))] * 7),
     (lambda: q.SetFamily((4, 2, 3, 2), {0: q.TupleSet((4, 2, 3, 2), np.arange(48))}),
-     [(1, 4, 2), (1, 2, 2), (1, 3, 2), (1, 2, 2)]),
+     [(1, (4, 2)), (1, (2, 2)), (1, (3, 2)), (1, (2, 2))]),
 ], ids=["index(6,4)", "index(3,7)", "modified(4,7)", "mixed"])
 def test_cuts_stack_by_digit_count_in_blocks(monkeypatch, build, blocks):
     # a request over one d_k goes in blocks of at most 8192 table entries,
-    # and one over several d_k one cut a block, in the order requested; a
-    # block of one cut is checked on its distinct columns, each kept at most
-    # twice
+    # and one over several d_k one cut a block, in the order requested; each
+    # block is checked as one table of its cuts' distinct columns, each kept
+    # at most twice
     from qnonloc import verifier
     seen = []
 
-    def recording(tables, labels, limit):
-        seen.append(tables.shape)
-        return classify(tables, labels, limit)
+    def recording(table, cut_of, C, labels, limit):
+        seen.append((C, table.shape))
+        return classify(table, cut_of, C, labels, limit)
 
     classify = verifier._classify
     monkeypatch.setattr(verifier, "_classify", recording)
@@ -612,43 +612,54 @@ def test_modified_cuts_have_d_plus_2_distinct_columns(d, n):
     # work on a merged cut does not grow with D
     from qnonloc.verifier import _distinct_columns
     for table in _cut_tables(q.build_modified_family(d, n)):
-        columns = _distinct_columns(table)
-        assert columns.shape == (1, d, 2 * d + 2)
-        _, copies = np.unique(columns[0].T, axis=0, return_counts=True)
+        columns, cut_of = _distinct_columns([table])
+        assert columns.shape == (d, 2 * d + 2)
+        assert not cut_of.any()
+        _, copies = np.unique(columns.T, axis=0, return_counts=True)
         assert len(copies) == d + 2 and copies.max() == 2
         # every kept column is one of the table's
-        assert {*map(tuple, columns[0].T)} == {*map(tuple, table.T)}
+        assert {*map(tuple, columns.T)} == {*map(tuple, table.T)}
 
 
 @st.composite
 def repeating_tables(draw):
-    """A (d_k, D) label table over 1 to 5 labels, with some empty entries
-    (-1): up to 8 random columns, each repeated 1 to 5 times, in a random
-    order, so at most 40 columns."""
+    """A block of 1 to 3 (d_k, D) label tables of one d_k over 1 to 5
+    labels, with some empty entries (-1): each table draws up to 8 columns
+    from one pool of up to 6 random columns, so the cuts share columns, and
+    repeats each 1 to 5 times, in a random order."""
     d_k, L = draw(st.integers(2, 4)), draw(st.integers(1, 5))
     column = st.lists(st.integers(-1, L - 1), min_size=d_k, max_size=d_k)
-    columns = draw(st.lists(st.tuples(column, st.integers(1, 5)), min_size=1, max_size=8))
-    table = draw(st.permutations([c for c, times in columns for _ in range(times)]))
-    return np.array(table, dtype=np.int32).T, L
+    pool = draw(st.lists(column, min_size=1, max_size=6))
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        columns = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 5)),
+                                min_size=1, max_size=8))
+        table = draw(st.permutations([c for c, times in columns for _ in range(times)]))
+        tables.append(np.array(table, dtype=np.int32).T)
+    return tables, L
 
 
 @settings(max_examples=300, deadline=None)
 @given(repeating_tables())
-def test_checks_on_columns_kept_at_most_twice_match_the_full_table(table_labels):
-    """Every count the checks read is read only as 0, 1 or more, so a table
-    with each distinct column kept at most twice gives the full table's
-    verdicts, pair covering and connectivity."""
+def test_checks_on_columns_kept_at_most_twice_match_the_full_table(tables_labels):
+    """Every count the checks read is read only as 0, 1 or more, so a block
+    with each cut's distinct columns kept at most twice gives, cut by cut,
+    the verdicts, pair covering and connectivity of that cut's full table."""
     from qnonloc.verifier import _classify, _connectivity, _distinct_columns, _pair_covering
-    table, L = table_labels
-    kept = _distinct_columns(table)
-    columns, copies = np.unique(kept[0].T, axis=0, return_counts=True)
-    all_columns, all_copies = np.unique(table.T, axis=0, return_counts=True)
-    assert np.array_equal(columns, all_columns)
-    assert np.array_equal(copies, np.minimum(all_copies, 2))
-    full, labels = table[None], list(range(L))
-    assert _classify(kept, labels, 10**7) == _classify(full, labels, 10**7)
-    assert _pair_covering(kept, 10**7) == _pair_covering(full, 10**7)
-    assert _connectivity(kept, L) == _connectivity(full, L)
+    tables, L = tables_labels
+    C, labels = len(tables), list(range(L))
+    kept, cut_of = _distinct_columns(tables)
+    for c, table in enumerate(tables):
+        columns, copies = np.unique(kept[:, cut_of == c].T, axis=0, return_counts=True)
+        all_columns, all_copies = np.unique(table.T, axis=0, return_counts=True)
+        assert np.array_equal(columns, all_columns)
+        assert np.array_equal(copies, np.minimum(all_copies, 2))
+    # each cut's full table on its own, as a block of one cut
+    full = [(table, np.zeros(table.shape[1], dtype=np.int64), 1) for table in tables]
+    assert _classify(kept, cut_of, C, labels, 10**7) == [
+        _classify(*f, labels, 10**7)[0] for f in full]
+    assert _pair_covering(kept, cut_of, C, 10**7) == [_pair_covering(*f, 10**7)[0] for f in full]
+    assert _connectivity(kept, cut_of, C, L) == [_connectivity(*f, L)[0] for f in full]
 
 
 def _random_labeling(radix, n_labels, seed):
@@ -664,7 +675,7 @@ def _random_labeling(radix, n_labels, seed):
 @pytest.fixture(scope="module")
 def merged_battery():
     """(name, family): families each of whose cuts has more than 4096
-    entries, so every cut is checked on its distinct columns; between them
+    entries, so every cut fills a block of its own; between them
     they reach every condition, verdict and failed global condition."""
     return [("modified(4,7)", q.build_modified_family(4, 7)),
             ("modified(3,8)", q.build_modified_family(3, 8)),
@@ -688,15 +699,15 @@ def test_merged_cuts_match_the_full_tables(merged_battery):
         reports = q.verify_strongest_nonlocality(fam)
         for k, table in enumerate(_cut_tables(fam)):
             assert table.size > 4096, name
-            full = table[None]
-            conditions = _classify(full, fam.labels, 10**7)[0]
-            pair = _pair_covering(full, 10**7)[0]
-            conn = _connectivity(full, len(fam))[0]
+            full = table, np.zeros(table.shape[1], dtype=np.int64), 1
+            conditions = _classify(*full, fam.labels, 10**7)[0]
+            pair = _pair_covering(*full, 10**7)[0]
+            conn = _connectivity(*full, len(fam))[0]
             want = CutReport(k, conditions, pair, conn, _cut_overall(conditions, pair, conn))
             assert reports[k] == want, (name, k)
             seen.update(v.condition for v in conditions.values())
             seen.update([("pair", pair), ("conn", conn)])
-            distinct.append(_distinct_columns(table).shape[2] / table.shape[1])
+            distinct.append(_distinct_columns([table])[0].shape[1] / table.shape[1])
         seen.add(q.overall_verdict(reports))
     assert seen == {*Condition, "trivial", "inconclusive", "nontrivial",
                     ("pair", True), ("pair", False), ("conn", True), ("conn", False)}
